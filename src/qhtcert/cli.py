@@ -13,8 +13,9 @@ Exit codes: 0 success / certificate, 2 ABSTAIN, 1 error (a JSON error record
 is printed to stderr).  CSV output is byte-stable for fixed inputs and seed:
 fixed header, fixed column order, 12-significant-digit formatting.
 
-The environment variable QHT_CERT_THREADS caps BLAS-level parallelism (all
-sweeps themselves run sequentially, so outputs never depend on it).
+All sweeps run sequentially, so outputs never depend on BLAS threading.  To
+cap BLAS threads, set OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the
+process starts; numpy reads them only when it is first imported.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -61,14 +61,6 @@ def _emit(lines, path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _limit_threads() -> None:
-    cap = os.environ.get("QHT_CERT_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _bound_row(p_a: float, p_b: float, p: float) -> str:
@@ -281,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

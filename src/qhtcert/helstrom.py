@@ -9,12 +9,15 @@ state rho.  A test is an operator 0 <= M <= 1 with error rates
 The minimizer of beta at fixed alpha is assembled from the eigenprojections of
 rho - t*sigma: M = P_plus(t) + q0 * P_zero(t), with t the smallest value at
 which alpha(P_plus) drops to the requested level and q0 a scalar mixing weight
-on the zero eigenspace.  t is located by doubling-then-bisection, which is
-sound because t -> alpha(P_plus(t)) is non-increasing and right-continuous.
+on the zero eigenspace.  t is bracketed by doubling and the bracket is closed
+by Newton steps taken from each probe's eigendecomposition, with bisection as
+the safeguard; this is sound because t -> alpha(P_plus(t)) is non-increasing
+and right-continuous.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,7 @@ DEFAULT_LAMBDA_TOL = 1e-8
 # usable scale, so roundoff-sized eigenvalues must still land in P_zero.
 EIG_FLOOR = 1e-13
 
-# Relative bracket width at which the bisection for t stops.
+# Relative bracket width at which the search for t stops.
 T_TOL = 1e-12
 
 # Stand-in level when the requested type-I error is exactly zero; the true
@@ -82,15 +85,19 @@ def _zero_threshold(w: np.ndarray, t: float, lambda_tol: float, eig_floor: float
     return max(lambda_tol * op_norm, eig_floor * (1.0 + t))
 
 
+def _plus_start(w: np.ndarray, t: float, lambda_tol: float) -> tuple[float, int]:
+    """Zero threshold and the index where the plus set starts in the ascending
+    eigenvalues w of rho - t*sigma: P_plus(t) spans the eigenvectors of w[k:]."""
+    thr = _zero_threshold(w, t, lambda_tol)
+    return thr, int(np.searchsorted(w, thr, side="right"))
+
+
 def _alpha_plus(rho: DensityMatrix, sigma: DensityMatrix, t: float, lambda_tol: float) -> float:
     """alpha(P_plus(t)) without assembling the projector."""
     w, v = _eig_difference(rho, sigma, t)
-    thr = _zero_threshold(w, t, lambda_tol)
-    mask = w > thr
-    if not np.any(mask):
-        return 0.0
-    sv = sigma.matrix @ v[:, mask]
-    return float(np.real(np.sum(v[:, mask].conj() * sv)))
+    _, k = _plus_start(w, t, lambda_tol)
+    cols = v[:, k:]
+    return float(np.real(np.sum(cols.conj() * (sigma.matrix @ cols))))
 
 
 def signed_projections(
@@ -147,6 +154,44 @@ def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
     return alpha, beta
 
 
+def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: float, lambda_tol: float):
+    """One eigendecomposition of rho - t*sigma: whether alpha(P_plus(t)) <= level,
+    and a pair of Newton guesses for the threshold (NaN where there is none).
+
+    With S = V^H sigma V in the eigenbasis of rho - t*sigma, alpha(P_plus) is
+    the sum of S_kk over the plus set, each eigenvalue moves at
+    d(lambda_k)/dt = -S_kk (Hellmann-Feynman), and first-order perturbation
+    theory gives the slope alpha'(t) = -2 sum_{i in +, j not in +}
+    |S_ij|^2 / (lambda_i - lambda_j).  The first guess is a Newton step on
+    alpha - level.  The second serves levels that sit on a jump of alpha: it
+    moves every eigenvalue at its rate toward the level and returns the first
+    crossing of the zero threshold after which the plus set's weight has
+    passed the level.
+    """
+    w, v = _eig_difference(rho, sigma, t)
+    thr, k = _plus_start(w, t, lambda_tol)
+    s = v.conj().T @ sigma.matrix @ v
+    rate = s.diagonal().real
+    alpha = float(np.sum(rate[k:]))
+    below = alpha <= level
+
+    gap = w[k:, None] - w[None, :k]
+    slope = -2.0 * float(np.sum(np.abs(s[k:, :k]) ** 2 / gap))
+    newton = t - (alpha - level) / slope if slope < 0.0 else math.nan
+
+    # Below the level the threshold lies to the left, where eigenvalues
+    # outside P_plus rise through thr and add their weight; above it, to the
+    # right, where eigenvalues in P_plus fall through thr and take theirs away.
+    sign, side = (1.0, slice(None, k)) if below else (-1.0, slice(k, None))
+    moving = rate[side] > 0.0
+    times = t + (w[side][moving] - thr) / rate[side][moving]
+    order = np.argsort(-sign * times)
+    weight = alpha + sign * np.cumsum(rate[side][moving][order])
+    passed = (weight > level) == below
+    crossing = float(times[order][np.argmax(passed)]) if np.any(passed) else math.nan
+    return below, (newton, crossing)
+
+
 def _tau_search(
     rho: DensityMatrix,
     sigma: DensityMatrix,
@@ -154,33 +199,56 @@ def _tau_search(
     lambda_tol: float,
     t_tol: float = T_TOL,
 ) -> float:
-    """Smallest t >= 0 with alpha(P_plus(t)) <= level, by doubling + bisection."""
+    """Smallest t >= 0 with alpha(P_plus(t)) <= level.
 
-    def pred(t: float) -> bool:
-        return _alpha_plus(rho, sigma, t, lambda_tol) <= level
+    A doubling search brackets t with alpha(P_plus(lo)) > level >=
+    alpha(P_plus(hi)); safeguarded Newton steps then shrink the bracket to a
+    relative width t_tol.  Each step takes the first guess of the newest probe
+    (its Newton step on alpha, then its step to an eigenvalue crossing), then
+    of the probe at the other end, that lies in the bracket, clamped at least
+    half the tolerance inside it so that a converged step closes it.  It
+    bisects when no guess lies in the bracket or when the bracket has not
+    halved over the last two steps.
+    """
 
-    if pred(0.0):
+    def probe(t: float):
+        return _threshold_probe(rho, sigma, t, level, lambda_tol)
+
+    below, guesses = probe(0.0)
+    if below:
         return 0.0
     lo, hi = 0.0, 1.0
-    if not pred(hi):
-        lo = hi
-        while True:
-            hi *= 2.0
-            if pred(hi):
-                break
-            lo = hi
-            if hi > 2.0**100:
-                raise SandwichViolated(
-                    f"no t <= 2^100 reaches type-I error level {level}"
-                )
+    at_lo = guesses
+    below, guesses = probe(hi)
+    while not below:
+        if hi > 2.0**100:
+            raise SandwichViolated(
+                f"no t <= 2^100 reaches type-I error level {level}"
+            )
+        lo, at_lo = hi, guesses
+        hi *= 2.0
+        below, guesses = probe(hi)
+    at_hi = guesses
+
+    widths = [math.inf, math.inf]
     while hi - lo > t_tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if pred(mid):
-            hi = mid
+        half_tol = 0.5 * t_tol * max(1.0, hi)
+        newest_first = at_hi + at_lo if below else at_lo + at_hi
+        guess = next((g for g in newest_first if lo <= g <= hi), None)
+        if guess is None or hi - lo > 0.5 * widths[0]:
+            t = math.nan
         else:
-            lo = mid
+            t = min(max(guess, lo + half_tol), hi - half_tol)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        if not lo < t < hi:
+            break
+        widths = [widths[1], hi - lo]
+        below, guesses = probe(t)
+        if below:
+            hi, at_hi = t, guesses
+        else:
+            lo, at_lo = t, guesses
     return hi
 
 
@@ -276,12 +344,16 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     beta(M_A) + beta(M_B) > 1.  When true, every classifier whose top class on
     sigma has probability >= p_a and runner-up <= p_b must assign rho the same
     top class.
+
+    When p_b equals 1 - p_a up to rounding (typed pairs such as (0.8, 0.2)),
+    one test at the larger level L = max(1 - p_a, p_b) decides: beta does not
+    increase with the level, so 2 * beta(L) > 1 implies the two-test
+    condition and never overclaims.
     """
     if not (0.0 <= p_b < p_a <= 1.0):
         raise InvalidProbabilityOrder(f"need 0 <= pB < pA <= 1, got pA={p_a}, pB={p_b}")
+    if abs(p_b - (1.0 - p_a)) <= 1e-15:
+        return bool(2.0 * helstrom(rho, sigma, max(1.0 - p_a, p_b)).beta > 1.0)
     test_a = helstrom(rho, sigma, 1.0 - p_a)
-    if p_b == 1.0 - p_a:
-        # Equal type-I levels give the identical optimal test.
-        return bool(2.0 * test_a.beta > 1.0)
     test_b = helstrom(rho, sigma, p_b)
     return bool(test_a.beta + test_b.beta > 1.0)

@@ -9,6 +9,9 @@ row-major order, so dumps are bit-stable:
 * channel:    {"kraus": [matrix, ...]}
 * POVM:       {"labels": [...], "elements": [matrix, ...]}
 * classifier: {"labels": [...], "channel": {...}, "povm": {...}}
+
+The loaders check the JSON type of every container they index and raise
+ValidationError on a record of the wrong shape.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import Classifier
+from .errors import ValidationError
 from .states import Channel, DensityMatrix, Povm, PureState, validate_density
 
 
@@ -36,17 +40,35 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return out
 
 
+_JSON_TYPE_NAMES = {dict: "object", list: "array", int: "integer"}
+
+
+def _expect(value, kind: type, what: str):
+    """value, checked to be a JSON object, array or integer."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _reals(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a (nested) array of numbers: {exc}") from None
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    obj = _expect(obj, dict, "matrix")
+    re = _reals(obj["re"], "matrix re")
+    im = _reals(obj["im"], "matrix im")
     if re.shape != im.shape:
         raise ValueError("re and im parts have different shapes")
     if "dim" in obj:
-        d = int(obj["dim"])
+        d = _expect(obj["dim"], int, "matrix dim")
         if re.shape != (d, d):
             raise ValueError(f"declared dim {d} does not match data shape {re.shape}")
     else:
-        if re.shape != (int(obj["rows"]), int(obj["cols"])):
+        if re.shape != (_expect(obj["rows"], int, "matrix rows"), _expect(obj["cols"], int, "matrix cols")):
             raise ValueError("declared rows/cols do not match data shape")
     return re + 1j * im
 
@@ -67,14 +89,15 @@ def pure_to_json(psi: PureState) -> dict:
 
 
 def pure_from_json(obj: dict) -> PureState:
-    re = np.asarray(obj["amplitudes_re"], dtype=float)
-    im = np.asarray(obj["amplitudes_im"], dtype=float)
+    obj = _expect(obj, dict, "pure state")
+    re = _reals(obj["amplitudes_re"], "amplitudes_re")
+    im = _reals(obj["amplitudes_im"], "amplitudes_im")
     return PureState(re + 1j * im)
 
 
 def state_from_json(obj: dict) -> DensityMatrix:
     """Accept either a density-matrix or a pure-state record."""
-    if "amplitudes_re" in obj:
+    if "amplitudes_re" in _expect(obj, dict, "state"):
         return pure_from_json(obj).density()
     return density_from_json(obj)
 
@@ -84,7 +107,8 @@ def channel_to_json(ch: Channel) -> dict:
 
 
 def channel_from_json(obj: dict) -> Channel:
-    return Channel(tuple(matrix_from_json(k) for k in obj["kraus"]))
+    kraus = _expect(_expect(obj, dict, "channel")["kraus"], list, "channel kraus")
+    return Channel(tuple(matrix_from_json(k) for k in kraus))
 
 
 def povm_to_json(povm: Povm) -> dict:
@@ -95,8 +119,9 @@ def povm_to_json(povm: Povm) -> dict:
 
 
 def povm_from_json(obj: dict) -> Povm:
-    elements = tuple(matrix_from_json(e) for e in obj["elements"])
-    labels = tuple(obj["labels"]) if "labels" in obj else None
+    obj = _expect(obj, dict, "povm")
+    elements = tuple(matrix_from_json(e) for e in _expect(obj["elements"], list, "povm elements"))
+    labels = tuple(_expect(obj["labels"], list, "povm labels")) if "labels" in obj else None
     return Povm(elements, labels)
 
 
@@ -109,10 +134,11 @@ def classifier_to_json(cl: Classifier) -> dict:
 
 
 def classifier_from_json(obj: dict) -> Classifier:
+    obj = _expect(obj, dict, "classifier")
     channel = channel_from_json(obj["channel"])
-    povm_obj = dict(obj["povm"])
-    labels = tuple(obj.get("labels", povm_obj.get("labels", ())))
-    elements = tuple(matrix_from_json(e) for e in povm_obj["elements"])
+    povm_obj = _expect(obj["povm"], dict, "povm")
+    labels = tuple(_expect(obj.get("labels", povm_obj.get("labels", [])), list, "labels"))
+    elements = tuple(matrix_from_json(e) for e in _expect(povm_obj["elements"], list, "povm elements"))
     povm = Povm(elements, labels if labels else None)
     return Classifier(channel, povm, labels if labels else None)
 

@@ -161,6 +161,40 @@ def test_certify_missing_file_is_error(capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
+_IDENTITY = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "role, record",
+    [
+        ("state", [1, 2]),
+        ("classifier", [1, 2]),
+        ("state", "not a record"),
+        ("state", 5),
+        ("state", {"re": {"a": 1}, "im": [[0.0]], "dim": 1}),
+        ("state", {"re": [[1.0]], "im": [[0.0]], "dim": [1]}),
+        ("state", {"amplitudes_re": [1.0, {}], "amplitudes_im": [0.0, 0.0]}),
+        ("classifier", {"channel": 5, "povm": {}}),
+        ("classifier", {"channel": {"kraus": 5}, "povm": {"elements": [_IDENTITY]}}),
+        ("classifier", {"channel": {"kraus": [[1.0]]}, "povm": {"elements": [_IDENTITY]}}),
+        ("classifier", {"channel": {"kraus": [_IDENTITY]}, "povm": [_IDENTITY]}),
+        ("classifier", {"channel": {"kraus": [_IDENTITY]}, "povm": {"elements": _IDENTITY}}),
+        ("classifier", {"labels": 5, "channel": {"kraus": [_IDENTITY]}, "povm": {"elements": [_IDENTITY]}}),
+    ],
+)
+def test_certify_rejects_malformed_json_with_error_record(tmp_path, demo_files, capsys, role, record):
+    paths = dict(zip(("classifier", "state"), demo_files))
+    paths[role] = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text(json.dumps(record))
+    rc, _, err = run(
+        capsys,
+        "certify", "--classifier", paths["classifier"], "--state", paths["state"],
+        "--shots", "10", "--epsilon", "0.5",
+    )
+    assert rc == 1
+    assert json.loads(err)["error"] == "ValidationError"
+
+
 def test_certificates_identical_across_runs(tmp_path, demo_files):
     cl_path, state_path = demo_files
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhtcert import (
+    DensityMatrix,
     PureState,
     certify_condition,
+    depolarize,
     error_probabilities,
     helstrom,
     pure_beta_closed_form,
@@ -15,6 +18,7 @@ from qhtcert import (
     random_pure,
     signed_projections,
     tau,
+    trace_distance,
 )
 from qhtcert.errors import (
     DimMismatch,
@@ -22,11 +26,13 @@ from qhtcert.errors import (
     InvalidTestOperator,
     NegativeT,
 )
-from qhtcert.helstrom import _alpha_plus
+from qhtcert.helstrom import T_TOL, _alpha_plus
 from qhtcert.oracle import sample_test_operators
-from qhtcert import demo
+from qhtcert import bounds, demo
 
 from conftest import philox
+
+hel = importlib.import_module("qhtcert.helstrom")
 
 SIGMA = demo.benign_state().density()
 RHO = demo.adversarial_state().density()
@@ -55,6 +61,28 @@ def tau_grid_scan(rho, sigma, alpha0, t_max=8.0, steps=4000) -> float:
     return math.inf
 
 
+def tau_bisection(rho, sigma, level, lambda_tol, t_tol=T_TOL) -> float:
+    """Reference threshold search: doubling, then plain bisection on _alpha_plus."""
+
+    def pred(t: float) -> bool:
+        return _alpha_plus(rho, sigma, t, lambda_tol) <= level
+
+    if pred(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while not pred(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > t_tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def test_tau_bisection_matches_grid_scan(rng):
     for _ in range(5):
         a, b = random_pure(2, rng).density(), random_pure(2, rng).density()
@@ -63,6 +91,51 @@ def test_tau_bisection_matches_grid_scan(rng):
             if math.isinf(t_scan):
                 continue
             assert tau(a, b, alpha0) == pytest.approx(t_scan, abs=8.0 / 4000 + 1e-9)
+
+
+def search_cases():
+    """Fixed-seed (d, kind, sigma, rho) pairs covering smooth and jumping alpha(t)."""
+    rng = philox(97531)
+    for d in (2, 4, 16, 64):
+        rank = max(1, d // 2)
+        pure = lambda: random_pure(d, rng).density()  # noqa: E731
+        diagonal = lambda: DensityMatrix(np.diag(rng.dirichlet(np.ones(d))))  # noqa: E731
+        yield d, "pure/pure", pure(), pure()
+        yield d, "pure/mixed", pure(), random_density(d, rng)
+        yield d, "mixed/pure", random_density(d, rng), pure()
+        yield d, "mixed/mixed", random_density(d, rng), random_density(d, rng)
+        yield d, "low-rank", random_density(d, rng, rank), random_density(d, rng, rank)
+        # Commuting pairs: alpha(t) is a pure step function.
+        yield d, "diagonal", diagonal(), diagonal()
+        # d - 2 eigenvalues of rho - t*sigma cross zero together at t = 1.
+        yield d, "depolarized pure", depolarize(pure(), 0.3), depolarize(pure(), 0.3)
+
+
+def test_threshold_search_matches_bisection(monkeypatch):
+    eigh = np.linalg.eigh
+    eigh_calls = [0]
+
+    def counting_eigh(a, *args, **kwargs):
+        eigh_calls[0] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    large_d_counts = []
+    for d, kind, sigma, rho in search_cases():
+        for alpha0 in (0.0, 0.05, 0.3, 0.7, 0.95):
+            eigh_calls[0] = 0
+            got = helstrom(rho, sigma, alpha0)
+            if d >= 16:
+                large_d_counts.append(eigh_calls[0])
+            with monkeypatch.context() as m:
+                m.setattr(hel, "_tau_search", tau_bisection)
+                want = helstrom(rho, sigma, alpha0)
+            where = f"d={d} {kind} alpha0={alpha0}"
+            if alpha0 > 0.0:
+                assert abs(got.t - want.t) <= 1e-9 * max(1.0, want.t), where
+            assert got.beta == pytest.approx(want.beta, abs=1e-9), where
+    # Bisection needs 43-45 eigendecompositions per helstrom.
+    assert np.mean(large_d_counts) <= 15.0
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +357,34 @@ def test_condition_examples():
     closer = demo.adversarial_state(0.9).density()
     assert certify_condition(SIGMA, closer, 0.9, 0.1) is True
     assert certify_condition(SIGMA, SIGMA, 0.9, 0.1) is True
+
+
+def test_condition_typed_equal_levels_take_one_test(monkeypatch):
+    # 1 - 0.8 = 0.19999999999999996, so (0.8, 0.2) misses an exact float test.
+    calls = [0]
+    solve = hel.helstrom
+
+    def counting_helstrom(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hel, "helstrom", counting_helstrom)
+    p_a, p_b = 0.8, 0.2
+    radius = bounds.radius_qht_pure(p_a, p_b)
+    rng = philox(303)  # the pairs of acceptance criterion 3
+    checked = 0
+    for _ in range(300):
+        sigma = random_pure(2, rng).density()
+        rho = random_pure(2, rng).density()
+        if abs(trace_distance(sigma, rho) - radius) <= 1e-6:
+            continue
+        calls[0] = 0
+        verdict = certify_condition(sigma, rho, p_a, p_b)
+        assert calls[0] == 1
+        two_tests = solve(rho, sigma, 1.0 - p_a).beta + solve(rho, sigma, p_b).beta > 1.0
+        assert verdict == two_tests
+        checked += 1
+    assert checked > 250
 
 
 def test_condition_rejects_bad_order():

@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhtcert import Channel, Povm, PureState, maximally_mixed, random_density
 from qhtcert import demo, serialize
+from qhtcert.errors import QhtcertError
 
 
 def test_matrix_round_trip(rng):
@@ -79,3 +84,55 @@ def test_save_and_load(tmp_path):
     serialize.save_json(serialize.pure_to_json(demo.benign_state()), path)
     loaded = serialize.state_from_json(serialize.load_json(path))
     assert np.allclose(loaded.matrix, demo.benign_state().density().matrix)
+
+
+# ---------------------------------------------------------------------------
+# malformed records
+
+_JSON_KEYS = ["re", "im", "dim", "rows", "cols", "kraus", "elements", "labels", "channel", "povm",
+              "amplitudes_re", "amplitudes_im"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-1e3, 1e3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replace(obj, path, value):
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+_VALID_RECORDS = {
+    "classifier": serialize.classifier_to_json(demo.hemisphere_classifier()),
+    "pure state": serialize.pure_to_json(demo.benign_state()),
+    "density": serialize.density_to_json(demo.benign_state().density()),
+}
+
+
+@given(data=st.data(), kind=st.sampled_from(sorted(_VALID_RECORDS)))
+@settings(max_examples=200, deadline=None)
+def test_loaders_reject_wrong_shapes_with_handled_errors(data, kind):
+    # Any JSON value at any position of a valid record either loads or raises
+    # one of the errors the CLI reports as a JSON record, never a TypeError.
+    base = _VALID_RECORDS[kind]
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    record = _replace(base, path, data.draw(_JSON_VALUES))
+    load = serialize.classifier_from_json if kind == "classifier" else serialize.state_from_json
+    try:
+        load(record)
+    except (QhtcertError, ValueError, KeyError):
+        pass
