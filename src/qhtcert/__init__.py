@@ -21,6 +21,7 @@ from .bounds import (
     radius_qht_pure_mixed,
     smoothing_covers_everything,
 )
+from .certification import TOOL_VERSION as __version__
 from .certification import (
     Certificate,
     HoeffdingEstimate,
@@ -74,5 +75,3 @@ from .states import (
     trace_distance,
     validate_density,
 )
-
-__version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .bounds import (
     smoothing_covers_everything,
 )
 from .classifier import Classifier, class_probabilities
-from .helstrom import certify_condition
+from .helstrom import _plane_boundary_radius
 from .states import DensityMatrix, PureState, depolarize, is_rank_one
 
 TOOL_VERSION = "0.1.0"
@@ -130,6 +130,72 @@ def _input_hashes(cl: Classifier, sigma: DensityMatrix) -> tuple[str, str]:
     )
 
 
+def _certify(
+    cl: Classifier,
+    sigma: DensityMatrix,
+    n_shots: int,
+    epsilon: float,
+    seed: int,
+    mode: str,
+    p: float,
+) -> Certificate:
+    """The certification pipeline; p > 0 samples the depolarized input and reports smoothed radii."""
+    counts = sample_outcomes(cl, depolarize(sigma, p) if p > 0.0 else sigma, n_shots, seed)
+    est = hoeffding_bounds(counts, n_shots, epsilon)
+    label = cl.labels[est.k_a]
+    pure = is_rank_one(sigma)
+    cl_hash, st_hash = _input_hashes(cl, sigma)
+
+    if mode == "protocol":
+        abstained = est.pA_lower <= 0.5
+        p_b = 1.0 - est.pA_lower
+    else:
+        abstained = est.pA_lower <= est.pB_upper
+        p_b = est.pB_upper
+
+    radii = None
+    covers_all = False
+    fallback = False
+    if not abstained and p == 0.0:
+        radii = bound_report(est.pA_lower, p_b, benign_pure=pure)
+    elif not abstained:
+        pa = est.pA_lower
+        r_qht_p = r_dp = None
+        if pure and sigma.dim == 2:
+            r_qht_p = radius_depol_qht(pa, p)
+            r_dp = radius_depol_dp(pa, p)
+            covers_all = smoothing_covers_everything(pa, p)
+        elif pure:
+            r_qht_p = _smoothed_boundary_generic(sigma, p, pa)
+            fallback = True
+        radii = BoundReport(
+            p_a=pa,
+            p_b=p_b,
+            p=p,
+            r_depol_qht=r_qht_p,
+            r_depol_hoelder=radius_depol_hoelder(pa, p),
+            r_depol_dp=r_dp,
+        )
+    return Certificate(
+        label=label,
+        pA_lower=est.pA_lower,
+        pB_upper=p_b,
+        epsilon=epsilon,
+        n_shots=n_shots,
+        seed=seed,
+        abstained=abstained,
+        radii=radii,
+        counts=tuple(int(c) for c in counts),
+        smoothing_p=p,
+        mode=mode,
+        clipped=est.clipped,
+        covers_all_states=covers_all,
+        generic_fallback=fallback,
+        classifier_hash=cl_hash,
+        state_hash=st_hash,
+    )
+
+
 def certify(
     cl: Classifier,
     sigma: DensityMatrix,
@@ -152,37 +218,7 @@ def certify(
     """
     if mode not in ("protocol", "extended"):
         raise ValueError("mode must be 'protocol' or 'extended'")
-    counts = sample_outcomes(cl, sigma, n_shots, seed)
-    est = hoeffding_bounds(counts, n_shots, epsilon)
-    label = cl.labels[est.k_a]
-    pure = is_rank_one(sigma)
-    cl_hash, st_hash = _input_hashes(cl, sigma)
-
-    if mode == "protocol":
-        abstained = est.pA_lower <= 0.5
-        p_b = 1.0 - est.pA_lower
-    else:
-        abstained = est.pA_lower <= est.pB_upper
-        p_b = est.pB_upper
-
-    radii = None
-    if not abstained:
-        radii = bound_report(est.pA_lower, p_b, benign_pure=pure)
-    return Certificate(
-        label=label,
-        pA_lower=est.pA_lower,
-        pB_upper=p_b,
-        epsilon=epsilon,
-        n_shots=n_shots,
-        seed=seed,
-        abstained=abstained,
-        radii=radii,
-        counts=tuple(int(c) for c in counts),
-        mode=mode,
-        clipped=est.clipped,
-        classifier_hash=cl_hash,
-        state_hash=st_hash,
-    )
+    return _certify(cl, sigma, n_shots, epsilon, seed, mode, 0.0)
 
 
 def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps: int = 40) -> float:
@@ -201,24 +237,7 @@ def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps
     e[k] = 1.0
     partner = e - np.vdot(psi.amplitudes, e) * psi.amplitudes
     partner = partner / np.linalg.norm(partner)
-    smoothed_sigma = depolarize(sigma, p)
-
-    def robust(theta: float) -> bool:
-        amps = np.cos(theta / 2.0) * psi.amplitudes + np.sin(theta / 2.0) * partner
-        rho = depolarize(PureState(amps).density(), p)
-        return certify_condition(smoothed_sigma, rho, p_a, 1.0 - p_a)
-
-    lo, hi = 0.0, math.pi
-    if robust(hi):
-        return 1.0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if robust(mid):
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    return math.sin(theta / 2.0)
+    return _plane_boundary_radius(sigma, psi.amplitudes, partner, p_a, 1.0 - p_a, steps, p)
 
 
 def certify_smoothed(
@@ -239,53 +258,7 @@ def certify_smoothed(
     """
     if not 0.0 < p < 1.0:
         raise ValueError("smoothing parameter p must lie in (0, 1)")
-    smoothed = depolarize(sigma, p)
-    counts = sample_outcomes(cl, smoothed, n_shots, seed)
-    est = hoeffding_bounds(counts, n_shots, epsilon)
-    label = cl.labels[est.k_a]
-    pure = is_rank_one(sigma)
-    cl_hash, st_hash = _input_hashes(cl, sigma)
-    abstained = est.pA_lower <= 0.5
-
-    radii = None
-    covers_all = False
-    fallback = False
-    if not abstained:
-        pa = est.pA_lower
-        r_hoelder_p = radius_depol_hoelder(pa, p)
-        r_qht_p = r_dp = None
-        if pure and sigma.dim == 2:
-            r_qht_p = radius_depol_qht(pa, p)
-            r_dp = radius_depol_dp(pa, p)
-            covers_all = smoothing_covers_everything(pa, p)
-        elif pure:
-            r_qht_p = _smoothed_boundary_generic(sigma, p, pa)
-            fallback = True
-        radii = BoundReport(
-            p_a=pa,
-            p_b=1.0 - pa,
-            p=p,
-            r_depol_qht=r_qht_p,
-            r_depol_hoelder=r_hoelder_p,
-            r_depol_dp=r_dp,
-        )
-    return Certificate(
-        label=label,
-        pA_lower=est.pA_lower,
-        pB_upper=1.0 - est.pA_lower,
-        epsilon=epsilon,
-        n_shots=n_shots,
-        seed=seed,
-        abstained=abstained,
-        radii=radii,
-        counts=tuple(int(c) for c in counts),
-        smoothing_p=p,
-        clipped=est.clipped,
-        covers_all_states=covers_all,
-        generic_fallback=fallback,
-        classifier_hash=cl_hash,
-        state_hash=st_hash,
-    )
+    return _certify(cl, sigma, n_shots, epsilon, seed, "protocol", p)
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -295,18 +268,3 @@ def certificate_to_json(cert: Certificate) -> dict:
     obj["radii"] = None if cert.radii is None else dataclasses.asdict(cert.radii)
     obj["version"] = TOOL_VERSION
     return obj
-
-
-def soundness_check(
-    cert: Certificate,
-    sigma: DensityMatrix,
-    rho: DensityMatrix,
-) -> bool:
-    """Re-derive the robustness condition for a concrete adversarial state.
-
-    Intended for auditing non-abstaining unsmoothed certificates: returns the
-    generic condition evaluated at the certificate's operating point.
-    """
-    if cert.abstained or cert.radii is None:
-        return False
-    return certify_condition(sigma, rho, cert.pA_lower, cert.pB_upper)

@@ -81,6 +81,8 @@ def _bound_row(p_a: float, p_b: float, p: float) -> str:
 
 
 def cmd_certify(args) -> int:
+    if args.smooth_p is not None and args.mode != "protocol":
+        raise ValueError("--smooth-p certifies in protocol mode only; drop --mode extended")
     cl = serialize.classifier_from_json(serialize.load_json(args.classifier))
     sigma = serialize.state_from_json(serialize.load_json(args.state))
     if args.smooth_p is not None:
@@ -213,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True, help="confidence parameter in (0, 1)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (counter-based Philox)")
     p.add_argument("--smooth-p", type=float, default=None, help="depolarization smoothing parameter")
-    p.add_argument("--mode", choices=("protocol", "extended"), default="protocol")
+    p.add_argument("--mode", choices=("protocol", "extended"), default="protocol",
+                   help="certification mode; --smooth-p takes protocol only")
     p.add_argument("--output", default=None, help="write certificate JSON here instead of stdout")
     p.set_defaults(func=cmd_certify)
 

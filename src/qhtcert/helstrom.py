@@ -29,7 +29,7 @@ from .errors import (
     NegativeT,
     SandwichViolated,
 )
-from .states import TOL_PSD, DensityMatrix, hermitian_residual
+from .states import TOL_PSD, DensityMatrix, PureState, depolarize, hermitian_residual
 
 # Relative zero-classification threshold for eigenvalues of rho - t*sigma.
 DEFAULT_LAMBDA_TOL = 1e-8
@@ -357,3 +357,49 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     test_a = helstrom(rho, sigma, 1.0 - p_a)
     test_b = helstrom(rho, sigma, p_b)
     return bool(test_a.beta + test_b.beta > 1.0)
+
+
+def _plane_boundary_radius(
+    sigma: DensityMatrix,
+    psi: np.ndarray,
+    partner: np.ndarray,
+    p_a: float,
+    p_b: float,
+    steps: int,
+    p: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Largest trace distance from the pure state psi that ``certify_condition`` certifies.
+
+    Bisects the angle theta over [0, pi] for the pure states
+    cos(theta/2) psi + sin(theta/2) e^{i phi} partner, where sigma is the
+    density of psi and partner is a unit vector orthogonal to psi, and returns
+    the boundary trace distance sin(theta*/2), or 1.0 when even the orthogonal
+    state is certified.  For pure pairs the condition depends only on the
+    overlap, so the boundary is the same in every plane and at every phase:
+    phi is 0 without ``rng``, and a fresh draw from it at every predicate call
+    otherwise.  With p > 0 both states are depolarized before the test (the
+    benign one once), and the radius stays a distance between unsmoothed states.
+    """
+    null = depolarize(sigma, p) if p > 0.0 else sigma
+
+    def robust(theta: float) -> bool:
+        tilt = np.sin(theta / 2.0)
+        if rng is not None:
+            tilt = tilt * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        rho = PureState(np.cos(theta / 2.0) * psi + tilt * partner).density()
+        if p > 0.0:
+            rho = depolarize(rho, p)
+        return certify_condition(null, rho, p_a, p_b)
+
+    lo, hi = 0.0, math.pi
+    if robust(hi):
+        return 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if robust(mid):
+            lo = mid
+        else:
+            hi = mid
+    theta = 0.5 * (lo + hi)
+    return math.sin(theta / 2.0)

@@ -22,7 +22,7 @@ import numpy as np
 from .classifier import Classifier, class_probabilities
 from .certification import hoeffding_margin
 from .errors import InvalidProbabilityOrder, RegimeTooLarge
-from .helstrom import certify_condition
+from .helstrom import _plane_boundary_radius
 from .states import DensityMatrix, PureState
 
 MAX_BRUTE_DIM = 4
@@ -130,25 +130,7 @@ def boundary_radius_search(
     rng = np.random.Generator(np.random.Philox(seed))
     ref = reference.amplitudes
     perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])
-    sigma = reference.density()
-
-    def robust(theta: float) -> bool:
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        amps = np.cos(theta / 2.0) * ref + np.sin(theta / 2.0) * np.exp(1j * phi) * perp
-        rho = PureState(amps).density()
-        return certify_condition(sigma, rho, p_a, p_b)
-
-    lo, hi = 0.0, math.pi
-    if robust(hi):
-        return 1.0
-    for _ in range(samples):
-        mid = 0.5 * (lo + hi)
-        if robust(mid):
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    return math.sin(theta / 2.0)
+    return _plane_boundary_radius(reference.density(), ref, perp, p_a, p_b, samples, rng=rng)
 
 
 def hoeffding_coverage(

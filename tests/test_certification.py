@@ -17,8 +17,11 @@ from qhtcert import (
     hoeffding_margin,
     identity_kraus,
     radius_qht_pure,
+    random_pure,
     sample_outcomes,
+    trace_distance,
 )
+import qhtcert
 from qhtcert import demo
 from qhtcert.certification import _smoothed_boundary_generic
 
@@ -168,6 +171,10 @@ def test_certificate_json_fields():
     assert len(record["classifier_hash"]) == 64
 
 
+def test_certificate_version_is_package_version():
+    assert certificate_to_json(certify(DEMO, SIGMA, 1000, 0.05, seed=3))["version"] == qhtcert.__version__
+
+
 def test_certificate_soundness_composition():
     cert = certify(DEMO, SIGMA, 100_000, 0.001, seed=7)
     r = cert.radii.r_qht_pure
@@ -220,6 +227,28 @@ def test_smoothed_fallback_beyond_qubit():
     assert cert.generic_fallback
     assert cert.radii.r_depol_qht is not None
     assert cert.radii.r_depol_dp is None
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("p", [0.2, 0.5])
+@pytest.mark.parametrize("p_a", [0.7, 0.85])
+def test_smoothed_fallback_radius_holds_outside_its_plane(d, p, p_a):
+    # The fallback bisects in one 2-plane at phase 0; for pure pairs the
+    # smoothed condition depends only on the overlap, so its radius must
+    # separate certified from uncertified states in any other plane too.
+    rng = philox(d)
+    psi = random_pure(d, rng).amplitudes
+    sigma = PureState(psi).density()
+    r = _smoothed_boundary_generic(sigma, p, p_a)
+    smoothed_sigma = depolarize(sigma, p)
+    for _ in range(3):
+        v = random_pure(d, rng).amplitudes
+        v = v - np.vdot(psi, v) * psi
+        v = v / np.linalg.norm(v)
+        for dist, certified in ((r - 1e-4, True), (r + 1e-4, False)):
+            rho = PureState(math.sqrt(1.0 - dist**2) * psi + dist * v).density()
+            assert trace_distance(sigma, rho) == pytest.approx(dist, abs=1e-9)
+            assert certify_condition(smoothed_sigma, depolarize(rho, p), p_a, 1.0 - p_a) is certified
 
 
 def test_smoothed_mixed_input_keeps_hoelder_only():

@@ -150,6 +150,19 @@ def test_certify_smoothed_flag(tmp_path, demo_files, capsys):
     assert record["radii"]["r_depol_qht"] is not None
 
 
+def test_certify_smoothed_rejects_extended_mode(demo_files, capsys):
+    cl_path, state_path = demo_files
+    argv = ["certify", "--classifier", cl_path, "--state", state_path,
+            "--shots", "1000", "--epsilon", "0.01", "--smooth-p", "0.2"]
+    rc, out, err = run(capsys, *argv, "--mode", "extended")
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    rc, out, _ = run(capsys, *argv, "--mode", "protocol")
+    assert rc == 0
+    assert json.loads(out)["mode"] == "protocol"
+
+
 def test_certify_missing_file_is_error(capsys, tmp_path):
     rc, _, err = run(
         capsys,
