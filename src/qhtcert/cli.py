@@ -105,6 +105,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_compare_pure(args) -> int:
     n = args.grid
+    if n < 1:
+        raise ValueError(f"--grid must be >= 1, got {n}")
     header = "pA,pB,r_qht_pure,r_hoelder,d_qht_minus_hoelder,d_hoelder_minus_mixed_main,d_hoelder_minus_mixed_appendix"
     lines = [header]
     values = np.linspace(0.0, 1.0, n)
@@ -126,6 +128,8 @@ def cmd_compare_pure(args) -> int:
 def cmd_compare_depol(args) -> int:
     p_values = [float(tok) for tok in args.p.split(",") if tok]
     n = args.grid
+    if n < 1:
+        raise ValueError(f"--grid must be >= 1, got {n}")
     header = "p,pA,r_depol_qht,r_depol_hoelder,r_depol_dp"
     lines = [header]
     pa_values = [0.5 + (k + 1) * 0.5 / (n + 1) for k in range(n)]

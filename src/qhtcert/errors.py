@@ -62,8 +62,9 @@ class SandwichViolated(QhtcertError):
     """The located threshold t fails the bracketing inequalities
     alpha(P_+) <= alpha0 <= alpha(P_+ + P_0) beyond tolerance.
 
-    This signals a numerical failure of zero-eigenvalue classification;
-    widening ``lambda_tol`` is the intended remedy.
+    ``helstrom`` raises it only after every rung of its zero-band ladder has
+    failed, at the standard and at the machine-precision location of t, so it
+    reports a numerical failure of the solver rather than a setting to adjust.
     """
 
 

@@ -49,6 +49,14 @@ ZERO_LEVEL = 1e-12
 # Tolerance for the bracketing inequalities alpha(P_+) <= a0 <= alpha(P_+ + P_0).
 SANDWICH_TOL = 1e-9
 
+# Zero bands that helstrom tries in order, as (relative tolerance, absolute
+# floor) rungs in tenfold steps: relative 1e-8 to 1e-4 at the floor EIG_FLOOR,
+# then floors 1e-12 to 1e-7 at relative 1e-4.
+ZERO_BAND_LADDER = tuple(
+    [(rel, EIG_FLOOR) for rel in np.cumprod([DEFAULT_LAMBDA_TOL] + [10.0] * 4).tolist()]
+    + [(1e-4, floor) for floor in np.cumprod([EIG_FLOOR] + [10.0] * 6).tolist()[1:]]
+)
+
 
 @dataclass(frozen=True, eq=False)
 class SignedProjections:
@@ -75,9 +83,7 @@ class HelstromTest:
 
 
 def _eig_difference(rho: DensityMatrix, sigma: DensityMatrix, t: float):
-    a = rho.matrix - t * sigma.matrix
-    w, v = np.linalg.eigh(a)
-    return w, v
+    return np.linalg.eigh(rho.matrix - t * sigma.matrix)
 
 
 def _zero_threshold(w: np.ndarray, t: float, lambda_tol: float, eig_floor: float = EIG_FLOOR) -> float:
@@ -100,32 +106,12 @@ def _alpha_plus(rho: DensityMatrix, sigma: DensityMatrix, t: float, lambda_tol: 
     return float(np.real(np.sum(cols.conj() * (sigma.matrix @ cols))))
 
 
-def signed_projections(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    t: float,
-    lambda_tol: float = DEFAULT_LAMBDA_TOL,
-    eig_floor: float = EIG_FLOOR,
-) -> SignedProjections:
-    """Classify the spectrum of rho - t*sigma into +/0/- eigenspaces.
-
-    Eigenvalues with |lambda| <= lambda_tol * ||rho - t*sigma||_op are
-    assigned to the zero space (with an absolute floor guarding the
-    vanishing-difference case).
-    """
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    if t < 0:
-        raise NegativeT(f"t must be non-negative, got {t}")
-    if lambda_tol <= 0:
-        raise ValueError("lambda_tol must be positive")
-    w, v = _eig_difference(rho, sigma, t)
-    thr = _zero_threshold(w, t, lambda_tol, eig_floor)
-    d = rho.dim
+def _projections(w: np.ndarray, v: np.ndarray, t: float, thr: float, lambda_tol: float) -> SignedProjections:
+    """P_plus / P_zero / P_minus from the eigenpairs (w, v) of rho - t*sigma,
+    with |lambda| <= thr classified as zero."""
+    d = len(w)
 
     def proj(mask: np.ndarray) -> np.ndarray:
-        if not np.any(mask):
-            return np.zeros((d, d), dtype=np.complex128)
         cols = v[:, mask]
         return cols @ cols.conj().T
 
@@ -133,6 +119,22 @@ def signed_projections(
     minus = proj(w < -thr)
     zero = np.eye(d) - plus - minus
     return SignedProjections(t=float(t), p_plus=plus, p_zero=zero, p_minus=minus, lambda_tol=lambda_tol)
+
+
+def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> SignedProjections:
+    """Classify the spectrum of rho - t*sigma into +/0/- eigenspaces.
+
+    Eigenvalues with |lambda| <= DEFAULT_LAMBDA_TOL * ||rho - t*sigma||_op
+    are assigned to the zero space, with the absolute floor
+    EIG_FLOOR * (1 + t) guarding the vanishing-difference case.  This is the
+    first rung of ``helstrom``'s zero-band ladder.
+    """
+    if rho.dim != sigma.dim:
+        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
+    if t < 0:
+        raise NegativeT(f"t must be non-negative, got {t}")
+    w, v = _eig_difference(rho, sigma, t)
+    return _projections(w, v, t, _zero_threshold(w, t, DEFAULT_LAMBDA_TOL), DEFAULT_LAMBDA_TOL)
 
 
 def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
@@ -252,22 +254,17 @@ def _tau_search(
     return hi
 
 
-def tau(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float, *, lambda_tol: float = DEFAULT_LAMBDA_TOL) -> float:
-    """The threshold tau(alpha0) = inf{t >= 0 : alpha(P_plus(t)) <= alpha0}."""
+def tau(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> float:
+    """The threshold tau(alpha0) = inf{t >= 0 : alpha(P_plus(t)) <= alpha0}, with
+    P_plus classified at DEFAULT_LAMBDA_TOL and located to a relative T_TOL."""
     if not 0.0 < alpha0 < 1.0:
         raise ValueError("alpha0 must lie strictly between 0 and 1")
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    return _tau_search(rho, sigma, alpha0, lambda_tol)
+    return _tau_search(rho, sigma, alpha0, DEFAULT_LAMBDA_TOL)
 
 
-def helstrom(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    alpha0: float,
-    *,
-    lambda_tol: float = DEFAULT_LAMBDA_TOL,
-) -> HelstromTest:
+def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> HelstromTest:
     """Optimal test for null sigma vs alternative rho at type-I error alpha0.
 
     Returns the operator M = P_plus + q0 * P_zero at t = tau(alpha0) with
@@ -277,6 +274,9 @@ def helstrom(
 
     alpha0 = 1 returns M = 1 (t = 0, q0 = 1); alpha0 = 0 returns the bare
     positive projection at a large threshold, attaining alpha below 1e-12.
+
+    Each located t takes one eigendecomposition of rho - t*sigma, on which
+    the whole ZERO_BAND_LADDER is tried.
     """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
@@ -284,7 +284,7 @@ def helstrom(
         raise ValueError("alpha0 must lie in [0, 1]")
 
     if alpha0 >= 1.0:
-        proj = signed_projections(rho, sigma, 0.0, lambda_tol)
+        proj = signed_projections(rho, sigma, 0.0)
         m = np.eye(rho.dim, dtype=np.complex128)
         alpha, beta = error_probabilities(m, sigma, rho)
         return HelstromTest(m=m, t=0.0, q0=1.0, alpha=alpha, beta=beta, projections=proj)
@@ -293,47 +293,32 @@ def helstrom(
 
     # Near the crossing the separating eigenvalue is numerically small but not
     # exactly zero; widen the zero-classification band until the bracketing
-    # inequalities hold.  The relative ladder handles ordinary crossings; the
-    # absolute-floor ladder handles near-identical state pairs, where the
+    # inequalities hold.  The relative rungs handle ordinary crossings; the
+    # absolute-floor rungs handle near-identical state pairs, where the
     # projection rotates steeply in t without any eigenvalue crossing and the
-    # attainable beta error stays O(d * floor).  If neither works at the
-    # standard bracket width, refine t to machine precision and retry.
-    ladder = []
-    rel = lambda_tol
-    while rel <= 1e-4:
-        ladder.append((rel, EIG_FLOOR))
-        rel *= 10.0
-    floor = EIG_FLOOR * 10.0
-    while floor <= 1e-7:
-        ladder.append((1e-4, floor))
-        floor *= 10.0
-
-    t = proj = a_plus = a_zero = None
+    # attainable beta error stays O(d * floor).  A rung is a threshold on the
+    # eigenvalues: alpha of the plus and zero sets is the sum of the weights
+    # <v_k|sigma|v_k> over them.  If no rung works at the standard bracket
+    # width, refine t to machine precision and retry.
     for t_tol in (T_TOL, 4e-16):
-        t = _tau_search(rho, sigma, level, lambda_tol, t_tol)
-        for rel, floor in ladder:
-            proj = signed_projections(rho, sigma, t, rel, floor)
-            a_plus = float(np.real(np.trace(sigma.matrix @ proj.p_plus)))
-            a_zero = float(np.real(np.trace(sigma.matrix @ proj.p_zero)))
+        t = _tau_search(rho, sigma, level, DEFAULT_LAMBDA_TOL, t_tol)
+        w, v = _eig_difference(rho, sigma, t)
+        weight = np.real(np.sum(v.conj() * (sigma.matrix @ v), axis=0))
+        for rel, floor in ZERO_BAND_LADDER:
+            thr = _zero_threshold(w, t, rel, floor)
+            a_plus = float(np.sum(weight[w > thr]))
+            a_zero = float(np.sum(weight[np.abs(w) <= thr]))
             if a_plus <= alpha0 + SANDWICH_TOL and a_plus + a_zero >= alpha0 - SANDWICH_TOL:
-                break
-        else:
-            continue
-        break
-    else:
-        raise SandwichViolated(
-            f"alpha(P_+)={a_plus:.3e}, alpha(P_+ + P_0)={a_plus + a_zero:.3e} "
-            f"do not bracket alpha0={alpha0:.3e} at t={t:.6e}"
-        )
-
-    if a_zero > 0.0:
-        q0 = float(np.clip((alpha0 - a_plus) / a_zero, 0.0, 1.0))
-    else:
-        q0 = 0.0
-    m = proj.p_plus + q0 * proj.p_zero
-    m = (m + m.conj().T) / 2.0
-    alpha, beta = error_probabilities(m, sigma, rho)
-    return HelstromTest(m=m, t=t, q0=q0, alpha=alpha, beta=beta, projections=proj)
+                proj = _projections(w, v, t, thr, rel)
+                q0 = float(np.clip((alpha0 - a_plus) / a_zero, 0.0, 1.0)) if a_zero > 0.0 else 0.0
+                m = proj.p_plus + q0 * proj.p_zero
+                m = (m + m.conj().T) / 2.0
+                alpha, beta = error_probabilities(m, sigma, rho)
+                return HelstromTest(m=m, t=t, q0=q0, alpha=alpha, beta=beta, projections=proj)
+    raise SandwichViolated(
+        f"alpha(P_+)={a_plus:.3e}, alpha(P_+ + P_0)={a_plus + a_zero:.3e} "
+        f"do not bracket alpha0={alpha0:.3e} at t={t:.6e}"
+    )
 
 
 def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> bool:

@@ -127,6 +127,8 @@ def boundary_radius_search(
         raise InvalidProbabilityOrder(f"need 0 <= pB < pA <= 1, got pA={p_a}, pB={p_b}")
     if reference.dim != 2:
         raise ValueError("reference must be a qubit state")
+    if samples < 1:
+        raise ValueError(f"need at least one bisection step, got samples={samples}")
     rng = np.random.Generator(np.random.Philox(seed))
     ref = reference.amplitudes
     perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])
@@ -145,6 +147,10 @@ def hoeffding_coverage(
     truth, i.e. y_true[k_hat] >= pA_lower.  Should come out >= 1 - epsilon."""
     if trials < 1_000:
         raise ValueError("need at least 10^3 trials")
+    if n_shots < 1:
+        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     probs = class_probabilities(cl, sigma)
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n_shots, probs / probs.sum(), size=trials)

@@ -257,3 +257,37 @@ def test_oracle_coverage(tmp_path, demo_files, capsys):
     )
     assert rc == 0
     assert json.loads(out)["coverage"] >= 0.94
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "boundary", "--pA", "0.9", "--pB", "0.1", "--samples", "0"),
+        ("oracle", "boundary", "--pA", "0.9", "--pB", "0.1", "--samples", "-3"),
+        ("compare-depol", "--grid", "0"),
+        ("compare-depol", "--grid", "-2"),
+        ("compare-pure", "--grid", "0"),
+        ("compare-pure", "--grid", "-2"),
+    ],
+)
+def test_nonpositive_counts_are_rejected_with_error_record(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "option",
+    [("--shots", "0"), ("--shots", "-5"), ("--epsilon", "0"), ("--epsilon", "1"), ("--epsilon", "1.5")],
+)
+def test_oracle_coverage_rejects_bad_arguments_with_error_record(demo_files, capsys, option):
+    cl_path, state_path = demo_files
+    rc, out, err = run(
+        capsys,
+        "oracle", "coverage", "--classifier", cl_path, "--state", state_path,
+        "--trials", "1000", *option,
+    )
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"

@@ -26,7 +26,7 @@ from qhtcert.errors import (
     InvalidTestOperator,
     NegativeT,
 )
-from qhtcert.helstrom import T_TOL, _alpha_plus
+from qhtcert.helstrom import DEFAULT_LAMBDA_TOL, T_TOL, _alpha_plus
 from qhtcert.oracle import sample_test_operators
 from qhtcert import bounds, demo
 
@@ -136,6 +136,30 @@ def test_threshold_search_matches_bisection(monkeypatch):
             assert got.beta == pytest.approx(want.beta, abs=1e-9), where
     # Bisection needs 43-45 eigendecompositions per helstrom.
     assert np.mean(large_d_counts) <= 15.0
+
+
+def test_zero_band_ladder_costs_no_eigendecomposition(monkeypatch):
+    # A near-identical pair at d = 16 (eps = 1e-4) whose sandwich check fails
+    # on the first rung of the zero-band ladder.
+    rng = philox(5)
+    sigma = random_density(16, rng)
+    rho = DensityMatrix((1.0 - 1e-4) * sigma.matrix + 1e-4 * random_density(16, rng).matrix)
+    calls = {"eigh": 0, "probe": 0, "search": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(hel, "_threshold_probe", counting("probe", hel._threshold_probe))
+    monkeypatch.setattr(hel, "_tau_search", counting("search", hel._tau_search))
+    test = helstrom(rho, sigma, 0.7)
+    assert test.projections.lambda_tol > DEFAULT_LAMBDA_TOL  # a later rung passed
+    assert test.alpha == pytest.approx(0.7, abs=1e-9)
+    # One eigendecomposition per search probe, plus one per located t.
+    assert calls["eigh"] == calls["probe"] + calls["search"]
 
 
 # ---------------------------------------------------------------------------
