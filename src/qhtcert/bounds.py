@@ -181,17 +181,20 @@ class BoundReport:
 def bound_report(p_a: float, p_b: float, p: float = 0.0, *, benign_pure: bool = True) -> BoundReport:
     """Assemble every radius that applies to the given operating point.
 
-    The smoothed radii assume p_b = 1 - p_a and are filled in only when that
-    holds (within 1e-12) and 0 < p < 1.
+    p = 0 means no smoothing; p outside [0, 1) raises ValueError.  The
+    smoothed radii assume p_b = 1 - p_a and are filled in only when that holds
+    (within 1e-12) and p > 0.
     """
     _check_order(p_a, p_b)
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"smoothing parameter p must lie in [0, 1), got {p}")
     r_pure = r_mixed_main = r_mixed_app = None
     if benign_pure:
         r_pure = radius_qht_pure(p_a, p_b)
         r_mixed_main = radius_qht_pure_mixed(p_a, p_b, "main")
         r_mixed_app = radius_qht_pure_mixed(p_a, p_b, "appendix")
     r_depol_q = r_depol_h = r_depol_d = None
-    if 0.0 < p < 1.0 and abs(p_a + p_b - 1.0) <= 1e-12 and benign_pure and p_a > 0.5:
+    if p > 0.0 and abs(p_a + p_b - 1.0) <= 1e-12 and benign_pure and p_a > 0.5:
         r_depol_q = radius_depol_qht(p_a, p)
         r_depol_h = radius_depol_hoelder(p_a, p)
         r_depol_d = radius_depol_dp(p_a, p)

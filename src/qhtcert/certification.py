@@ -224,10 +224,11 @@ def certify(
 def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps: int = 40) -> float:
     """Boundary radius for smoothed pure pairs via the generic test condition.
 
-    Bisects over the angle between sigma and a pure state in a fixed 2-plane;
-    for pure pairs the condition depends only on the overlap, so the result is
-    the trace distance (between unsmoothed states) below which certification
-    holds.
+    Searches the angle between sigma and a pure state in a fixed 2-plane with
+    margin-guided steps (``helstrom._plane_boundary_radius``) down to bracket
+    width pi * 2**-steps; for pure pairs the condition depends only on the
+    overlap, so the result is the trace distance (between unsmoothed states)
+    below which certification holds.
     """
     psi = PureState.from_density(sigma)
     d = sigma.dim
@@ -252,8 +253,8 @@ def certify_smoothed(
 
     Samples the classifier on the smoothed input and reports radii in trace
     distance between the *unsmoothed* pure states.  Closed forms cover the
-    single-qubit pure case; higher-dimensional pure inputs fall back to a
-    bisection through the generic test condition (flagged in the result), and
+    single-qubit pure case; higher-dimensional pure inputs fall back to an
+    angle search through the generic test condition (flagged in the result), and
     mixed inputs keep only the duality radius.
     """
     if not 0.0 < p < 1.0:

@@ -127,6 +127,8 @@ def cmd_compare_pure(args) -> int:
 
 def cmd_compare_depol(args) -> int:
     p_values = [float(tok) for tok in args.p.split(",") if tok]
+    if not p_values:
+        raise ValueError(f"--p must list at least one value, got {args.p!r}")
     n = args.grid
     if n < 1:
         raise ValueError(f"--grid must be >= 1, got {n}")
@@ -260,11 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", type=int, default=100_000)
     q.add_argument("--seed", type=int, default=0)
 
-    q = osub.add_parser("boundary", help="bisection for the certified-radius boundary")
+    q = osub.add_parser("boundary", help="angle search for the certified-radius boundary")
     q.add_argument("--pA", type=float, required=True)
     q.add_argument("--pB", type=float, required=True)
     q.add_argument("--reference", default=None, help="pure reference state JSON (default |0>)")
-    q.add_argument("--samples", type=int, default=60, help="bisection steps")
+    q.add_argument("--samples", type=int, default=60,
+                   help="the search stops at angle bracket width pi*2^-samples")
     q.add_argument("--seed", type=int, default=0)
 
     q = osub.add_parser("coverage", help="empirical coverage of the confidence bound")

@@ -194,6 +194,26 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     return below, (newton, crossing)
 
 
+def _bracket_step(lo: float, hi: float, guess: float | None, half_tol: float, widths: list[float]) -> float | None:
+    """Next probe strictly inside the bracket (lo, hi), or None when no float lies there.
+
+    Takes the guess clamped at least half_tol inside the bracket, so that a
+    converged guess closes it, and the midpoint when there is no guess or when
+    the bracket has not halved over the last two steps.  widths holds the
+    bracket widths before those two steps and is updated in place.
+    """
+    if guess is None or hi - lo > 0.5 * widths[0]:
+        t = math.nan
+    else:
+        t = min(max(guess, lo + half_tol), hi - half_tol)
+    if not lo < t < hi:
+        t = 0.5 * (lo + hi)
+    if not lo < t < hi:
+        return None
+    widths[:] = [widths[1], hi - lo]
+    return t
+
+
 def _tau_search(
     rho: DensityMatrix,
     sigma: DensityMatrix,
@@ -234,18 +254,11 @@ def _tau_search(
 
     widths = [math.inf, math.inf]
     while hi - lo > t_tol * max(1.0, hi):
-        half_tol = 0.5 * t_tol * max(1.0, hi)
         newest_first = at_hi + at_lo if below else at_lo + at_hi
         guess = next((g for g in newest_first if lo <= g <= hi), None)
-        if guess is None or hi - lo > 0.5 * widths[0]:
-            t = math.nan
-        else:
-            t = min(max(guess, lo + half_tol), hi - half_tol)
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        if not lo < t < hi:
+        t = _bracket_step(lo, hi, guess, 0.5 * t_tol * max(1.0, hi), widths)
+        if t is None:
             break
-        widths = [widths[1], hi - lo]
         below, guesses = probe(t)
         if below:
             hi, at_hi = t, guesses
@@ -321,6 +334,25 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     )
 
 
+def _condition_levels(p_a: float, p_b: float) -> tuple[float, float]:
+    """Type-I error levels (1 - p_a, p_b) of the tests M_A and M_B, or the one
+    level L = max(1 - p_a, p_b) twice when p_b equals 1 - p_a up to rounding."""
+    if not (0.0 <= p_b < p_a <= 1.0):
+        raise InvalidProbabilityOrder(f"need 0 <= pB < pA <= 1, got pA={p_a}, pB={p_b}")
+    if abs(p_b - (1.0 - p_a)) <= 1e-15:
+        level = max(1.0 - p_a, p_b)
+        return level, level
+    return 1.0 - p_a, p_b
+
+
+def _condition_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> float:
+    """beta(M_A) + beta(M_B) - 1, which is 2 * beta(L) - 1 on equal levels."""
+    level_a, level_b = _condition_levels(p_a, p_b)
+    if level_a == level_b:
+        return 2.0 * helstrom(rho, sigma, level_a).beta - 1.0
+    return (helstrom(rho, sigma, level_a).beta + helstrom(rho, sigma, level_b).beta) - 1.0
+
+
 def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> bool:
     """Robustness condition from optimal testing.
 
@@ -335,13 +367,7 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     increase with the level, so 2 * beta(L) > 1 implies the two-test
     condition and never overclaims.
     """
-    if not (0.0 <= p_b < p_a <= 1.0):
-        raise InvalidProbabilityOrder(f"need 0 <= pB < pA <= 1, got pA={p_a}, pB={p_b}")
-    if abs(p_b - (1.0 - p_a)) <= 1e-15:
-        return bool(2.0 * helstrom(rho, sigma, max(1.0 - p_a, p_b)).beta > 1.0)
-    test_a = helstrom(rho, sigma, 1.0 - p_a)
-    test_b = helstrom(rho, sigma, p_b)
-    return bool(test_a.beta + test_b.beta > 1.0)
+    return bool(_condition_margin(sigma, rho, p_a, p_b) > 0.0)
 
 
 def _plane_boundary_radius(
@@ -356,35 +382,59 @@ def _plane_boundary_radius(
 ) -> float:
     """Largest trace distance from the pure state psi that ``certify_condition`` certifies.
 
-    Bisects the angle theta over [0, pi] for the pure states
+    Searches the angle theta over [0, pi] for the pure states
     cos(theta/2) psi + sin(theta/2) e^{i phi} partner, where sigma is the
     density of psi and partner is a unit vector orthogonal to psi, and returns
     the boundary trace distance sin(theta*/2), or 1.0 when even the orthogonal
     state is certified.  For pure pairs the condition depends only on the
     overlap, so the boundary is the same in every plane and at every phase:
-    phi is 0 without ``rng``, and a fresh draw from it at every predicate call
+    phi is 0 without ``rng``, and a fresh draw from it at every evaluation
     otherwise.  With p > 0 both states are depolarized before the test (the
     benign one once), and the radius stays a distance between unsmoothed states.
+
+    The bracket [lo, hi] keeps the condition holding at lo and failing at hi.
+    Each step is an Illinois regula-falsi guess from the condition margins
+    beta(M_A) + beta(M_B) - 1 at the two ends (at theta = 0, where the states
+    coincide, the margin is 1 - level_A - level_B without a solve), safeguarded
+    by bisection as in the threshold search.  The search stops at bracket
+    width pi * 2**-steps, which bisection would reach after ``steps`` steps, or
+    when no float lies strictly inside the bracket.
     """
     null = depolarize(sigma, p) if p > 0.0 else sigma
+    level_a, level_b = _condition_levels(p_a, p_b)
 
-    def robust(theta: float) -> bool:
+    def margin(theta: float) -> float:
         tilt = np.sin(theta / 2.0)
         if rng is not None:
             tilt = tilt * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         rho = PureState(np.cos(theta / 2.0) * psi + tilt * partner).density()
         if p > 0.0:
             rho = depolarize(rho, p)
-        return certify_condition(null, rho, p_a, p_b)
+        return _condition_margin(null, rho, p_a, p_b)
 
     lo, hi = 0.0, math.pi
-    if robust(hi):
+    at_lo, at_hi = 1.0 - level_a - level_b, margin(hi)
+    if at_hi > 0.0:
         return 1.0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if robust(mid):
-            lo = mid
+    tol = math.ldexp(math.pi, -steps)
+    widths = [math.inf, math.inf]
+    kept = None
+    while hi - lo > tol:
+        guess = lo + (hi - lo) * at_lo / (at_lo - at_hi) if at_lo > at_hi else None
+        theta = _bracket_step(lo, hi, guess, 0.5 * tol, widths)
+        if theta is None:
+            break
+        value = margin(theta)
+        # Illinois: halve the margin at an end that stays put twice in a row.
+        if value > 0.0:
+            lo, at_lo = theta, value
+            if kept == "hi":
+                at_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
+            hi, at_hi = theta, value
+            if kept == "lo":
+                at_lo *= 0.5
+            kept = "lo"
     theta = 0.5 * (lo + hi)
     return math.sin(theta / 2.0)

@@ -6,9 +6,10 @@ the library's closed forms and optimal tests on small instances:
 * ``brute_force_min_beta``   random-search upper bound on the minimal type-II
                              error at a given type-I level; must never beat
                              the constructed optimal test.
-* ``boundary_radius_search`` bisection for the largest certified trace
+* ``boundary_radius_search`` angle search for the largest certified trace
                              distance around a pure qubit reference, using
-                             only the generic robustness condition.
+                             only the generic robustness condition and its
+                             margin beta(M_A) + beta(M_B) - 1.
 * ``hoeffding_coverage``     empirical coverage of the confidence lower bound.
 """
 
@@ -117,18 +118,21 @@ def boundary_radius_search(
 ) -> float:
     """Largest certified trace distance around a pure qubit reference state.
 
-    Bisects the angle theta between the reference and pure states
+    Searches the angle theta between the reference and pure states
     cos(theta/2)|ref> + sin(theta/2) e^{i phi}|ref_perp>, drawing a fresh
-    random phi at every step (the boundary is phi-independent for pure
-    pairs), with the generic robustness condition as the predicate.  Returns
-    the boundary trace distance sin(theta*/2).
+    random phi at every evaluation (the boundary is phi-independent for pure
+    pairs).  The generic robustness condition keeps the bracket, and its
+    margin beta(M_A) + beta(M_B) - 1 guides regula-falsi steps inside it.
+    The search stops at angle bracket width pi * 2**-samples, or when no
+    float lies strictly inside the bracket.  Returns the boundary trace
+    distance sin(theta*/2).
     """
     if not (0.0 <= p_b < p_a <= 1.0):
         raise InvalidProbabilityOrder(f"need 0 <= pB < pA <= 1, got pA={p_a}, pB={p_b}")
     if reference.dim != 2:
         raise ValueError("reference must be a qubit state")
     if samples < 1:
-        raise ValueError(f"need at least one bisection step, got samples={samples}")
+        raise ValueError(f"need samples >= 1, got samples={samples}")
     rng = np.random.Generator(np.random.Philox(seed))
     ref = reference.amplitudes
     perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])

@@ -53,6 +53,14 @@ def test_bounds_output_is_byte_stable(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("p", ["1.5", "1", "-1", "nan"])
+def test_bounds_rejects_smoothing_outside_unit_interval(capsys, p):
+    rc, out, err = run(capsys, "bounds", "--pA", "0.9", "--pB", "0.1", "--p", p)
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_bounds_rejects_bad_order(capsys):
     rc, _, err = run(capsys, "bounds", "--pA", "0.3", "--pB", "0.6")
     assert rc == 1
@@ -268,6 +276,8 @@ def test_oracle_coverage(tmp_path, demo_files, capsys):
         ("compare-depol", "--grid", "-2"),
         ("compare-pure", "--grid", "0"),
         ("compare-pure", "--grid", "-2"),
+        ("compare-depol", "--p", ""),
+        ("compare-depol", "--p", ","),
     ],
 )
 def test_nonpositive_counts_are_rejected_with_error_record(capsys, argv):

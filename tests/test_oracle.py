@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from qhtcert import (
     PureState,
     boundary_radius_search,
     brute_force_min_beta,
+    certify_condition,
+    depolarize,
     helstrom,
     hoeffding_coverage,
     radius_qht_pure,
@@ -14,7 +17,13 @@ from qhtcert import (
     random_pure,
 )
 from qhtcert import demo
+from qhtcert.certification import _smoothed_boundary_generic
 from qhtcert.errors import InvalidProbabilityOrder, RegimeTooLarge
+from qhtcert.helstrom import _condition_margin
+
+from conftest import philox
+
+helstrom_module = importlib.import_module("qhtcert.helstrom")
 
 SIGMA = demo.benign_state().density()
 RHO = demo.adversarial_state().density()
@@ -96,6 +105,125 @@ def test_boundary_input_checks():
         boundary_radius_search(0.3, 0.5, demo.benign_state())
     with pytest.raises(ValueError):
         boundary_radius_search(0.9, 0.1, PureState([1.0, 0.0, 0.0]))
+
+
+# Operating points of the search tests: typed pairs with pB = 1 - pA (one
+# test decides) and unequal pairs (two tests).
+SEARCH_POINTS = ((0.9, 0.1), (0.8, 0.2), (0.75, 0.25), (0.7, 0.1), (0.85, 0.05), (0.6, 0.3))
+SMOOTHED_CASES = [(d, p) for d in (3, 4) for p in (0.2, 0.5)]
+
+
+def plane_state(psi, partner, theta, p=0.0):
+    rho = PureState(math.cos(theta / 2.0) * psi + math.sin(theta / 2.0) * partner).density()
+    return depolarize(rho, p) if p > 0.0 else rho
+
+
+def orthogonal_partner(psi, rng):
+    v = rng.standard_normal(len(psi)) + 1j * rng.standard_normal(len(psi))
+    v = v - np.vdot(psi, v) * psi
+    return v / np.linalg.norm(v)
+
+
+def bisection_radius(psi, partner, p_a, p_b, steps, p=0.0):
+    """Plain bisection of the angle on the sign of certify_condition."""
+    null = plane_state(psi, partner, 0.0, p)
+
+    def holds(theta):
+        return certify_condition(null, plane_state(psi, partner, theta, p), p_a, p_b)
+
+    lo, hi = 0.0, math.pi
+    if holds(hi):
+        return 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return math.sin(0.5 * (lo + hi) / 2.0)
+
+
+def assert_radius_is_boundary(psi, partner, p_a, p_b, radius, p=0.0):
+    null = plane_state(psi, partner, 0.0, p)
+    for offset, expected in ((-1e-6, True), (1e-6, False)):
+        rho = plane_state(psi, partner, 2.0 * math.asin(radius + offset), p)
+        assert certify_condition(null, rho, p_a, p_b) is expected
+
+
+def counting_helstrom(monkeypatch):
+    calls = [0]
+    solve = helstrom_module.helstrom
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(helstrom_module, "helstrom", wrapped)
+    return calls
+
+
+def test_boundary_search_matches_bisection():
+    rng = philox(8101)
+    for p_a, p_b in SEARCH_POINTS:
+        reference = random_pure(2, rng)
+        ref = reference.amplitudes
+        perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])
+        radius = boundary_radius_search(p_a, p_b, reference, samples=60, seed=int(rng.integers(1 << 30)))
+        assert radius == pytest.approx(bisection_radius(ref, perp, p_a, p_b, 60), abs=1e-9)
+        assert_radius_is_boundary(ref, perp, p_a, p_b, radius)
+
+
+@pytest.mark.parametrize("d,p", SMOOTHED_CASES)
+def test_smoothed_fallback_matches_bisection(d, p):
+    rng = philox(8200 + 10 * d + int(10 * p))
+    for p_a in (0.7, 0.85):
+        psi = random_pure(d, rng).amplitudes
+        partner = orthogonal_partner(psi, rng)
+        radius = _smoothed_boundary_generic(PureState(psi).density(), p, p_a)
+        assert radius == pytest.approx(bisection_radius(psi, partner, p_a, 1.0 - p_a, 40, p), abs=1e-9)
+        assert_radius_is_boundary(psi, partner, p_a, 1.0 - p_a, radius, p)
+
+
+def test_margin_steps_need_few_solves(monkeypatch):
+    calls = counting_helstrom(monkeypatch)
+    rng = philox(8303)
+    searches = 0
+    for p_a, p_b in SEARCH_POINTS:
+        for _ in range(3):
+            boundary_radius_search(p_a, p_b, random_pure(2, rng), samples=60, seed=int(rng.integers(1 << 30)))
+            searches += 1
+    assert calls[0] / searches <= 35  # 22 here; plain bisection: 92
+    calls[0] = 0
+    searches = 0
+    for d, p in SMOOTHED_CASES + [(2, 0.3), (8, 0.3)]:
+        for p_a in (0.6, 0.75, 0.9):
+            _smoothed_boundary_generic(random_pure(d, rng).density(), p, p_a)
+            searches += 1
+    assert calls[0] / searches <= 12  # 8.7 here; plain bisection: 37
+
+
+def test_boundary_search_stops_at_float_resolution(monkeypatch):
+    calls = counting_helstrom(monkeypatch)
+    radius = boundary_radius_search(0.9, 0.1, demo.benign_state(), samples=10_000)
+    assert calls[0] <= 60
+    assert radius == pytest.approx(radius_qht_pure(0.9, 0.1), abs=1e-9)
+
+
+def test_condition_is_the_sign_of_its_margin():
+    rng = philox(8404)
+    pairs = []
+    for p_a, p_b in SEARCH_POINTS:
+        sigma = random_pure(2, rng)
+        ref = sigma.amplitudes
+        perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])
+        for theta in np.linspace(0.0, math.pi, 9):
+            pairs.append((sigma.density(), plane_state(ref, perp, float(theta)), p_a, p_b))
+    rng = philox(303)  # the first pairs of acceptance criterion 3
+    for _ in range(25):
+        sigma, rho = random_pure(2, rng).density(), random_pure(2, rng).density()
+        pairs += [(sigma, rho, float(p_a), 1.0 - float(p_a)) for p_a in np.linspace(0.52, 0.98, 20)]
+    for sigma, rho, p_a, p_b in pairs:
+        assert certify_condition(sigma, rho, p_a, p_b) == (_condition_margin(sigma, rho, p_a, p_b) > 0.0)
 
 
 # ---------------------------------------------------------------------------
