@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +69,20 @@ class SignedProjections:
     p_zero: np.ndarray
     p_minus: np.ndarray
     lambda_tol: float
+
+
+class _Probe(NamedTuple):
+    """One probe of the threshold search at t; see ``_threshold_probe``."""
+
+    t: float
+    below: bool
+    guesses: tuple[float, float]
+    alpha: float
+    beta: float
+    dual: float
+    w: np.ndarray
+    v: np.ndarray
+    rate: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +173,9 @@ def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
 
 def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: float, lambda_tol: float):
     """One eigendecomposition of rho - t*sigma: whether alpha(P_plus(t)) <= level,
-    and a pair of Newton guesses for the threshold (NaN where there is none).
+    a pair of Newton guesses for the threshold (NaN where there is none), the
+    error rates of the test P_plus(t), the dual bound at t, and the eigenpairs
+    with the rates S_kk.
 
     With S = V^H sigma V in the eigenbasis of rho - t*sigma, alpha(P_plus) is
     the sum of S_kk over the plus set, each eigenvalue moves at
@@ -169,6 +186,10 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     moves every eigenvalue at its rate toward the level and returns the first
     crossing of the zero threshold after which the plus set's weight has
     passed the level.
+
+    beta(P_plus) = 1 - Tr[(rho - t*sigma) P_plus] - t * alpha(P_plus), and the
+    Lagrange dual g(t) = 1 - t * level - Tr[(rho - t*sigma)_+] bounds the beta
+    of every test with alpha <= level from below (weak duality).
     """
     w, v = _eig_difference(rho, sigma, t)
     thr, k = _plus_start(w, t, lambda_tol)
@@ -176,6 +197,8 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     rate = s.diagonal().real
     alpha = float(np.sum(rate[k:]))
     below = alpha <= level
+    beta = 1.0 - float(np.sum(w[k:])) - t * alpha
+    dual = 1.0 - t * level - float(np.sum(w[w > 0.0]))
 
     gap = w[k:, None] - w[None, :k]
     slope = -2.0 * float(np.sum(np.abs(s[k:, :k]) ** 2 / gap))
@@ -191,7 +214,7 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     weight = alpha + sign * np.cumsum(rate[side][moving][order])
     passed = (weight > level) == below
     crossing = float(times[order][np.argmax(passed)]) if np.any(passed) else math.nan
-    return below, (newton, crossing)
+    return _Probe(t, below, (newton, crossing), alpha, beta, dual, w, v, rate)
 
 
 def _bracket_step(lo: float, hi: float, guess: float | None, half_tol: float, widths: list[float]) -> float | None:
@@ -220,8 +243,8 @@ def _tau_search(
     level: float,
     lambda_tol: float,
     t_tol: float = T_TOL,
-) -> float:
-    """Smallest t >= 0 with alpha(P_plus(t)) <= level.
+):
+    """Smallest t >= 0 with alpha(P_plus(t)) <= level, as a generator.
 
     A doubling search brackets t with alpha(P_plus(lo)) > level >=
     alpha(P_plus(hi)); safeguarded Newton steps then shrink the bracket to a
@@ -231,40 +254,69 @@ def _tau_search(
     half the tolerance inside it so that a converged step closes it.  It
     bisects when no guess lies in the bracket or when the bracket has not
     halved over the last two steps.
+
+    After every probe it yields (lower, upper) bounds on the optimal beta at
+    the level: lower is the largest dual bound g(t) of the probes so far,
+    upper the smallest beta of a test with alpha = level built from them,
+    the mixture of the bracket-end tests P_plus(lo) and P_plus(hi), or
+    level * 1 before any probe has reached the level.  It returns the last
+    probe at hi, whose t is the threshold; ``_drain`` runs it to the end.
     """
 
-    def probe(t: float):
+    def probe(t: float) -> _Probe:
         return _threshold_probe(rho, sigma, t, level, lambda_tol)
 
-    below, guesses = probe(0.0)
-    if below:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    at_lo = guesses
-    below, guesses = probe(hi)
-    while not below:
-        if hi > 2.0**100:
+    lower, upper = -math.inf, 1.0 - level
+
+    def bounds(newest: _Probe) -> tuple[float, float]:
+        nonlocal lower, upper
+        lower = max(lower, newest.dual)
+        if at_hi is not None:
+            mix = at_hi.beta
+            if at_lo is not None:
+                share = (level - at_hi.alpha) / (at_lo.alpha - at_hi.alpha)
+                mix += share * (at_lo.beta - at_hi.beta)
+            upper = min(upper, mix)
+        return lower, upper
+
+    at_lo, at_hi = None, None
+    newest = probe(0.0)
+    while not newest.below:
+        if newest.t > 2.0**100:
             raise SandwichViolated(
                 f"no t <= 2^100 reaches type-I error level {level}"
             )
-        lo, at_lo = hi, guesses
-        hi *= 2.0
-        below, guesses = probe(hi)
-    at_hi = guesses
+        at_lo = newest
+        yield bounds(newest)
+        newest = probe(max(1.0, 2.0 * newest.t))
+    at_hi = newest
+    yield bounds(newest)
+    if at_lo is None:
+        return at_hi
 
     widths = [math.inf, math.inf]
-    while hi - lo > t_tol * max(1.0, hi):
-        newest_first = at_hi + at_lo if below else at_lo + at_hi
-        guess = next((g for g in newest_first if lo <= g <= hi), None)
-        t = _bracket_step(lo, hi, guess, 0.5 * t_tol * max(1.0, hi), widths)
+    while at_hi.t - at_lo.t > t_tol * max(1.0, at_hi.t):
+        newest_first = (newest.guesses + at_lo.guesses) if newest.below else (newest.guesses + at_hi.guesses)
+        guess = next((g for g in newest_first if at_lo.t <= g <= at_hi.t), None)
+        t = _bracket_step(at_lo.t, at_hi.t, guess, 0.5 * t_tol * max(1.0, at_hi.t), widths)
         if t is None:
             break
-        below, guesses = probe(t)
-        if below:
-            hi, at_hi = t, guesses
+        newest = probe(t)
+        if newest.below:
+            at_hi = newest
         else:
-            lo, at_lo = t, guesses
-    return hi
+            at_lo = newest
+        yield bounds(newest)
+    return at_hi
+
+
+def _drain(search):
+    """Run a search generator to its end and return its return value."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as stop:
+            return stop.value
 
 
 def tau(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> float:
@@ -274,7 +326,7 @@ def tau(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> float:
         raise ValueError("alpha0 must lie strictly between 0 and 1")
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    return _tau_search(rho, sigma, alpha0, DEFAULT_LAMBDA_TOL)
+    return _drain(_tau_search(rho, sigma, alpha0, DEFAULT_LAMBDA_TOL)).t
 
 
 def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> HelstromTest:
@@ -288,8 +340,9 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     alpha0 = 1 returns M = 1 (t = 0, q0 = 1); alpha0 = 0 returns the bare
     positive projection at a large threshold, attaining alpha below 1e-12.
 
-    Each located t takes one eigendecomposition of rho - t*sigma, on which
-    the whole ZERO_BAND_LADDER is tried.
+    Each located t reuses the eigendecomposition of rho - t*sigma that the
+    search's last probe at t made, and the whole ZERO_BAND_LADDER is tried
+    on it.
     """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
@@ -314,8 +367,8 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     # <v_k|sigma|v_k> over them.  If no rung works at the standard bracket
     # width, refine t to machine precision and retry.
     for t_tol in (T_TOL, 4e-16):
-        t = _tau_search(rho, sigma, level, DEFAULT_LAMBDA_TOL, t_tol)
-        w, v = _eig_difference(rho, sigma, t)
+        end = _drain(_tau_search(rho, sigma, level, DEFAULT_LAMBDA_TOL, t_tol))
+        t, w, v = end.t, end.w, end.v
         weight = np.real(np.sum(v.conj() * (sigma.matrix @ v), axis=0))
         for rel, floor in ZERO_BAND_LADDER:
             thr = _zero_threshold(w, t, rel, floor)
@@ -345,22 +398,71 @@ def _condition_levels(p_a: float, p_b: float) -> tuple[float, float]:
     return 1.0 - p_a, p_b
 
 
-def _condition_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> float:
-    """beta(M_A) + beta(M_B) - 1, which is 2 * beta(L) - 1 on equal levels."""
+def _dual_step(rho: DensityMatrix, sigma: DensityMatrix, level: float, end: _Probe) -> float:
+    """The dual bound g at t* = t + w_k / S_kk, the first-order zero crossing
+    of the eigenvalue of the search's final probe nearest to zero in t.
+
+    The search stops where alpha(P_plus) passes the level with the plus set
+    w > thr, about thr / S_kk past the maximiser of g, where the eigenvalue
+    that carries the jump crosses zero; one eigvalsh at t* recovers g there.
+    """
+    moving = end.rate > 0.0
+    steps = end.w[moving] / end.rate[moving]
+    t_star = max(end.t + float(steps[np.argmin(np.abs(steps))]), 0.0)
+    w = np.linalg.eigvalsh(rho.matrix - t_star * sigma.matrix)
+    return 1.0 - t_star * level - float(np.sum(w[w > 0.0]))
+
+
+def _condition_margin(
+    sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float, exact: bool = False
+) -> float:
+    """A lower bound on beta(M_A) + beta(M_B) - 1 (2 * beta(L) - 1 on equal
+    levels) whose sign is the verdict of ``certify_condition``.
+
+    Steps the level searches in lockstep and sums the dual bounds g they
+    yield.  It returns as soon as the sign is known: the lower bounds sum
+    past 1 (certified), or the upper bounds, betas of feasible tests, sum to
+    at most 1 (not certified).  When the searches converge first, or always
+    with ``exact``, each level adds a dual step (``_dual_step``) and the
+    margin is the dual one, g_A + g_B - 1 at the best t found.
+    """
+    if rho.dim != sigma.dim:
+        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
     level_a, level_b = _condition_levels(p_a, p_b)
-    if level_a == level_b:
-        return 2.0 * helstrom(rho, sigma, level_a).beta - 1.0
-    return (helstrom(rho, sigma, level_a).beta + helstrom(rho, sigma, level_b).beta) - 1.0
+    levels = [level if level > 0.0 else ZERO_LEVEL for level in dict.fromkeys((level_a, level_b))]
+    weight = 2.0 / len(levels)
+    searches = [_tau_search(rho, sigma, level, DEFAULT_LAMBDA_TOL) for level in levels]
+    bounds = [(-math.inf, 1.0)] * len(levels)
+    ends: list[_Probe | None] = [None] * len(levels)
+    while any(end is None for end in ends):
+        for i, search in enumerate(searches):
+            if ends[i] is None:
+                try:
+                    bounds[i] = next(search)
+                except StopIteration as stop:
+                    ends[i] = stop.value
+        lower = weight * sum(lo for lo, _ in bounds) - 1.0
+        if not exact and (lower > 0.0 or weight * sum(up for _, up in bounds) <= 1.0):
+            return lower
+    duals = [max(lo, _dual_step(rho, sigma, level, end)) for (lo, _), level, end in zip(bounds, levels, ends)]
+    return weight * sum(duals) - 1.0
 
 
 def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> bool:
     """Robustness condition from optimal testing.
 
-    Builds the optimal tests M_A (alpha = 1 - p_a) and M_B (alpha = p_b) for
-    null sigma vs alternative rho and returns whether
-    beta(M_A) + beta(M_B) > 1.  When true, every classifier whose top class on
-    sigma has probability >= p_a and runner-up <= p_b must assign rho the same
-    top class.
+    Decides for the optimal tests M_A (alpha = 1 - p_a) and M_B (alpha = p_b)
+    for null sigma vs alternative rho whether beta(M_A) + beta(M_B) > 1.
+    When true, every classifier whose top class on sigma has probability
+    >= p_a and runner-up <= p_b must assign rho the same top class.
+
+    The decision needs eigenvalues only and no test operator.  Every probe
+    of the threshold searches bounds the optimal beta from below by the
+    Lagrange dual g(t) = 1 - t * alpha0 - Tr[(rho - t*sigma)_+] and from
+    above by the beta of a feasible test; the searches stop once the bounds
+    fix the sign.  Certification rests on the dual bounds alone, so it never
+    overclaims.  When the searches converge undecided, one dual step per
+    level (``_dual_step``) decides on g_A + g_B - 1.
 
     When p_b equals 1 - p_a up to rounding (typed pairs such as (0.8, 0.2)),
     one test at the larger level L = max(1 - p_a, p_b) decides: beta does not
@@ -393,12 +495,14 @@ def _plane_boundary_radius(
     benign one once), and the radius stays a distance between unsmoothed states.
 
     The bracket [lo, hi] keeps the condition holding at lo and failing at hi.
-    Each step is an Illinois regula-falsi guess from the condition margins
-    beta(M_A) + beta(M_B) - 1 at the two ends (at theta = 0, where the states
-    coincide, the margin is 1 - level_A - level_B without a solve), safeguarded
-    by bisection as in the threshold search.  The search stops at bracket
-    width pi * 2**-steps, which bisection would reach after ``steps`` steps, or
-    when no float lies strictly inside the bracket.
+    Each step is an Illinois regula-falsi guess from the dual condition
+    margins g_A + g_B - 1 at the two ends, each from level searches run to
+    convergence plus one dual step (at theta = 0, where the states coincide,
+    the margin is 1 - level_A - level_B without a solve), safeguarded by
+    bisection as in the threshold search.  The search stops at bracket width
+    pi * 2**-steps, which bisection would reach after ``steps`` steps, when
+    no float lies strictly inside the bracket, or at an angle whose margin
+    is exactly 0, which is the boundary.
     """
     null = depolarize(sigma, p) if p > 0.0 else sigma
     level_a, level_b = _condition_levels(p_a, p_b)
@@ -410,7 +514,7 @@ def _plane_boundary_radius(
         rho = PureState(np.cos(theta / 2.0) * psi + tilt * partner).density()
         if p > 0.0:
             rho = depolarize(rho, p)
-        return _condition_margin(null, rho, p_a, p_b)
+        return _condition_margin(null, rho, p_a, p_b, exact=True)
 
     lo, hi = 0.0, math.pi
     at_lo, at_hi = 1.0 - level_a - level_b, margin(hi)
@@ -425,6 +529,8 @@ def _plane_boundary_radius(
         if theta is None:
             break
         value = margin(theta)
+        if value == 0.0:
+            return math.sin(theta / 2.0)
         # Illinois: halve the margin at an end that stays put twice in a row.
         if value > 0.0:
             lo, at_lo = theta, value

@@ -26,7 +26,7 @@ from qhtcert.errors import (
     InvalidTestOperator,
     NegativeT,
 )
-from qhtcert.helstrom import DEFAULT_LAMBDA_TOL, T_TOL, _alpha_plus
+from qhtcert.helstrom import DEFAULT_LAMBDA_TOL, T_TOL, _alpha_plus, _condition_levels, _condition_margin
 from qhtcert.oracle import sample_test_operators
 from qhtcert import bounds, demo
 
@@ -50,6 +50,35 @@ def tau_closed_form(overlap_sq: float, alpha0: float) -> float:
     return 2.0 * overlap_sq - 1.0 - (2.0 * alpha0 - 1.0) * math.sqrt(
         overlap_sq * (1.0 - overlap_sq) / (alpha0 * (1.0 - alpha0))
     )
+
+
+def dual_beta(rho, sigma, level) -> float:
+    """Optimal beta from the Lagrange dual, 1 - min_{t >= 0} t * level +
+    Tr[(rho - t*sigma)_+], by golden-section search on the convex objective."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(t: float) -> float:
+        w = np.linalg.eigvalsh(rho.matrix - t * sigma.matrix)
+        return t * level + float(np.sum(w[w > 0.0]))
+
+    hi = 1.0
+    while f(2.0 * hi) < f(hi):
+        hi *= 2.0
+    lo, hi = 0.0, 2.0 * hi
+    a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    fa, fb = f(a), f(b)
+    best = min(f(lo), fa, fb)
+    while hi - lo > 1e-15 * hi:
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - golden * (hi - lo)
+            fa = f(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + golden * (hi - lo)
+            fb = f(b)
+        best = min(best, fa, fb)
+    return 1.0 - best
 
 
 def tau_grid_scan(rho, sigma, alpha0, t_max=8.0, steps=4000) -> float:
@@ -81,6 +110,14 @@ def tau_bisection(rho, sigma, level, lambda_tol, t_tol=T_TOL) -> float:
         else:
             lo = mid
     return hi
+
+
+def bisection_search(rho, sigma, level, lambda_tol, t_tol=T_TOL):
+    """tau_bisection in the shape of helstrom's search: a generator whose
+    return value is the probe at the located threshold."""
+    t = tau_bisection(rho, sigma, level, lambda_tol, t_tol)
+    yield from ()
+    return hel._threshold_probe(rho, sigma, t, level, lambda_tol)
 
 
 def test_tau_bisection_matches_grid_scan(rng):
@@ -128,7 +165,7 @@ def test_threshold_search_matches_bisection(monkeypatch):
             if d >= 16:
                 large_d_counts.append(eigh_calls[0])
             with monkeypatch.context() as m:
-                m.setattr(hel, "_tau_search", tau_bisection)
+                m.setattr(hel, "_tau_search", bisection_search)
                 want = helstrom(rho, sigma, alpha0)
             where = f"d={d} {kind} alpha0={alpha0}"
             if alpha0 > 0.0:
@@ -136,6 +173,30 @@ def test_threshold_search_matches_bisection(monkeypatch):
             assert got.beta == pytest.approx(want.beta, abs=1e-9), where
     # Bisection needs 43-45 eigendecompositions per helstrom.
     assert np.mean(large_d_counts) <= 15.0
+
+
+def test_search_bounds_bracket_the_optimal_beta():
+    for d, kind, sigma, rho in search_cases():
+        if d > 16:
+            continue
+        for alpha0 in (0.05, 0.3, 0.7):
+            search = hel._tau_search(rho, sigma, alpha0, DEFAULT_LAMBDA_TOL)
+            yielded = []
+            while True:
+                try:
+                    yielded.append(next(search))
+                except StopIteration as stop:
+                    end = stop.value
+                    break
+            where = f"d={d} {kind} alpha0={alpha0}"
+            optimal = dual_beta(rho, sigma, alpha0)
+            for lower, upper in yielded:
+                assert lower <= optimal + 1e-12 and optimal - 1e-12 <= upper, where
+            lowers, uppers = zip(*yielded)
+            assert list(lowers) == sorted(lowers) and list(uppers) == sorted(uppers, reverse=True), where
+            assert end.t == tau(rho, sigma, alpha0), where
+            # The final bracket pins beta down to the search's tolerance.
+            assert uppers[-1] - lowers[-1] <= 1e-7, where
 
 
 def test_zero_band_ladder_costs_no_eigendecomposition(monkeypatch):
@@ -158,8 +219,8 @@ def test_zero_band_ladder_costs_no_eigendecomposition(monkeypatch):
     test = helstrom(rho, sigma, 0.7)
     assert test.projections.lambda_tol > DEFAULT_LAMBDA_TOL  # a later rung passed
     assert test.alpha == pytest.approx(0.7, abs=1e-9)
-    # One eigendecomposition per search probe, plus one per located t.
-    assert calls["eigh"] == calls["probe"] + calls["search"]
+    # One eigendecomposition per search probe; the located t reuses its probe's.
+    assert calls["eigh"] == calls["probe"]
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +447,14 @@ def test_condition_examples():
 def test_condition_typed_equal_levels_take_one_test(monkeypatch):
     # 1 - 0.8 = 0.19999999999999996, so (0.8, 0.2) misses an exact float test.
     calls = [0]
+    search = hel._tau_search
     solve = hel.helstrom
 
-    def counting_helstrom(*args, **kwargs):
+    def counting_search(*args, **kwargs):
         calls[0] += 1
-        return solve(*args, **kwargs)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(hel, "helstrom", counting_helstrom)
+    monkeypatch.setattr(hel, "_tau_search", counting_search)
     p_a, p_b = 0.8, 0.2
     radius = bounds.radius_qht_pure(p_a, p_b)
     rng = philox(303)  # the pairs of acceptance criterion 3
@@ -416,3 +478,77 @@ def test_condition_rejects_bad_order():
         certify_condition(SIGMA, RHO, 0.4, 0.6)
     with pytest.raises(InvalidProbabilityOrder):
         certify_condition(SIGMA, RHO, 0.5, 0.5)
+
+
+def test_condition_rejects_mismatched_dimensions(rng):
+    with pytest.raises(DimMismatch):
+        certify_condition(SIGMA, random_density(3, rng), 0.9, 0.1)
+    with pytest.raises(DimMismatch):
+        certify_condition(random_density(4, rng), RHO, 0.8, 0.2)
+
+
+def test_condition_margin_never_exceeds_the_dual():
+    # Near-identical pairs and pure (rank-deficient) sigma, where the betas of
+    # constructed test operators came out above the optimum by up to 1e-7.
+    rng = philox(61)
+    cases = []
+    for d in (4, 16, 64):
+        pairs = []
+        for eps in (1e-5, 1e-4, 1e-3):
+            sigma = random_density(d, rng)
+            pairs.append((sigma, DensityMatrix((1.0 - eps) * sigma.matrix + eps * random_density(d, rng).matrix)))
+        sigma = random_pure(d, rng).density()
+        pairs.append((sigma, random_density(d, rng)))
+        pairs.append((sigma, DensityMatrix((1.0 - 1e-4) * sigma.matrix + 1e-4 * random_density(d, rng).matrix)))
+        for sigma, rho in pairs:
+            for p_a, p_b in ((0.8, 0.2), (0.7, 0.1), (0.9, 0.05)):
+                level_a, level_b = _condition_levels(p_a, p_b)
+                reference = dual_beta(rho, sigma, level_a) + dual_beta(rho, sigma, level_b) - 1.0
+                cases.append((f"d={d} pA={p_a} pB={p_b} reference={reference}", sigma, rho, p_a, p_b, reference))
+    for where, sigma, rho, p_a, p_b, reference in cases:
+        assert _condition_margin(sigma, rho, p_a, p_b) <= reference + 1e-12, where
+    # Run to convergence, the margin is the dual optimum itself.
+    for where, sigma, rho, p_a, p_b, reference in cases:
+        full = _condition_margin(sigma, rho, p_a, p_b, exact=True)
+        assert full == pytest.approx(reference, abs=1e-12), where
+
+
+def test_condition_needs_few_eigendecompositions(monkeypatch):
+    calls = [0]
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    rng = philox(303)  # the first pairs of acceptance criterion 3
+    verdicts = 0
+    for _ in range(100):
+        sigma, rho = random_pure(2, rng).density(), random_pure(2, rng).density()
+        for p_a in np.linspace(0.52, 0.98, 20):
+            certify_condition(sigma, rho, float(p_a), 1.0 - float(p_a))
+            verdicts += 1
+    # 2.2 here; solving both tests to full precision takes 9.1.
+    assert calls[0] / verdicts <= 4.0
+
+
+def test_condition_at_a_zero_level_matches_the_optimal_tests():
+    # pA = 1 asks for a test at type-I error 0, which the search locates at
+    # the stand-in level ZERO_LEVEL, as helstrom does.
+    rng = philox(1001)
+    checked = 0
+    for d in (2, 4):
+        for _ in range(8):
+            sigma = random_pure(d, rng).density()
+            for rho in (random_pure(d, rng).density(), random_density(d, rng), random_density(d, rng, 1 + d // 2)):
+                for p_b in (0.0, 0.1, 0.4):
+                    level_a, level_b = _condition_levels(1.0, p_b)
+                    margin = helstrom(rho, sigma, level_a).beta + helstrom(rho, sigma, level_b).beta - 1.0
+                    if abs(margin) <= 1e-6:
+                        continue
+                    assert certify_condition(sigma, rho, 1.0, p_b) == (margin > 0.0), f"d={d} pB={p_b}"
+                    checked += 1
+    assert checked > 120

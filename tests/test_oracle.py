@@ -150,15 +150,15 @@ def assert_radius_is_boundary(psi, partner, p_a, p_b, radius, p=0.0):
         assert certify_condition(null, rho, p_a, p_b) is expected
 
 
-def counting_helstrom(monkeypatch):
+def counting_eigh(monkeypatch):
     calls = [0]
-    solve = helstrom_module.helstrom
+    eigh = np.linalg.eigh
 
     def wrapped(*args, **kwargs):
         calls[0] += 1
-        return solve(*args, **kwargs)
+        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(helstrom_module, "helstrom", wrapped)
+    monkeypatch.setattr(np.linalg, "eigh", wrapped)
     return calls
 
 
@@ -185,28 +185,48 @@ def test_smoothed_fallback_matches_bisection(d, p):
 
 
 def test_margin_steps_need_few_solves(monkeypatch):
-    calls = counting_helstrom(monkeypatch)
+    calls = counting_eigh(monkeypatch)
     rng = philox(8303)
     searches = 0
     for p_a, p_b in SEARCH_POINTS:
         for _ in range(3):
             boundary_radius_search(p_a, p_b, random_pure(2, rng), samples=60, seed=int(rng.integers(1 << 30)))
             searches += 1
-    assert calls[0] / searches <= 35  # 22 here; plain bisection: 92
+    assert calls[0] / searches <= 120  # 99 here; primal margins: 234
     calls[0] = 0
     searches = 0
     for d, p in SMOOTHED_CASES + [(2, 0.3), (8, 0.3)]:
         for p_a in (0.6, 0.75, 0.9):
             _smoothed_boundary_generic(random_pure(d, rng).density(), p, p_a)
             searches += 1
-    assert calls[0] / searches <= 12  # 8.7 here; plain bisection: 37
+    assert calls[0] / searches <= 77  # 76 here; primal margins: 85
 
 
 def test_boundary_search_stops_at_float_resolution(monkeypatch):
-    calls = counting_helstrom(monkeypatch)
+    calls = counting_eigh(monkeypatch)
     radius = boundary_radius_search(0.9, 0.1, demo.benign_state(), samples=10_000)
-    assert calls[0] <= 60
+    assert calls[0] <= 114
     assert radius == pytest.approx(radius_qht_pure(0.9, 0.1), abs=1e-9)
+
+
+def test_boundary_search_stops_at_a_zero_margin(monkeypatch):
+    # A margin that is exactly 0 over a band of angles: the first angle the
+    # search meets in the band is a boundary, and the search ends there.
+    reference = demo.benign_state()
+    psi = reference.amplitudes
+    seen = []
+
+    def margin(sigma, rho, p_a, p_b, exact=False):
+        overlap = float(np.real(np.vdot(psi, rho.matrix @ psi)))
+        theta = 2.0 * math.acos(math.sqrt(min(max(overlap, 0.0), 1.0)))
+        seen.append(theta)
+        return 0.0 if abs(theta - 1.0) < 0.2 else 1.0 - theta
+
+    monkeypatch.setattr(helstrom_module, "_condition_margin", margin)
+    radius = boundary_radius_search(0.9, 0.1, reference, samples=60, seed=4)
+    assert abs(seen[-1] - 1.0) < 0.2
+    assert radius == pytest.approx(math.sin(seen[-1] / 2.0), abs=1e-12)
+    assert len(seen) <= 8
 
 
 def test_condition_is_the_sign_of_its_margin():
