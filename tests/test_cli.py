@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qhtcert import demo, serialize
+from qhtcert import PureState, demo, serialize
 from qhtcert.cli import main
 
 
@@ -254,6 +254,21 @@ def test_oracle_min_beta(tmp_path, capsys):
     record = json.loads(out)
     assert record["best_value"] >= 0.44019237 - 1e-8
     assert record["best_value"] == pytest.approx(0.4402, abs=0.02)
+
+
+def test_oracle_min_beta_rejects_mismatched_dimensions(tmp_path, capsys):
+    null_path = tmp_path / "null.json"
+    alt_path = tmp_path / "alt.json"
+    serialize.save_json(serialize.pure_to_json(demo.benign_state()), null_path)
+    serialize.save_json(serialize.pure_to_json(PureState([1.0, 0.0, 0.0, 0.0])), alt_path)
+    rc, out, err = run(
+        capsys,
+        "oracle", "min-beta", "--null", str(null_path), "--alt", str(alt_path),
+        "--alpha0", "0.1", "--samples", "1000",
+    )
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "DimMismatch"
 
 
 def test_oracle_coverage(tmp_path, demo_files, capsys):

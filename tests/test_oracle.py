@@ -18,12 +18,14 @@ from qhtcert import (
 )
 from qhtcert import demo
 from qhtcert.certification import _smoothed_boundary_generic
-from qhtcert.errors import InvalidProbabilityOrder, RegimeTooLarge
+from qhtcert.errors import DimMismatch, InvalidProbabilityOrder, RegimeTooLarge
 from qhtcert.helstrom import _condition_margin
+from qhtcert.oracle import sample_test_operators
 
 from conftest import philox
 
 helstrom_module = importlib.import_module("qhtcert.helstrom")
+oracle_module = importlib.import_module("qhtcert.oracle")
 
 SIGMA = demo.benign_state().density()
 RHO = demo.adversarial_state().density()
@@ -76,6 +78,98 @@ def test_brute_force_is_deterministic():
     a = brute_force_min_beta(SIGMA, RHO, 0.3, samples=2_000, seed=17)
     b = brute_force_min_beta(SIGMA, RHO, 0.3, samples=2_000, seed=17)
     assert a == b
+
+
+def test_brute_force_draws_are_pinned():
+    # The value the search had when it still built every test operator; a
+    # change of the Philox draws or of their mapping onto tests moves it.
+    report = brute_force_min_beta(SIGMA, RHO, 0.3, samples=2_000, seed=17)
+    assert report.best_value == pytest.approx(0.20721900806669202, abs=1e-12)
+
+
+def operator_min_beta(sigma, rho, alpha0, samples, seed, batch):
+    """The search as an operator loop: build each batch of tests with
+    sample_test_operators and take beta and alpha as traces of the best one."""
+    target = max(alpha0 - 1e-6, alpha0 * (1.0 - 1e-3))
+    rng = philox(seed)
+    best, best_alpha, done = math.inf, math.nan, 0
+    while done < samples:
+        n = min(batch, samples - done)
+        m = sample_test_operators(sigma.dim, n, target, sigma.matrix, rng)
+        beta = 1.0 - np.real(np.einsum("ij,nji->n", rho.matrix, m))
+        i = int(np.argmin(beta))
+        if beta[i] < best:
+            best, best_alpha = float(beta[i]), float(np.real(np.einsum("ij,ji->", sigma.matrix, m[i])))
+        done += n
+    return best, best_alpha
+
+
+def brute_force_pair(d, kind, rng):
+    if kind == "pure":
+        return random_pure(d, rng).density(), random_pure(d, rng).density()
+    if kind == "mixed":
+        return random_density(d, rng), random_density(d, rng)
+    if kind == "equal":
+        sigma = random_density(d, rng)
+        return sigma, sigma
+    psi = random_pure(d, rng).amplitudes
+    return PureState(psi).density(), PureState(orthogonal_partner(psi, rng)).density()
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("pure", "mixed", "equal", "orthogonal"))
+def test_brute_force_matches_operator_search(d, kind):
+    rng = philox(700 + d)
+    for alpha0 in (0.0, 0.05, 0.5, 1.0):
+        sigma, rho = brute_force_pair(d, kind, rng)
+        seed = int(rng.integers(1 << 30))
+        # 5 000 samples in batches of 1 500: the last batch is partial.
+        report = brute_force_min_beta(sigma, rho, alpha0, samples=5_000, seed=seed, batch=1_500)
+        best, best_alpha = operator_min_beta(sigma, rho, alpha0, 5_000, seed, 1_500)
+        assert report.best_value == pytest.approx(best, abs=1e-12)
+        assert report.argmin_description["alpha"] == pytest.approx(best_alpha, abs=1e-12)
+
+
+def test_qubit_spectrum_ends_match_eigvalsh():
+    rng = philox(31)
+    diagonal = np.zeros((50, 2, 2), complex)
+    diagonal[:, [0, 1], [0, 1]] = rng.standard_normal((50, 2))
+    scalar = np.einsum("n,ij->nij", rng.standard_normal(50), np.eye(2)).astype(complex)
+    for h in (oracle_module._draw_hermitian(2, 2_000, rng), 1e3 * oracle_module._draw_hermitian(2, 50, rng),
+              diagonal, scalar):
+        lo, hi = oracle_module._spectrum_ends(h)
+        w = np.linalg.eigvalsh(h)
+        scale = np.maximum(np.abs(w).max(axis=1), 1.0)
+        assert np.all(np.abs(lo - w[:, 0]) <= 1e-14 * scale)
+        assert np.all(np.abs(hi - w[:, -1]) <= 1e-14 * scale)
+    assert np.array_equal(lo, hi)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_brute_force_on_scalar_draws_matches_operator_search(monkeypatch, d):
+    # h proportional to 1 has a spectrum of zero width, so both searches take
+    # the span < 1e-12 branch; every test is then target * 1.
+    monkeypatch.setattr(
+        oracle_module, "_draw_hermitian",
+        lambda dim, n, rng: np.einsum("n,ij->nij", rng.standard_normal(n), np.eye(dim)).astype(complex),
+    )
+    sigma, rho = random_density(d, philox(8)), random_density(d, philox(9))
+    report = brute_force_min_beta(sigma, rho, 0.3, samples=2_000, seed=4, batch=700)
+    best, best_alpha = operator_min_beta(sigma, rho, 0.3, 2_000, 4, 700)
+    assert report.best_value == pytest.approx(best, abs=1e-12)
+    assert report.argmin_description["alpha"] == pytest.approx(best_alpha, abs=1e-12)
+    assert best == pytest.approx(1.0 - report.argmin_description["alpha_target"], abs=1e-12)
+
+
+def test_brute_force_rejects_mismatched_dimensions(rng):
+    with pytest.raises(DimMismatch):
+        brute_force_min_beta(SIGMA, random_density(3, rng), 0.1, samples=2_000)
+
+
+@pytest.mark.parametrize("batch", (0, -5))
+def test_brute_force_rejects_nonpositive_batch(batch):
+    with pytest.raises(ValueError, match=f"batch={batch}"):
+        brute_force_min_beta(SIGMA, RHO, 0.1, samples=2_000, batch=batch)
 
 
 # ---------------------------------------------------------------------------
