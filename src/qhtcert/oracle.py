@@ -9,7 +9,11 @@ the library's closed forms and optimal tests on small instances:
                              random test from four numbers of its Hermitian
                              draw (two traces, two extreme eigenvalues) and
                              builds no test operator; ``sample_test_operators``
-                             builds the same tests as operators.
+                             builds the same tests as operators.  The extreme
+                             eigenvalues are a closed form at d = 2 and the
+                             extreme roots of the characteristic polynomial
+                             at d = 3, 4, with ``eigvalsh`` for the few rows
+                             whose root is ill-conditioned.
 * ``boundary_radius_search`` angle search for the largest certified trace
                              distance around a pure qubit reference, using
                              only the generic robustness condition and its
@@ -19,6 +23,7 @@ the library's closed forms and optimal tests on small instances:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +35,13 @@ from .helstrom import _plane_boundary_radius
 from .states import DensityMatrix, PureState
 
 MAX_BRUTE_DIM = 4
+# Guard of the extreme-root solve in ``_spectrum_ends``.  At _ILL_SLOPE = 0.03
+# the rows it keeps stay within 6e-15 * max(1, |lambda|max) of eigvalsh on
+# nearly repeated, shifted and scaled spectra (1.3e-14 at 0.01), and about 10
+# Ginibre draws in 20 000 at d = 4, 1 at d = 3, go to eigvalsh.
+_NEWTON_STEP = 1e-12
+_ILL_SLOPE = 0.03
+_NEWTON_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -52,14 +64,92 @@ def _draw_hermitian(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return h
 
 
+def _traceless_charpoly(h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Shift c = Tr h / d and the coefficients [e2, -e3] (d = 3) or
+    [e2, -e3, e4] (d = 4) of det(x*1 - A) = x^d + e2 x^(d-2) - e3 x^(d-3)
+    (+ e4) for the traceless part A = h - c*1 of each matrix of a Hermitian
+    stack.  e2 = -Tr A^2 / 2 and e3 are principal-minor sums and e4 = det A
+    by Laplace expansion over the 2x2 minors of rows 0, 1; all are built
+    from per-entry arrays of length n, with no (n, d, d) temporary.
+
+    A's last diagonal entry is minus the sum of the others, so A is
+    traceless to roundoff in its own scale: the rounding of c then moves
+    every eigenvalue alike, by about one ulp of c, instead of entering p as
+    an x^(d-1) term that the conditioning of the extreme roots amplifies.
+    """
+    d = h.shape[-1]
+    rows, cols = np.triu_indices(d, 1)
+    b = dict(zip(zip(rows.tolist(), cols.tolist()), h.transpose(1, 2, 0)[rows, cols]))
+    diag = np.einsum("nii->in", h).real
+    c = diag.sum(axis=0) / d
+    a = diag - c
+    a[-1] = -a[:-1].sum(axis=0)
+    sq = {ij: bij.real**2 + bij.imag**2 for ij, bij in b.items()}
+    trace_sq = np.einsum("in,in->n", a, a) + 2.0 * sum(sq.values())
+    e3 = 0.0
+    for i, j, k in itertools.combinations(range(d), 3):
+        loop = b[i, j] * b[j, k]  # Re(b_ij b_jk conj(b_ik)) is the minor's cyclic term
+        e3 = e3 + (a[i] * (a[j] * a[k] - sq[j, k]) - a[j] * sq[i, k] - a[k] * sq[i, j]
+                   + 2.0 * (loop.real * b[i, k].real + loop.imag * b[i, k].imag))
+    coefficients = [-0.5 * trace_sq, -e3]
+    if d == 4:
+        def entry(i, j):
+            return a[i] if i == j else b[i, j] if i < j else b[j, i].conj()
+
+        def minor(r, i, j):
+            return entry(r, i) * entry(r + 1, j) - entry(r, j) * entry(r + 1, i)
+
+        e4 = 0.0
+        for i, j in itertools.combinations(range(4), 2):
+            k, l = (m for m in range(4) if m not in (i, j))
+            e4 = e4 + (-1) ** (1 + i + j) * (minor(0, i, j) * minor(2, k, l)).real
+        coefficients.append(e4)
+    return c, coefficients
+
+
 def _spectrum_ends(h: np.ndarray) -> np.ndarray:
     """Rows lo, hi: the smallest and largest eigenvalue of each matrix in a
-    Hermitian stack.  At d = 2 they are mid -/+ hypot(|h01|, (h00 - h11)/2);
-    otherwise they are read off ``eigvalsh``."""
-    if h.shape[-1] != 2:
-        return np.linalg.eigvalsh(h)[:, [0, -1]].T
-    radius = np.hypot(np.abs(h[:, 0, 1]), (h[:, 0, 0].real - h[:, 1, 1].real) / 2.0)
-    return (h[:, 0, 0].real + h[:, 1, 1].real) / 2.0 + np.outer([-1.0, 1.0], radius)
+    Hermitian stack.  At d = 1 both are h00; at d = 2 they are
+    mid -/+ hypot(|h01|, (h00 - h11)/2).
+
+    At d = 3, 4 they are c + the extreme roots of the characteristic
+    polynomial p of the traceless part A (``_traceless_charpoly``).  Newton
+    steps start from -/+ bound, bound = sqrt((d - 1)/d * Tr A^2) (Samuelson:
+    every eigenvalue lies inside).  p is real-rooted, so Newton started
+    outside the roots moves monotonically toward the extreme root: lo stays
+    <= lambda_min and hi >= lambda_max up to roundoff.  A row goes to
+    ``eigvalsh`` when its last step is above ``_NEWTON_STEP * bound`` or
+    |p'| < ``_ILL_SLOPE * bound**(d - 1)``: a repeated or nearly repeated
+    extreme eigenvalue, whose root the roundoff in p moves by about
+    1.5e-16 * max|lambda| * bound**(d - 1) / |p'|.
+    """
+    d = h.shape[-1]
+    if d == 1:
+        return np.stack([h[:, 0, 0].real, h[:, 0, 0].real])
+    if d == 2:
+        radius = np.hypot(np.abs(h[:, 0, 1]), (h[:, 0, 0].real - h[:, 1, 1].real) / 2.0)
+        return (h[:, 0, 0].real + h[:, 1, 1].real) / 2.0 + np.outer([-1.0, 1.0], radius)
+    c, (e2, *rest) = _traceless_charpoly(h)
+    bound = np.sqrt(-2.0 * (d - 1) / d * e2)
+    x = np.stack([-bound, bound])
+    small_step, small_slope = _NEWTON_STEP * bound, _ILL_SLOPE * bound ** (d - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_ITERATIONS):
+            p, slope = x * x + e2, 2.0 * x
+            for coefficient in rest:
+                slope = slope * x + p
+                p = p * x + coefficient
+            step = p / slope
+            x -= step
+            steep = np.abs(slope) > small_slope  # False on the 0/0 of a scalar draw
+            settled = steep & (np.abs(step) <= small_step)
+            if np.all(settled | ~steep):
+                break
+    ends = x + c
+    fallback = ~settled.all(axis=0)
+    if fallback.any():
+        ends[:, fallback] = np.linalg.eigvalsh(h[fallback])[:, [0, -1]].T
+    return ends
 
 
 def _adjust(m: np.ndarray, unit: np.ndarray, alpha: np.ndarray, alpha_target: float) -> np.ndarray:
@@ -87,8 +177,14 @@ def sample_test_operators(
     scale down, or mix toward the identity, until the type-I error hits the
     target.  Covers extreme and interior operators without favoring
     projectors.  ``brute_force_min_beta`` searches the same tests, drawn from
-    the same generator, without building them.
+    the same generator, without building them.  Raises ``ValueError`` for a
+    target outside [0, 1] (NaN included) and ``DimMismatch`` when sigma is
+    not dim x dim.
     """
+    if not 0.0 <= alpha_target <= 1.0:
+        raise ValueError(f"alpha_target must lie in [0, 1], got {alpha_target}")
+    if np.shape(sigma) != (dim, dim):
+        raise DimMismatch(f"sigma must be {dim}x{dim}, got shape {np.shape(sigma)}")
     h = _draw_hermitian(dim, n, rng)
     w = np.linalg.eigvalsh(h)[:, :, None]
     lo, span = w[:, :1], w[:, -1:] - w[:, :1]
@@ -116,8 +212,11 @@ def brute_force_min_beta(
     alpha(M) and Tr[rho M] are affine in M, and M = c*h + e*1 for scalars c,
     e fixed by the extreme eigenvalues lo, hi of the draw h.  So each sample
     needs only four numbers, Tr[sigma h], Tr[rho h], lo and hi, and the
-    scale and mix steps act on them; no test operator is built.  The traces
-    are einsum sums, so the result does not depend on BLAS threading.
+    scale and mix steps act on them; no test operator is built.  lo and hi
+    come from ``_spectrum_ends``: a closed form at d = 2, and Newton roots of
+    the characteristic polynomial at d = 3, 4, within 6e-15 relative of
+    ``eigvalsh``, which takes the rows whose root is ill-conditioned.  The
+    traces are einsum sums, so the result does not depend on BLAS threading.
     """
     if sigma.dim != rho.dim:
         raise DimMismatch(f"dimensions differ: {sigma.dim} vs {rho.dim}")

@@ -130,19 +130,94 @@ def test_brute_force_matches_operator_search(d, kind):
         assert report.argmin_description["alpha"] == pytest.approx(best_alpha, abs=1e-12)
 
 
-def test_qubit_spectrum_ends_match_eigvalsh():
-    rng = philox(31)
-    diagonal = np.zeros((50, 2, 2), complex)
-    diagonal[:, [0, 1], [0, 1]] = rng.standard_normal((50, 2))
-    scalar = np.einsum("n,ij->nij", rng.standard_normal(50), np.eye(2)).astype(complex)
-    for h in (oracle_module._draw_hermitian(2, 2_000, rng), 1e3 * oracle_module._draw_hermitian(2, 50, rng),
-              diagonal, scalar):
+def rotated(eigenvalues, rng):
+    """Hermitian stack U diag(eigenvalues) U^H with Haar-random unitaries U."""
+    n, d = eigenvalues.shape
+    q, r = np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    diagonal = np.diagonal(r, axis1=1, axis2=2)
+    u = q * (diagonal / np.abs(diagonal))[:, None, :]
+    h = np.einsum("nij,nj,nkj->nik", u, eigenvalues, u.conj())
+    return (h + h.conj().transpose(0, 2, 1)) / 2.0
+
+
+def diagonal_stack(eigenvalues):
+    h = np.zeros(eigenvalues.shape + eigenvalues.shape[-1:], complex)
+    h[:, range(eigenvalues.shape[1]), range(eigenvalues.shape[1])] = eigenvalues
+    return h
+
+
+def spectrum_test_stacks(d, rng):
+    draws = oracle_module._draw_hermitian
+    yield draws(d, 2_000, rng)
+    yield 1e3 * draws(d, 50, rng)
+    yield diagonal_stack(rng.standard_normal((50, d)))
+    if d < 2:
+        return
+    # Repeated, nearly repeated, and gaps across the guard's threshold.
+    for gap in (np.zeros(100), np.full(100, 1e-7), 10.0 ** rng.uniform(-3.0, 0.0, 100)):
+        # Half the rows with a (nearly) repeated top eigenvalue, half with a
+        # (nearly) repeated bottom one, over a shift of order 10.
+        w = np.sort(rng.standard_normal((100, d)), axis=1)
+        w[:50, -2] = w[:50, -1] - gap[:50]
+        w[50:, 1] = w[50:, 0] + gap[50:]
+        w += 10.0 * rng.standard_normal((100, 1))
+        yield diagonal_stack(w)
+        yield rotated(w, rng)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_spectrum_ends_match_eigvalsh(d):
+    rng = philox(37 + d)
+    scalar = np.einsum("n,ij->nij", rng.standard_normal(50), np.eye(d)).astype(complex)
+    for h in (*spectrum_test_stacks(d, rng), scalar):
         lo, hi = oracle_module._spectrum_ends(h)
         w = np.linalg.eigvalsh(h)
-        scale = np.maximum(np.abs(w).max(axis=1), 1.0)
-        assert np.all(np.abs(lo - w[:, 0]) <= 1e-14 * scale)
-        assert np.all(np.abs(hi - w[:, -1]) <= 1e-14 * scale)
+        tol = 1e-14 * np.maximum(np.abs(w).max(axis=1), 1.0)
+        assert np.all(np.abs(lo - w[:, 0]) <= tol)
+        assert np.all(np.abs(hi - w[:, -1]) <= tol)
+        # The safe side: the mapped test stays inside [0, 1].
+        assert np.all(lo <= w[:, 0] + tol) and np.all(hi >= w[:, -1] - tol)
+    # The last stack is proportional to 1: a spectrum of zero width.
     assert np.array_equal(lo, hi)
+
+
+def test_brute_force_pinned_at_d4():
+    # The value the search had when it took the spectrum ends from eigvalsh.
+    sigma, rho = random_density(4, philox(41)), random_density(4, philox(42))
+    report = brute_force_min_beta(sigma, rho, 0.2, samples=20_000, seed=43)
+    assert report.best_value == pytest.approx(0.5154723082807184, abs=1e-12)
+
+
+def test_brute_force_sends_few_rows_to_eigvalsh(monkeypatch):
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a):
+        rows.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    sigma, rho = random_density(4, philox(41)), random_density(4, philox(42))
+    brute_force_min_beta(sigma, rho, 0.2, samples=20_000, seed=43)
+    assert sum(rows) <= 20
+
+
+@pytest.mark.parametrize("target", (-0.1, 1.5, math.nan))
+def test_sample_test_operators_rejects_target_outside_unit_interval(target):
+    with pytest.raises(ValueError, match="alpha_target"):
+        sample_test_operators(2, 10, target, SIGMA.matrix, philox(1))
+
+
+@pytest.mark.parametrize("sigma", (np.eye(3) / 3.0, np.ones(2) / 2.0))
+def test_sample_test_operators_rejects_mismatched_sigma(sigma):
+    with pytest.raises(DimMismatch):
+        sample_test_operators(2, 10, 0.3, sigma, philox(1))
+
+
+@pytest.mark.parametrize("target", (0.0, 1.0))
+def test_sample_test_operators_accepts_interval_ends(target):
+    m = sample_test_operators(2, 10, target, SIGMA.matrix, philox(1))
+    assert np.allclose(np.real(np.einsum("ij,nji->n", SIGMA.matrix, m)), target, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", (2, 3))
