@@ -9,10 +9,12 @@ benign state keeps the predicted class:
                              and sufficient when p_a + p_b = 1),
 * ``radius_qht_pure_mixed``  pure benign / mixed adversarial, sufficient only,
 * ``radius_hoelder``         arbitrary states, from trace-norm duality,
-* ``radius_depol_*``         single-qubit pure states behind a depolarizing
-                             smoothing channel with parameter p (assumes
-                             p_b = 1 - p_a); radii are distances between the
-                             *unsmoothed* states.
+* ``radius_depol_*``         pure states behind a depolarizing smoothing
+                             channel with parameter p (assumes p_b = 1 - p_a);
+                             radii are distances between the *unsmoothed*
+                             states.  ``radius_depol_qht`` and
+                             ``radius_depol_hoelder`` hold at every dimension
+                             d, ``radius_depol_dp`` for qubits only.
 
 All radii are reported in trace distance normalized to [0, 1].
 """
@@ -71,33 +73,50 @@ def radius_hoelder(p_a: float, p_b: float) -> float:
     return (p_a - p_b) / 2.0
 
 
-def _depol_case_thresholds(p: float) -> tuple[float, float]:
-    t1 = (4.0 - 6.0 * p + 3.0 * p**2) / (4.0 - 4.0 * p + 2.0 * p**2)
-    t2 = (4.0 - 3.0 * p) / (4.0 - 2.0 * p)
+def _depol_case_thresholds(p: float, d: int = 2) -> tuple[float, float]:
+    """The pA thresholds (t1, t2) of ``radius_depol_qht`` at dimension d: the
+    qubit expressions plus terms in shift = p/2 - p/d, exactly 0.0 at d = 2."""
+    if d < 2:
+        raise OutOfRegime(f"requires dimension d >= 2, got {d}")
+    shift = p / 2.0 - p / d
+    t1 = (4.0 - 6.0 * p + 3.0 * p**2 + 4.0 * shift * (1.0 - 3.0 * shift)) / (
+        4.0 - 4.0 * p + 2.0 * p**2 - 8.0 * shift**2
+    )
+    t2 = min((4.0 - 3.0 * p - 2.0 * shift) / (4.0 - 2.0 * p - 4.0 * shift), 1.5 - p)
     return t1, t2
 
 
-def radius_depol_qht(p_a: float, p: float) -> float:
-    """Exact robust radius for depolarization-smoothed single-qubit pure states.
+def radius_depol_qht(p_a: float, p: float, d: int = 2) -> float:
+    """Exact robust radius for depolarization-smoothed pure states of dimension d.
 
-    Three regimes in p_a (with p_b = 1 - p_a): below the first threshold a
-    shifted version of the unsmoothed radius, between the thresholds a formula
-    that grows to 1, and above the second threshold the whole state space is
-    certified (radius exactly 1).
+    Outside span{psi, phi} both smoothed states equal (p/d) * 1, so at
+    multipliers t >= 1 the dual t (1 - pA) + Tr[(rho - t sigma)_+] sees only
+    the 2-plane (smaller t never certify more).  At t the largest certified
+    trace distance s_t has s_t^2 = k (k + t - 1) / t with
+    k = (1/2 - t (1 - pA) + (p/d) (t - 1)) / (1 - p), and the radius is the
+    largest s_t over t in [1, 1 / (2 (1 - pA))].  Four regimes in p_a (with
+    p_b = 1 - p_a): t = 1, the duality radius, up to 1/2 + p (d-2)/d (empty
+    at d = 2); an interior t up to t1; the right end up to t2; radius 1 above.
+    Each regime is the qubit expression plus terms that vanish at d = 2.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("smoothing parameter p must lie in (0, 1)")
     if not 0.5 < p_a <= 1.0:
         raise OutOfRegime(f"requires pA > 1/2, got {p_a}")
-    t1, t2 = _depol_case_thresholds(p)
+    t1, t2 = _depol_case_thresholds(p, d)
+    shift = p / 2.0 - p / d
+    if p_a > t2:
+        return 1.0
+    if p_a <= 0.5 + 2.0 * shift:
+        return radius_depol_hoelder(p_a, p)
     if p_a <= t1:
         g = 0.5 * (2.0 * p_a * (1.0 - p_a) - p * (1.0 - p / 2.0))
-        return math.sqrt(max(0.5 - math.sqrt(max(g, 0.0)) / (1.0 - p), 0.0))
-    if p_a <= t2:
-        num = p * (2.0 - p) * (1.0 - 2.0 * p_a) ** 2
-        den = 8.0 * (1.0 - p) ** 2 * (1.0 - p_a)
-        return min(math.sqrt(num / den), 1.0)
-    return 1.0
+        g = (g + shift * (2.0 * p_a - 1.0 - shift)) * (1.0 - (2.0 * shift / (1.0 - p)) ** 2)
+        lift = shift * (2.0 * p_a - 1.0 - 2.0 * shift) / (1.0 - p) ** 2
+        return math.sqrt(max(0.5 + lift - math.sqrt(max(g, 0.0)) / (1.0 - p), 0.0))
+    num = (p * (2.0 - p) - 4.0 * shift * (1.0 - shift)) * (1.0 - 2.0 * p_a) ** 2
+    den = 8.0 * (1.0 - p) ** 2 * (1.0 - p_a)
+    return min(math.sqrt(num / den), 1.0)
 
 
 def radius_depol_hoelder(p_a: float, p: float) -> float:
@@ -121,9 +140,9 @@ def radius_depol_dp(p_a: float, p: float) -> float:
     return min((p / (2.0 * (1.0 - p))) * (math.sqrt(p_a / (1.0 - p_a)) - 1.0), 1.0)
 
 
-def smoothing_covers_everything(p_a: float, p: float) -> bool:
-    """True when the smoothed radius saturates at 1 (every state certified)."""
-    _, t2 = _depol_case_thresholds(p)
+def smoothing_covers_everything(p_a: float, p: float, d: int = 2) -> bool:
+    """True when the smoothed radius at dimension d saturates at 1 (every state certified)."""
+    _, t2 = _depol_case_thresholds(p, d)
     return p_a > t2
 
 

@@ -33,8 +33,7 @@ from .bounds import (
     smoothing_covers_everything,
 )
 from .classifier import Classifier, class_probabilities
-from .helstrom import _plane_boundary_radius
-from .states import DensityMatrix, PureState, depolarize, is_rank_one
+from .states import DensityMatrix, depolarize, is_rank_one
 
 TOOL_VERSION = "0.1.0"
 
@@ -78,7 +77,6 @@ class Certificate:
     mode: str = "protocol"
     clipped: bool = False
     covers_all_states: bool = False
-    generic_fallback: bool = False
     classifier_hash: str = ""
     state_hash: str = ""
 
@@ -155,19 +153,16 @@ def _certify(
 
     radii = None
     covers_all = False
-    fallback = False
     if not abstained and p == 0.0:
         radii = bound_report(est.pA_lower, p_b, benign_pure=pure)
     elif not abstained:
         pa = est.pA_lower
         r_qht_p = r_dp = None
-        if pure and sigma.dim == 2:
-            r_qht_p = radius_depol_qht(pa, p)
-            r_dp = radius_depol_dp(pa, p)
-            covers_all = smoothing_covers_everything(pa, p)
-        elif pure:
-            r_qht_p = _smoothed_boundary_generic(sigma, p, pa)
-            fallback = True
+        if pure:
+            r_qht_p = radius_depol_qht(pa, p, sigma.dim)
+            covers_all = smoothing_covers_everything(pa, p, sigma.dim)
+            if sigma.dim == 2:
+                r_dp = radius_depol_dp(pa, p)
         radii = BoundReport(
             p_a=pa,
             p_b=p_b,
@@ -190,7 +185,6 @@ def _certify(
         mode=mode,
         clipped=est.clipped,
         covers_all_states=covers_all,
-        generic_fallback=fallback,
         classifier_hash=cl_hash,
         state_hash=st_hash,
     )
@@ -221,26 +215,6 @@ def certify(
     return _certify(cl, sigma, n_shots, epsilon, seed, mode, 0.0)
 
 
-def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps: int = 40) -> float:
-    """Boundary radius for smoothed pure pairs via the generic test condition.
-
-    Searches the angle between sigma and a pure state in a fixed 2-plane with
-    margin-guided steps (``helstrom._plane_boundary_radius``) down to bracket
-    width pi * 2**-steps; for pure pairs the condition depends only on the
-    overlap, so the result is the trace distance (between unsmoothed states)
-    below which certification holds.
-    """
-    psi = PureState.from_density(sigma)
-    d = sigma.dim
-    # Orthonormal partner spanning the 2-plane.
-    k = int(np.argmin(np.abs(psi.amplitudes)))
-    e = np.zeros(d, dtype=np.complex128)
-    e[k] = 1.0
-    partner = e - np.vdot(psi.amplitudes, e) * psi.amplitudes
-    partner = partner / np.linalg.norm(partner)
-    return _plane_boundary_radius(sigma, psi.amplitudes, partner, p_a, 1.0 - p_a, steps, p)
-
-
 def certify_smoothed(
     cl: Classifier,
     sigma: DensityMatrix,
@@ -252,10 +226,10 @@ def certify_smoothed(
     """Certification with a depolarizing channel applied before the classifier.
 
     Samples the classifier on the smoothed input and reports radii in trace
-    distance between the *unsmoothed* pure states.  Closed forms cover the
-    single-qubit pure case; higher-dimensional pure inputs fall back to an
-    angle search through the generic test condition (flagged in the result), and
-    mixed inputs keep only the duality radius.
+    distance between the *unsmoothed* states.  Pure inputs of every dimension
+    d >= 2 get the closed-form radius ``radius_depol_qht`` at d (d < 2 raises
+    ``OutOfRegime``), qubits also the differential-privacy radius, and mixed
+    inputs keep only the duality radius.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("smoothing parameter p must lie in (0, 1)")

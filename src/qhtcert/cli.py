@@ -31,7 +31,7 @@ from . import bounds as bnd
 from . import demo, oracle, serialize
 from .certification import certificate_to_json, certify, certify_smoothed
 from .errors import QhtcertError
-from .helstrom import helstrom, tau
+from .helstrom import helstrom
 from .states import PureState
 
 CSV_BOUND_COLUMNS = [
@@ -157,7 +157,6 @@ def cmd_toy_example(args) -> int:
     refs = demo.reference_numbers()
     sigma = demo.benign_state().density()
     rho = demo.adversarial_state().density()
-    t_generic = tau(rho, sigma, demo.ALPHA0)
     test = helstrom(rho, sigma, demo.ALPHA0)
     theta_boundary = 2.0 * math.asin(
         oracle.boundary_radius_search(
@@ -165,7 +164,7 @@ def cmd_toy_example(args) -> int:
         )
     )
     checks = [
-        ("t_threshold", t_generic, refs["t_threshold"], 1e-6),
+        ("t_threshold", test.t, refs["t_threshold"], 1e-6),
         ("beta_type2", test.beta, refs["beta"], 1e-6),
         ("beta_vs_rounded_0.44", test.beta, refs["beta_rounded"], 0.01),
         ("theta_max", theta_boundary, refs["theta_max"], 1e-3),

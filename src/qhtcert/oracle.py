@@ -17,7 +17,8 @@ the library's closed forms and optimal tests on small instances:
 * ``boundary_radius_search`` angle search for the largest certified trace
                              distance around a pure qubit reference, using
                              only the generic robustness condition and its
-                             margin beta(M_A) + beta(M_B) - 1.
+                             dual margin g_A + g_B - 1; the reference for
+                             ``radius_depol_qht`` runs it at any dimension.
 * ``hoeffding_coverage``     empirical coverage of the confidence lower bound.
 """
 
@@ -265,7 +266,8 @@ def boundary_radius_search(
     cos(theta/2)|ref> + sin(theta/2) e^{i phi}|ref_perp>, drawing a fresh
     random phi at every evaluation (the boundary is phi-independent for pure
     pairs).  The generic robustness condition keeps the bracket, and its
-    margin beta(M_A) + beta(M_B) - 1 guides regula-falsi steps inside it.
+    dual margin g_A + g_B - 1 (Lagrange-dual lower bounds g on the two
+    optimal type-II errors) guides regula-falsi steps inside it.
     The search stops at angle bracket width pi * 2**-samples, or when no
     float lies strictly inside the bracket.  Returns the boundary trace
     distance sin(theta*/2).
@@ -280,6 +282,27 @@ def boundary_radius_search(
     ref = reference.amplitudes
     perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])
     return _plane_boundary_radius(reference.density(), ref, perp, p_a, p_b, samples, rng=rng)
+
+
+def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps: int = 40) -> float:
+    """Reference search for ``bounds.radius_depol_qht`` at sigma's dimension.
+
+    Searches the angle between the pure state sigma and a pure state in a
+    fixed 2-plane, both depolarized with parameter p, by margin-guided steps
+    of the generic condition (``helstrom._plane_boundary_radius``) down to
+    bracket width pi * 2**-steps; for pure pairs the condition depends only
+    on the overlap, so the result is the trace distance (between unsmoothed
+    states) below which certification holds.
+    """
+    psi = PureState.from_density(sigma)
+    d = sigma.dim
+    # Orthonormal partner spanning the 2-plane.
+    k = int(np.argmin(np.abs(psi.amplitudes)))
+    e = np.zeros(d, dtype=np.complex128)
+    e[k] = 1.0
+    partner = e - np.vdot(psi.amplitudes, e) * psi.amplitudes
+    partner = partner / np.linalg.norm(partner)
+    return _plane_boundary_radius(sigma, psi.amplitudes, partner, p_a, 1.0 - p_a, steps, p)
 
 
 def hoeffding_coverage(

@@ -28,9 +28,9 @@ from qhtcert import (
     worst_case_classifier,
 )
 from qhtcert import demo
-from qhtcert.certification import _smoothed_boundary_generic
 from qhtcert.cli import main
 from qhtcert.helstrom import _alpha_plus
+from qhtcert.oracle import _smoothed_boundary_generic
 from qhtcert.states import PureState
 
 from conftest import philox

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,11 +17,15 @@ from qhtcert import (
     radius_hoelder,
     radius_qht_pure,
     radius_qht_pure_mixed,
+    random_pure,
     smoothing_covers_everything,
 )
 from qhtcert.bounds import _depol_case_thresholds
 from qhtcert.errors import InvalidProbabilityOrder, OutOfRegime
+from qhtcert.oracle import _smoothed_boundary_generic
 from qhtcert.states import PureState
+
+from conftest import philox
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +81,10 @@ def test_radius_depol_qht_values():
         radius_depol_qht(0.5, 0.2)
     with pytest.raises(ValueError):
         radius_depol_qht(0.9, 0.0)
+    with pytest.raises(OutOfRegime):
+        radius_depol_qht(0.9, 0.2, 1)
+    with pytest.raises(OutOfRegime):
+        smoothing_covers_everything(0.9, 0.2, 1)
 
 
 def test_radius_depol_qht_continuous_across_cases():
@@ -86,6 +95,19 @@ def test_radius_depol_qht_continuous_across_cases():
             above = radius_depol_qht(t + 1e-9, p)
             assert below == pytest.approx(above, abs=1e-6)
         assert radius_depol_qht(t2 + 1e-9, p) == 1.0
+
+
+def test_radius_depol_qht_qubit_bits_are_pinned():
+    # The qubit radius and saturation flag, bit for bit, on the compare-depol
+    # grids (--grid 99, the default, and --grid 100) at the default p list.
+    text = "".join(
+        f"{radius_depol_qht(p_a, p).hex()} {smoothing_covers_everything(p_a, p)}\n"
+        for n in (99, 100)
+        for p in (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95)
+        for p_a in (0.5 + (k + 1) * 0.5 / (n + 1) for k in range(n))
+    )
+    digest = "75bad1e35063ed1a479f5648827850ee2fbfa6d247494ab32b369c9c1c0dcabd"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_radius_depol_hoelder_values():
@@ -105,6 +127,32 @@ def test_radius_depol_dp_values():
 def test_covers_everything_flag():
     assert smoothing_covers_everything(0.95, 0.5)
     assert not smoothing_covers_everything(0.8, 0.5)
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 16])
+def test_radius_depol_qht_matches_reference_search(d):
+    # Regimes: the best multiplier at t = 1 (duality radius), interior, at
+    # the right end, or saturated.  The pA grid reaches each of them at every
+    # d; the extra points 0.94 and 0.98 catch the narrow right-end band.
+    rng = philox(9100 + d)
+    regimes = set()
+    for p in (0.05, 0.2, 0.5, 0.8, 0.95):
+        t1, t2 = _depol_case_thresholds(p, d)
+        for p_a in (0.52, 0.56, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.94, 0.95, 0.98, 0.99):
+            radius = radius_depol_qht(p_a, p, d)
+            reference = _smoothed_boundary_generic(random_pure(d, rng).density(), p, p_a)
+            assert radius == pytest.approx(reference, abs=1e-9)
+            # At pA = t2 (here 0.7 = 3/2 - 0.8) the radius reaches 1, but the
+            # orthogonal states sit on the boundary and are not certified.
+            assert smoothing_covers_everything(p_a, p, d) == (radius == 1.0) or p_a == t2
+            if p_a > t2:
+                regimes.add("saturated")
+            elif p_a <= 0.5 + p * (d - 2) / d:
+                regimes.add("t = 1")
+                assert radius == radius_depol_hoelder(p_a, p)
+            else:
+                regimes.add("interior" if p_a <= t1 else "right end")
+    assert regimes == {"t = 1", "interior", "right end", "saturated"}
 
 
 # ---------------------------------------------------------------------------

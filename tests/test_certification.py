@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from qhtcert import (
+    Channel,
     Classifier,
     Povm,
     PureState,
@@ -17,13 +19,15 @@ from qhtcert import (
     hoeffding_margin,
     identity_kraus,
     radius_qht_pure,
+    radius_depol_qht,
     random_pure,
     sample_outcomes,
     trace_distance,
 )
 import qhtcert
 from qhtcert import demo
-from qhtcert.certification import _smoothed_boundary_generic
+from qhtcert.errors import OutOfRegime
+from qhtcert.oracle import _smoothed_boundary_generic
 
 from conftest import philox
 
@@ -224,17 +228,49 @@ def test_smoothed_fallback_beyond_qubit():
     povm = Povm((np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])), (0, 1))
     cl = Classifier(identity_kraus(3), povm)
     cert = certify_smoothed(cl, psi.density(), 0.2, 100_000, 0.01, seed=4)
-    assert cert.generic_fallback
-    assert cert.radii.r_depol_qht is not None
+    assert cert.radii.r_depol_qht == radius_depol_qht(cert.pA_lower, 0.2, 3)
+    assert cert.radii.r_depol_qht == pytest.approx(
+        _smoothed_boundary_generic(psi.density(), 0.2, cert.pA_lower), abs=1e-9
+    )
     assert cert.radii.r_depol_dp is None
+    assert "generic_fallback" not in certificate_to_json(cert)
+
+
+def test_smoothed_whole_space_flag_beyond_qubit():
+    # A channel that replaces every input by |0>: every shot lands in class 0,
+    # pA_lower passes the d = 3 saturation threshold, and the radius is 1.
+    replace = Channel(tuple(np.outer(np.eye(3)[0], np.eye(3)[j]) for j in range(3)))
+    povm = Povm((np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])), (0, 1))
+    cert = certify_smoothed(Classifier(replace, povm), PureState([1.0, 0.0, 0.0]).density(), 0.2, 100_000, 0.01, seed=4)
+    assert cert.pA_lower == pytest.approx(0.9952, abs=1e-4)
+    assert cert.radii.r_depol_qht == 1.0
+    assert cert.covers_all_states
+
+
+def test_smoothed_one_dimensional_input_is_out_of_regime():
+    cl = Classifier(identity_kraus(1), Povm((np.array([[1.0]]), np.array([[0.0]])), (0, 1)))
+    with pytest.raises(OutOfRegime):
+        certify_smoothed(cl, PureState([1.0]).density(), 0.2, 1000, 0.01, seed=0)
+
+
+def test_smoothed_d4_runs_no_condition_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify_smoothed ran the condition margin")
+
+    monkeypatch.setattr(importlib.import_module("qhtcert.helstrom"), "_condition_margin", forbidden)
+    povm = Povm((np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0, 1.0])), (0, 1))
+    cl = Classifier(identity_kraus(4), povm)
+    for p in (0.1, 0.2):
+        cert = certify_smoothed(cl, PureState([1.0, 0.0, 0.0, 0.0]).density(), p, 1000, 0.01, seed=1)
+        assert cert.radii.r_depol_qht == radius_depol_qht(cert.pA_lower, p, 4)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("p", [0.2, 0.5])
 @pytest.mark.parametrize("p_a", [0.7, 0.85])
 def test_smoothed_fallback_radius_holds_outside_its_plane(d, p, p_a):
-    # The fallback bisects in one 2-plane at phase 0; for pure pairs the
-    # smoothed condition depends only on the overlap, so its radius must
+    # The reference search bisects in one 2-plane at phase 0; for pure pairs
+    # the smoothed condition depends only on the overlap, so its radius must
     # separate certified from uncertified states in any other plane too.
     rng = philox(d)
     psi = random_pure(d, rng).amplitudes

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from qhtcert import PureState, demo, serialize
+from qhtcert import Classifier, Povm, PureState, demo, identity_kraus, serialize
 from qhtcert.cli import main
 
 
@@ -100,6 +102,17 @@ def test_compare_depol_grid(capsys):
     assert saturated > 0
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ((), "dd186dda112d6a6b4a4a710809269f68a59ae9a3a77ce66d6773f53a30e58e64"),
+    (("--grid", "100"), "c93ccf3fbf2050b049b15dde17bdaec4e17c499636aeada1b5816106a19e80ab"),
+], ids=["defaults", "grid-100"])
+def test_compare_depol_csv_is_pinned(capsys, argv, digest):
+    # The smoothed-curve CSVs (defaults, and the figure grid) must stay byte-stable.
+    rc, out, _ = run(capsys, "compare-depol", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # toy example
 
@@ -169,6 +182,22 @@ def test_certify_smoothed_rejects_extended_mode(demo_files, capsys):
     rc, out, _ = run(capsys, *argv, "--mode", "protocol")
     assert rc == 0
     assert json.loads(out)["mode"] == "protocol"
+
+
+def test_certify_smoothed_one_dimensional_state_is_error(tmp_path, capsys):
+    cl_path = tmp_path / "classifier.json"
+    state_path = tmp_path / "state.json"
+    cl = Classifier(identity_kraus(1), Povm((np.array([[1.0]]), np.array([[0.0]])), (0, 1)))
+    serialize.save_json(serialize.classifier_to_json(cl), cl_path)
+    serialize.save_json(serialize.pure_to_json(PureState([1.0])), state_path)
+    rc, out, err = run(
+        capsys,
+        "certify", "--classifier", str(cl_path), "--state", str(state_path),
+        "--shots", "1000", "--epsilon", "0.01", "--smooth-p", "0.2",
+    )
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "OutOfRegime"
 
 
 def test_certify_missing_file_is_error(capsys, tmp_path):

@@ -17,10 +17,9 @@ from qhtcert import (
     random_pure,
 )
 from qhtcert import demo
-from qhtcert.certification import _smoothed_boundary_generic
 from qhtcert.errors import DimMismatch, InvalidProbabilityOrder, RegimeTooLarge
 from qhtcert.helstrom import _condition_margin
-from qhtcert.oracle import sample_test_operators
+from qhtcert.oracle import _smoothed_boundary_generic, sample_test_operators
 
 from conftest import philox
 
