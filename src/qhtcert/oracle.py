@@ -6,14 +6,10 @@ the library's closed forms and optimal tests on small instances:
 * ``brute_force_min_beta``   random-search upper bound on the minimal type-II
                              error at a given type-I level; must never beat
                              the constructed optimal test.  It scores each
-                             random test from four numbers of its Hermitian
-                             draw (two traces, two extreme eigenvalues) and
-                             builds no test operator; ``sample_test_operators``
-                             builds the same tests as operators.  The extreme
-                             eigenvalues are a closed form at d = 2 and the
-                             extreme roots of the characteristic polynomial
-                             at d = 3, 4, with ``eigvalsh`` for the few rows
-                             whose root is ill-conditioned.
+                             random test from two traces and two extreme
+                             eigenvalues of its Hermitian draw, computed from
+                             the draw's real entries without building it;
+                             ``sample_test_operators`` builds the same tests.
 * ``boundary_radius_search`` angle search for the largest certified trace
                              distance around a pure qubit reference, using
                              only the generic robustness condition and its
@@ -25,21 +21,21 @@ the library's closed forms and optimal tests on small instances:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import Classifier, class_probabilities
 from .certification import hoeffding_margin
-from .errors import DimMismatch, InvalidProbabilityOrder, RegimeTooLarge
+from .errors import DimMismatch, InvalidProbabilityOrder, OutOfRegime, RegimeTooLarge
 from .helstrom import _plane_boundary_radius
 from .states import DensityMatrix, PureState
 
 MAX_BRUTE_DIM = 4
-# Guard of the extreme-root solve in ``_spectrum_ends``.  At _ILL_SLOPE = 0.03
-# the rows it keeps stay within 6e-15 * max(1, |lambda|max) of eigvalsh on
-# nearly repeated, shifted and scaled spectra (1.3e-14 at 0.01), and about 10
-# Ginibre draws in 20 000 at d = 4, 1 at d = 3, go to eigvalsh.
+# Guard of the root solve in ``_spectrum_ends``: the rows it keeps stay within
+# 6e-15 * max(1, |lambda|max) of eigvalsh on nearly repeated, shifted and scaled
+# spectra (1.3e-14 at _ILL_SLOPE = 0.01); about 10 draws in 20 000 at d = 4 fail it.
 _NEWTON_STEP = 1e-12
 _ILL_SLOPE = 0.03
 _NEWTON_ITERATIONS = 40
@@ -53,84 +49,92 @@ class SearchReport:
     seed: int
 
 
-def _draw_hermitian(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian parts h = (g + g^H)/2 of n complex Ginibre matrices
-    g = (a + ib)/sqrt(2), shape (n, dim, dim).  a and b are the next
-    2*n*dim*dim standard normals of ``rng``, a first; h is assembled from
-    its real and imaginary parts, which is cheaper than complex arithmetic.
-    """
-    a, b = rng.standard_normal((2, n, dim, dim)) * (1.0 / np.sqrt(2.0))
-    h = np.empty((n, dim, dim), complex)
-    h.real, h.imag = (a + a.transpose(0, 2, 1)) * 0.5, (b - b.transpose(0, 2, 1)) * 0.5
+def _hermitian_stack(entries: np.ndarray) -> np.ndarray:
+    """The Hermitian stack (n, d, d) with the entries of ``_draw_entries``'s layout."""
+    d = math.isqrt(len(entries))
+    rows, cols = np.triu_indices(d, 1)
+    diag, re, im = np.split(entries, [d, d + len(rows)])
+    h = np.zeros((entries.shape[1], d, d), complex)
+    h.real[:, range(d), range(d)], h.real[:, rows, cols], h.real[:, cols, rows] = diag.T, re.T, re.T
+    h.imag[:, rows, cols], h.imag[:, cols, rows] = im.T, -im.T
     return h
 
 
-def _traceless_charpoly(h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _draw_entries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Entries e of the Hermitian parts h of n Ginibre matrices (a + ib)/sqrt(2),
+    a then b the next 2*n*dim*dim normals of ``rng``: the rows h_ii, Re h_ij,
+    Im h_ij (i < j, ``np.triu_indices`` order) of a (dim*dim, n) array.  With
+    the basis B = ``_hermitian_stack(1)``, e_m = <B_m, h>/|B_m|^2 is a product
+    of transposed views of a, b with 0, +-1/2 or 1: one rounding of at most two
+    exact products in any summation order: the bits of (a + a^T)/2, (b - b^T)/2.
+    """
+    basis = _hermitian_stack(np.eye(dim * dim)).reshape(dim * dim, -1)
+    select, real_rows = basis / np.sum(np.abs(basis) ** 2, axis=1, keepdims=True), dim * (dim + 1) // 2
+    normals = rng.standard_normal((2, n, dim * dim))
+    a, b = np.multiply(normals, 1.0 / np.sqrt(2.0), out=normals).transpose(0, 2, 1)  # in place: no second copy
+    return np.concatenate([select.real[:real_rows] @ a, select.imag[real_rows:] @ b])
+
+
+def _traceless_charpoly(entries: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Shift c = Tr h / d and the coefficients [e2, -e3] (d = 3) or
     [e2, -e3, e4] (d = 4) of det(x*1 - A) = x^d + e2 x^(d-2) - e3 x^(d-3)
-    (+ e4) for the traceless part A = h - c*1 of each matrix of a Hermitian
-    stack.  e2 = -Tr A^2 / 2 and e3 are principal-minor sums and e4 = det A
-    by Laplace expansion over the 2x2 minors of rows 0, 1; all are built
-    from per-entry arrays of length n, with no (n, d, d) temporary.
-
-    A's last diagonal entry is minus the sum of the others, so A is
-    traceless to roundoff in its own scale: the rounding of c then moves
-    every eigenvalue alike, by about one ulp of c, instead of entering p as
-    an x^(d-1) term that the conditioning of the extreme roots amplifies.
+    (+ e4) for the traceless part A = h - c*1, in real arithmetic on the
+    ``_draw_entries`` rows: e2 = -Tr A^2 / 2, e3 the principal 3x3 minors'
+    sum, e4 = det A.  A's last diagonal entry is minus the sum of the
+    others, so rounding c moves every eigenvalue alike, by about one ulp of
+    c, not as an x^(d-1) term in p that the roots' conditioning amplifies.
     """
-    d = h.shape[-1]
-    rows, cols = np.triu_indices(d, 1)
-    b = dict(zip(zip(rows.tolist(), cols.tolist()), h.transpose(1, 2, 0)[rows, cols]))
-    diag = np.einsum("nii->in", h).real
-    c = diag.sum(axis=0) / d
-    a = diag - c
+    d = math.isqrt(len(entries))
+    pairs = list(itertools.combinations(range(d), 2))
+    re, im = dict(zip(pairs, entries[d:d + len(pairs)])), dict(zip(pairs, entries[d + len(pairs):]))
+    c = entries[:d].sum(axis=0) / d
+    a = entries[:d] - c
     a[-1] = -a[:-1].sum(axis=0)
-    sq = {ij: bij.real**2 + bij.imag**2 for ij, bij in b.items()}
+    sq = {ij: re[ij] ** 2 + im[ij] ** 2 for ij in pairs}
     trace_sq = np.einsum("in,in->n", a, a) + 2.0 * sum(sq.values())
     e3 = 0.0
     for i, j, k in itertools.combinations(range(d), 3):
-        loop = b[i, j] * b[j, k]  # Re(b_ij b_jk conj(b_ik)) is the minor's cyclic term
+        # Re(h_ij h_jk conj(h_ik)) is the minor's cyclic term.
+        loop_re, loop_im = re[i, j] * re[j, k] - im[i, j] * im[j, k], re[i, j] * im[j, k] + im[i, j] * re[j, k]
         e3 = e3 + (a[i] * (a[j] * a[k] - sq[j, k]) - a[j] * sq[i, k] - a[k] * sq[i, j]
-                   + 2.0 * (loop.real * b[i, k].real + loop.imag * b[i, k].imag))
+                   + 2.0 * (loop_re * re[i, k] + loop_im * im[i, k]))
     coefficients = [-0.5 * trace_sq, -e3]
     if d == 4:
-        def entry(i, j):
-            return a[i] if i == j else b[i, j] if i < j else b[j, i].conj()
+        def entry(i, j):  # (Re, Im) of A_ij: A_ii is real and A_ji = conj(A_ij)
+            return (a[i], 0.0) if i == j else (re[i, j], im[i, j]) if i < j else (re[j, i], -im[j, i])
 
-        def minor(r, i, j):
-            return entry(r, i) * entry(r + 1, j) - entry(r, j) * entry(r + 1, i)
+        def minor(r, i, j):  # A_ri A_(r+1)j - A_rj A_(r+1)i
+            (p, q), (s, t), (u, v), (w, x) = entry(r, i), entry(r + 1, j), entry(r, j), entry(r + 1, i)
+            return p * s - q * t - (u * w - v * x), p * t + q * s - (u * x + v * w)
 
-        e4 = 0.0
-        for i, j in itertools.combinations(range(4), 2):
+        e4 = 0.0  # Laplace over rows 0, 1: minors of columns (i, j) and their complements
+        for i, j in pairs:
             k, l = (m for m in range(4) if m not in (i, j))
-            e4 = e4 + (-1) ** (1 + i + j) * (minor(0, i, j) * minor(2, k, l)).real
+            (p, q), (r, t) = minor(0, i, j), minor(2, k, l)  # sign (-1)^(1 + i + j)
+            e4 = e4 + (-1) ** (1 + i + j) * (p * r - q * t)
         coefficients.append(e4)
     return c, coefficients
 
 
-def _spectrum_ends(h: np.ndarray) -> np.ndarray:
-    """Rows lo, hi: the smallest and largest eigenvalue of each matrix in a
-    Hermitian stack.  At d = 1 both are h00; at d = 2 they are
-    mid -/+ hypot(|h01|, (h00 - h11)/2).
-
-    At d = 3, 4 they are c + the extreme roots of the characteristic
-    polynomial p of the traceless part A (``_traceless_charpoly``).  Newton
-    steps start from -/+ bound, bound = sqrt((d - 1)/d * Tr A^2) (Samuelson:
-    every eigenvalue lies inside).  p is real-rooted, so Newton started
-    outside the roots moves monotonically toward the extreme root: lo stays
-    <= lambda_min and hi >= lambda_max up to roundoff.  A row goes to
-    ``eigvalsh`` when its last step is above ``_NEWTON_STEP * bound`` or
-    |p'| < ``_ILL_SLOPE * bound**(d - 1)``: a repeated or nearly repeated
-    extreme eigenvalue, whose root the roundoff in p moves by about
-    1.5e-16 * max|lambda| * bound**(d - 1) / |p'|.
+def _spectrum_ends(entries: np.ndarray) -> np.ndarray:
+    """Rows lo, hi: the extreme eigenvalues of each draw from its
+    ``_draw_entries`` rows.  d = 1: h00; d = 2: mid -/+ hypot(|h01|,
+    (h00 - h11)/2).  d = 3, 4: c + the extreme roots of the real-rooted
+    characteristic polynomial p of A (``_traceless_charpoly``), by Newton
+    steps inward from -/+ bound = sqrt((d - 1)/d * Tr A^2) (Samuelson), so
+    lo <= lambda_min and hi >= lambda_max up to roundoff.  A row whose last
+    step is above ``_NEWTON_STEP * bound`` or whose |p'| < ``_ILL_SLOPE *
+    bound**(d - 1)`` (a nearly repeated extreme eigenvalue, which roundoff in
+    p moves by 1.5e-16 * max|lambda| * bound**(d - 1) / |p'|) goes to eigvalsh.
     """
-    d = h.shape[-1]
+    d = math.isqrt(len(entries))
     if d == 1:
-        return np.stack([h[:, 0, 0].real, h[:, 0, 0].real])
+        return entries[[0, 0]]
     if d == 2:
-        radius = np.hypot(np.abs(h[:, 0, 1]), (h[:, 0, 0].real - h[:, 1, 1].real) / 2.0)
-        return (h[:, 0, 0].real + h[:, 1, 1].real) / 2.0 + np.outer([-1.0, 1.0], radius)
-    c, (e2, *rest) = _traceless_charpoly(h)
+        h00, h11, re01, im01 = entries
+        radius = np.hypot(np.hypot(re01, im01), (h00 - h11) / 2.0)
+        return (h00 + h11) / 2.0 + np.outer([-1.0, 1.0], radius)
+    c, (e2, *rest) = _traceless_charpoly(entries)
     bound = np.sqrt(-2.0 * (d - 1) / d * e2)
     x = np.stack([-bound, bound])
     small_step, small_slope = _NEWTON_STEP * bound, _ILL_SLOPE * bound ** (d - 1)
@@ -149,7 +153,7 @@ def _spectrum_ends(h: np.ndarray) -> np.ndarray:
     ends = x + c
     fallback = ~settled.all(axis=0)
     if fallback.any():
-        ends[:, fallback] = np.linalg.eigvalsh(h[fallback])[:, [0, -1]].T
+        ends[:, fallback] = np.linalg.eigvalsh(_hermitian_stack(entries[:, fallback]))[:, [0, -1]].T
     return ends
 
 
@@ -173,20 +177,22 @@ def sample_test_operators(
 ) -> np.ndarray:
     """Random operators 0 <= M <= 1 with Tr[sigma M] = alpha_target.
 
-    Draws Ginibre-style Hermitian matrices h, maps the spectrum affinely onto
-    [0, 1] as M = (h - lo*1)/(hi - lo), then makes one scalar adjustment:
-    scale down, or mix toward the identity, until the type-I error hits the
-    target.  Covers extreme and interior operators without favoring
-    projectors.  ``brute_force_min_beta`` searches the same tests, drawn from
-    the same generator, without building them.  Raises ``ValueError`` for a
-    target outside [0, 1] (NaN included) and ``DimMismatch`` when sigma is
+    Assembles Ginibre-style Hermitian matrices h from ``_draw_entries``, maps
+    the spectrum affinely onto [0, 1] as M = (h - lo*1)/(hi - lo), then makes
+    one scalar adjustment: scale down, or mix toward the identity, until the
+    type-I error hits the target.  Covers extreme and interior operators
+    without favoring projectors.  ``brute_force_min_beta`` searches the same
+    tests without building them.  Raises ``ValueError`` for dim < 1, n < 1 or
+    a target outside [0, 1] (NaN included) and ``DimMismatch`` when sigma is
     not dim x dim.
     """
     if not 0.0 <= alpha_target <= 1.0:
         raise ValueError(f"alpha_target must lie in [0, 1], got {alpha_target}")
+    if dim < 1 or n < 1:
+        raise ValueError(f"need dim >= 1 and n >= 1, got dim={dim}, n={n}")
     if np.shape(sigma) != (dim, dim):
         raise DimMismatch(f"sigma must be {dim}x{dim}, got shape {np.shape(sigma)}")
-    h = _draw_hermitian(dim, n, rng)
+    h = _hermitian_stack(_draw_entries(dim, n, rng))
     w = np.linalg.eigvalsh(h)[:, :, None]
     lo, span = w[:, :1], w[:, -1:] - w[:, :1]
     eye = np.eye(dim)
@@ -210,21 +216,18 @@ def brute_force_min_beta(
     by optimality, can never fall below the constructed test's beta (up to
     roundoff).
 
-    alpha(M) and Tr[rho M] are affine in M, and M = c*h + e*1 for scalars c,
-    e fixed by the extreme eigenvalues lo, hi of the draw h.  So each sample
-    needs only four numbers, Tr[sigma h], Tr[rho h], lo and hi, and the
-    scale and mix steps act on them; no test operator is built.  lo and hi
-    come from ``_spectrum_ends``: a closed form at d = 2, and Newton roots of
-    the characteristic polynomial at d = 3, 4, within 6e-15 relative of
-    ``eigvalsh``, which takes the rows whose root is ill-conditioned.  The
-    traces are einsum sums, so the result does not depend on BLAS threading.
+    alpha(M) and Tr[rho M] are affine in M = c*h + e*1, with scalars c, e
+    fixed by the extreme eigenvalues lo, hi of the draw h, so the scale and
+    mix steps act on four numbers per sample, all from h's real entries
+    (``_draw_entries``): Tr[sigma h], Tr[rho h] as einsum dot products, which
+    BLAS threading cannot change, and lo, hi from ``_spectrum_ends``.
     """
     if sigma.dim != rho.dim:
         raise DimMismatch(f"dimensions differ: {sigma.dim} vs {rho.dim}")
     if sigma.dim > MAX_BRUTE_DIM:
         raise RegimeTooLarge(f"brute force limited to d <= {MAX_BRUTE_DIM}, got {sigma.dim}")
     if samples < 1_000:
-        raise ValueError("need at least 10^3 samples")
+        raise ValueError(f"need at least 10^3 samples, got samples={samples}")
     if batch < 1:
         raise ValueError(f"need batch >= 1, got batch={batch}")
     if not 0.0 <= alpha0 <= 1.0:
@@ -233,24 +236,22 @@ def brute_force_min_beta(
     rng = np.random.Generator(np.random.Philox(seed))
     pair = np.stack([sigma.matrix, rho.matrix])
     unit_traces = np.real(np.einsum("kii->k", pair))[:, None]
+    # Tr[X h] = sum_m e_m Tr[X B_m] over the basis B of ``_draw_entries``.
+    weights = np.real(np.einsum("kij,mji->km", pair, _hermitian_stack(np.eye(sigma.dim**2))))
     found = []
     for start in range(0, samples, batch):
-        h = _draw_hermitian(sigma.dim, min(batch, samples - start), rng)
-        lo, hi = _spectrum_ends(h)
+        entries = _draw_entries(sigma.dim, min(batch, samples - start), rng)
+        lo, hi = _spectrum_ends(entries)
         span = np.where(hi - lo < 1e-12, 1.0, hi - lo)
         # Rows Tr[sigma M], Tr[rho M] for M = (h - lo*1)/span, then adjusted.
-        traces = (np.real(np.einsum("kij,nji->kn", pair, h)) - lo * unit_traces) / span
+        traces = (np.einsum("km,mn->kn", weights, entries) - lo * unit_traces) / span
         alpha, accept = _adjust(traces, unit_traces, traces[0], target)
         beta = 1.0 - accept
         i = int(np.argmin(beta))
         found.append((float(beta[i]), float(alpha[i])))
     best, best_alpha = min(found, key=lambda batch_best: batch_best[0])
-    return SearchReport(
-        best_value=best,
-        argmin_description={"alpha": best_alpha, "alpha_target": target, "family": "ginibre-mapped"},
-        samples_used=samples,
-        seed=seed,
-    )
+    return SearchReport(best_value=best, samples_used=samples, seed=seed,
+                        argmin_description={"alpha": best_alpha, "alpha_target": target, "family": "ginibre-mapped"})
 
 
 def boundary_radius_search(
@@ -292,17 +293,16 @@ def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps
     of the generic condition (``helstrom._plane_boundary_radius``) down to
     bracket width pi * 2**-steps; for pure pairs the condition depends only
     on the overlap, so the result is the trace distance (between unsmoothed
-    states) below which certification holds.
+    states) below which certification holds.  ``OutOfRegime`` below d = 2.
     """
-    psi = PureState.from_density(sigma)
     d = sigma.dim
-    # Orthonormal partner spanning the 2-plane.
-    k = int(np.argmin(np.abs(psi.amplitudes)))
-    e = np.zeros(d, dtype=np.complex128)
-    e[k] = 1.0
-    partner = e - np.vdot(psi.amplitudes, e) * psi.amplitudes
-    partner = partner / np.linalg.norm(partner)
-    return _plane_boundary_radius(sigma, psi.amplitudes, partner, p_a, 1.0 - p_a, steps, p)
+    if d < 2:
+        raise OutOfRegime(f"requires dimension d >= 2, got {d}")
+    psi = PureState.from_density(sigma).amplitudes
+    # Orthonormal partner spanning the 2-plane: the basis vector psi overlaps least, minus its psi part.
+    k = int(np.argmin(np.abs(psi)))
+    partner = np.eye(d)[k] - np.conj(psi[k]) * psi
+    return _plane_boundary_radius(sigma, psi, partner / np.linalg.norm(partner), p_a, 1.0 - p_a, steps, p)
 
 
 def hoeffding_coverage(

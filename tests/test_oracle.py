@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 
@@ -17,7 +18,7 @@ from qhtcert import (
     random_pure,
 )
 from qhtcert import demo
-from qhtcert.errors import DimMismatch, InvalidProbabilityOrder, RegimeTooLarge
+from qhtcert.errors import DimMismatch, InvalidProbabilityOrder, OutOfRegime, RegimeTooLarge
 from qhtcert.helstrom import _condition_margin
 from qhtcert.oracle import _smoothed_boundary_generic, sample_test_operators
 
@@ -145,8 +146,19 @@ def diagonal_stack(eigenvalues):
     return h
 
 
+def entries_of(h):
+    """The rows h_ii, Re h_ij, Im h_ij (i < j) of a Hermitian stack, laid out
+    as oracle._draw_entries returns them."""
+    d = h.shape[-1]
+    rows, cols = np.triu_indices(d, 1)
+    upper = h[:, rows, cols].T
+    return np.concatenate([np.diagonal(h, axis1=1, axis2=2).real.T, upper.real, upper.imag])
+
+
 def spectrum_test_stacks(d, rng):
-    draws = oracle_module._draw_hermitian
+    def draws(dim, n, rng):
+        return oracle_module._hermitian_stack(oracle_module._draw_entries(dim, n, rng))
+
     yield draws(d, 2_000, rng)
     yield 1e3 * draws(d, 50, rng)
     yield diagonal_stack(rng.standard_normal((50, d)))
@@ -169,7 +181,7 @@ def test_spectrum_ends_match_eigvalsh(d):
     rng = philox(37 + d)
     scalar = np.einsum("n,ij->nij", rng.standard_normal(50), np.eye(d)).astype(complex)
     for h in (*spectrum_test_stacks(d, rng), scalar):
-        lo, hi = oracle_module._spectrum_ends(h)
+        lo, hi = oracle_module._spectrum_ends(entries_of(h))
         w = np.linalg.eigvalsh(h)
         tol = 1e-14 * np.maximum(np.abs(w).max(axis=1), 1.0)
         assert np.all(np.abs(lo - w[:, 0]) <= tol)
@@ -213,10 +225,60 @@ def test_sample_test_operators_rejects_mismatched_sigma(sigma):
         sample_test_operators(2, 10, 0.3, sigma, philox(1))
 
 
+@pytest.mark.parametrize(("dim", "n", "named"), ((0, 3, "dim=0"), (-1, 3, "dim=-1"), (2, 0, "n=0"), (2, -1, "n=-1")))
+def test_sample_test_operators_rejects_empty_requests(dim, n, named):
+    with pytest.raises(ValueError, match=named):
+        sample_test_operators(dim, n, 0.3, np.eye(max(dim, 1)) / max(dim, 1), philox(1))
+
+
+def test_brute_force_names_too_few_samples():
+    with pytest.raises(ValueError, match="samples=999"):
+        brute_force_min_beta(SIGMA, RHO, 0.1, samples=999)
+
+
 @pytest.mark.parametrize("target", (0.0, 1.0))
 def test_sample_test_operators_accepts_interval_ends(target):
     m = sample_test_operators(2, 10, target, SIGMA.matrix, philox(1))
     assert np.allclose(np.real(np.einsum("ij,nji->n", SIGMA.matrix, m)), target, atol=1e-12)
+
+
+# sha256 of sample_test_operators(d, 300, target, random_density(d, philox(60 + d)),
+# philox(70 + d)) output bytes, computed when the draw still built the
+# Hermitian stack directly from the Philox normals.
+SAMPLED_OPERATOR_SHA256 = {
+    (1, 0.0): "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7",
+    (1, 0.3): "457f4778dad669ebd7cd902eda4d93a24c8800c2528477bcf3fd86c71b52213a",
+    (1, 1.0): "61f2e39293308922076a118429981704de2457cf38a3b67a61cb975c71884cd6",
+    (2, 0.0): "17744bb6a4ed1d9d51d85d7eb645cde30352530d494233c434027f9e3193bae4",
+    (2, 0.3): "6b1b3f6fdcad123e60aff4c5f1bfed0f188b0cd21423b21e2e21024889d007e8",
+    (2, 1.0): "cd44d6563afc42f45e4b8983e778a646cdab143afede2b6808e1bb1d749ecd2e",
+    (3, 0.0): "e19d750c09c65857034cb57d3021349141c001da44d8e310a5281090f9b1f78a",
+    (3, 0.3): "97eaabf8b7f3ea6a4ad9f8f1522973709e1ce75cb583cb2d6eff468e145c677a",
+    (3, 1.0): "19bb0e6319e8cc0a661611eca5ea1871164be79192f0198159334a59a561da1c",
+    (4, 0.0): "e2cc2a1fa6131cf4d86faa3baf78851f35a36853e2467c257b3df9d89e85cce5",
+    (4, 0.3): "8925bfb2b933956f53c93c5112bd013dfe424c14998d8fc95f01f4f87e6ddb91",
+    (4, 1.0): "1b3ff0cf0792aa3aeeda18bf4c8b63155ea18c4a7cb941acb60379b8a10c12a6",
+}
+
+
+@pytest.mark.parametrize(("d", "target"), sorted(SAMPLED_OPERATOR_SHA256))
+def test_sample_test_operators_bits_are_pinned(d, target):
+    sigma = random_density(d, philox(60 + d)).matrix
+    m = sample_test_operators(d, 300, target, sigma, philox(70 + d))
+    assert m.dtype == np.complex128 and m.shape == (300, d, d)
+    assert hashlib.sha256(m.tobytes()).hexdigest() == SAMPLED_OPERATOR_SHA256[d, target]
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_draw_entries_are_the_hermitian_parts_bit_for_bit(d):
+    # Reference: the Hermitian parts (g + g^H)/2 assembled from the same
+    # normals as a complex stack, then read entry by entry.
+    a, b = philox(90 + d).standard_normal((2, 500, d, d)) * (1.0 / np.sqrt(2.0))
+    h = np.empty((500, d, d), complex)
+    h.real, h.imag = (a + a.transpose(0, 2, 1)) * 0.5, (b - b.transpose(0, 2, 1)) * 0.5
+    entries = oracle_module._draw_entries(d, 500, philox(90 + d))
+    assert np.array_equal(entries, entries_of(h))
+    assert np.array_equal(oracle_module._hermitian_stack(entries), h)
 
 
 @pytest.mark.parametrize("d", (2, 3))
@@ -224,8 +286,8 @@ def test_brute_force_on_scalar_draws_matches_operator_search(monkeypatch, d):
     # h proportional to 1 has a spectrum of zero width, so both searches take
     # the span < 1e-12 branch; every test is then target * 1.
     monkeypatch.setattr(
-        oracle_module, "_draw_hermitian",
-        lambda dim, n, rng: np.einsum("n,ij->nij", rng.standard_normal(n), np.eye(dim)).astype(complex),
+        oracle_module, "_draw_entries",
+        lambda dim, n, rng: entries_of(np.einsum("n,ij->nij", rng.standard_normal(n), np.eye(dim)).astype(complex)),
     )
     sigma, rho = random_density(d, philox(8)), random_density(d, philox(9))
     report = brute_force_min_beta(sigma, rho, 0.3, samples=2_000, seed=4, batch=700)
@@ -350,6 +412,12 @@ def test_smoothed_fallback_matches_bisection(d, p):
         radius = _smoothed_boundary_generic(PureState(psi).density(), p, p_a)
         assert radius == pytest.approx(bisection_radius(psi, partner, p_a, 1.0 - p_a, 40, p), abs=1e-9)
         assert_radius_is_boundary(psi, partner, p_a, 1.0 - p_a, radius, p)
+
+
+def test_smoothed_reference_search_rejects_one_dimensional_state():
+    # A single basis state spans no 2-plane: a typed error, not a 0/0.
+    with pytest.raises(OutOfRegime, match="d >= 2"):
+        _smoothed_boundary_generic(PureState([1.0]).density(), 0.2, 0.8)
 
 
 def test_margin_steps_need_few_solves(monkeypatch):
