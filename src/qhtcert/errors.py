@@ -59,12 +59,13 @@ class InvalidProbabilityOrder(QhtcertError):
 
 
 class SandwichViolated(QhtcertError):
-    """The located threshold t fails the bracketing inequalities
-    alpha(P_+) <= alpha0 <= alpha(P_+ + P_0) beyond tolerance.
+    """The threshold search could not produce a test proven optimal.
 
-    ``helstrom`` raises it only after every rung of its zero-band ladder has
-    failed, at the standard and at the machine-precision location of t, so it
-    reports a numerical failure of the solver rather than a setting to adjust.
+    ``helstrom`` raises it when the beta of the test it built exceeds the
+    Lagrange dual lower bound by more than 1e-9, and the threshold search when
+    no t <= 2^100 reaches the level.  It reports a numerical failure of the
+    solver, such as a type-I level too small for its zero band, rather than a
+    setting to adjust.
     """
 
 

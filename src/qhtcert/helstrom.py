@@ -6,13 +6,14 @@ state rho.  A test is an operator 0 <= M <= 1 with error rates
     alpha(M) = Tr[sigma M]        (reject the null although it is true)
     beta(M)  = Tr[rho (1 - M)]    (accept the null although rho is true)
 
-The minimizer of beta at fixed alpha is assembled from the eigenprojections of
-rho - t*sigma: M = P_plus(t) + q0 * P_zero(t), with t the smallest value at
-which alpha(P_plus) drops to the requested level and q0 a scalar mixing weight
-on the zero eigenspace.  t is bracketed by doubling and the bracket is closed
-by Newton steps taken from each probe's eigendecomposition, with bisection as
-the safeguard; this is sound because t -> alpha(P_plus(t)) is non-increasing
-and right-continuous.
+The minimizer of beta at fixed alpha is built from the projections P_plus(t)
+onto the positive eigenspace of rho - t*sigma.  t -> alpha(P_plus(t)) is
+non-increasing and right-continuous, so the threshold t at which it drops to
+the requested level is bracketed by doubling, and the bracket is closed by
+Newton steps taken from each probe's eigendecomposition, with bisection as
+the safeguard.  The optimal test mixes the plus projections at the two
+bracket ends so that it attains the level exactly, and its beta is checked
+against the Lagrange dual bound, which proves it optimal.
 """
 
 from __future__ import annotations
@@ -37,38 +38,36 @@ DEFAULT_LAMBDA_TOL = 1e-8
 
 # Absolute eigenvalue floor, scaled by (1 + t): when rho - t*sigma itself
 # vanishes (e.g. rho = sigma at t = 1) its operator norm no longer provides a
-# usable scale, so roundoff-sized eigenvalues must still land in P_zero.
+# usable scale, so roundoff-sized eigenvalues must still count as zero.  The
+# eigenvalues of sigma up to it span its kernel.
 EIG_FLOOR = 1e-13
 
 # Relative bracket width at which the search for t stops.
 T_TOL = 1e-12
 
-# Stand-in level when the requested type-I error is exactly zero; the true
-# infimum sits at t -> infinity for non-orthogonal rank-deficient pairs.
+# Stand-in level of the robustness condition's searches when a level is
+# exactly zero.  The optimal beta does not increase with the level, so dual
+# bounds at this level still bound the beta at level zero from below.
 ZERO_LEVEL = 1e-12
 
-# Tolerance for the bracketing inequalities alpha(P_+) <= a0 <= alpha(P_+ + P_0).
-SANDWICH_TOL = 1e-9
-
-# Zero bands that helstrom tries in order, as (relative tolerance, absolute
-# floor) rungs in tenfold steps: relative 1e-8 to 1e-4 at the floor EIG_FLOOR,
-# then floors 1e-12 to 1e-7 at relative 1e-4.
-ZERO_BAND_LADDER = tuple(
-    [(rel, EIG_FLOOR) for rel in np.cumprod([DEFAULT_LAMBDA_TOL] + [10.0] * 4).tolist()]
-    + [(1e-4, floor) for floor in np.cumprod([EIG_FLOOR] + [10.0] * 6).tolist()[1:]]
-)
+# Largest excess of a constructed test's beta over the dual lower bound.
+GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class SignedProjections:
-    """Orthogonal projections onto the positive / zero / negative eigenspaces
-    of rho - t*sigma."""
+    """Operators p_plus + p_zero + p_minus = 1 from the spectrum of rho - t*sigma.
+
+    From ``signed_projections`` they are the orthogonal projections onto the
+    positive, zero and negative eigenspaces.  In a ``HelstromTest`` they come
+    from the threshold search's bracket ends (see ``helstrom``), and p_zero is
+    then in general not a projector.
+    """
 
     t: float
     p_plus: np.ndarray
     p_zero: np.ndarray
     p_minus: np.ndarray
-    lambda_tol: float
 
 
 class _Probe(NamedTuple):
@@ -87,7 +86,7 @@ class _Probe(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class HelstromTest:
-    """An optimal test M = P_plus + q0 * P_zero attaining alpha = alpha0."""
+    """An optimal test M = p_plus + q0 * p_zero attaining alpha = alpha0; see ``helstrom``."""
 
     m: np.ndarray
     t: float
@@ -101,9 +100,9 @@ def _eig_difference(rho: DensityMatrix, sigma: DensityMatrix, t: float):
     return np.linalg.eigh(rho.matrix - t * sigma.matrix)
 
 
-def _zero_threshold(w: np.ndarray, t: float, lambda_tol: float, eig_floor: float = EIG_FLOOR) -> float:
+def _zero_threshold(w: np.ndarray, t: float, lambda_tol: float) -> float:
     op_norm = float(np.max(np.abs(w))) if w.size else 0.0
-    return max(lambda_tol * op_norm, eig_floor * (1.0 + t))
+    return max(lambda_tol * op_norm, EIG_FLOOR * (1.0 + t))
 
 
 def _plus_start(w: np.ndarray, t: float, lambda_tol: float) -> tuple[float, int]:
@@ -121,19 +120,9 @@ def _alpha_plus(rho: DensityMatrix, sigma: DensityMatrix, t: float, lambda_tol: 
     return float(np.real(np.sum(cols.conj() * (sigma.matrix @ cols))))
 
 
-def _projections(w: np.ndarray, v: np.ndarray, t: float, thr: float, lambda_tol: float) -> SignedProjections:
-    """P_plus / P_zero / P_minus from the eigenpairs (w, v) of rho - t*sigma,
-    with |lambda| <= thr classified as zero."""
-    d = len(w)
-
-    def proj(mask: np.ndarray) -> np.ndarray:
-        cols = v[:, mask]
-        return cols @ cols.conj().T
-
-    plus = proj(w > thr)
-    minus = proj(w < -thr)
-    zero = np.eye(d) - plus - minus
-    return SignedProjections(t=float(t), p_plus=plus, p_zero=zero, p_minus=minus, lambda_tol=lambda_tol)
+def _span(cols: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the span of orthonormal columns."""
+    return cols @ cols.conj().T
 
 
 def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> SignedProjections:
@@ -141,15 +130,18 @@ def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> Si
 
     Eigenvalues with |lambda| <= DEFAULT_LAMBDA_TOL * ||rho - t*sigma||_op
     are assigned to the zero space, with the absolute floor
-    EIG_FLOOR * (1 + t) guarding the vanishing-difference case.  This is the
-    first rung of ``helstrom``'s zero-band ladder.
+    EIG_FLOOR * (1 + t) guarding the vanishing-difference case.
     """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
     if t < 0:
         raise NegativeT(f"t must be non-negative, got {t}")
     w, v = _eig_difference(rho, sigma, t)
-    return _projections(w, v, t, _zero_threshold(w, t, DEFAULT_LAMBDA_TOL), DEFAULT_LAMBDA_TOL)
+    thr = _zero_threshold(w, t, DEFAULT_LAMBDA_TOL)
+    plus = _span(v[:, w > thr])
+    minus = _span(v[:, w < -thr])
+    zero = np.eye(len(w)) - plus - minus
+    return SignedProjections(t=float(t), p_plus=plus, p_zero=zero, p_minus=minus)
 
 
 def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
@@ -171,7 +163,7 @@ def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
     return alpha, beta
 
 
-def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: float, lambda_tol: float):
+def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: float):
     """One eigendecomposition of rho - t*sigma: whether alpha(P_plus(t)) <= level,
     a pair of Newton guesses for the threshold (NaN where there is none), the
     error rates of the test P_plus(t), the dual bound at t, and the eigenpairs
@@ -192,7 +184,7 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     of every test with alpha <= level from below (weak duality).
     """
     w, v = _eig_difference(rho, sigma, t)
-    thr, k = _plus_start(w, t, lambda_tol)
+    thr, k = _plus_start(w, t, DEFAULT_LAMBDA_TOL)
     s = v.conj().T @ sigma.matrix @ v
     rate = s.diagonal().real
     alpha = float(np.sum(rate[k:]))
@@ -217,6 +209,12 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     return _Probe(t, below, (newton, crossing), alpha, beta, dual, w, v, rate)
 
 
+def _plus_projection(probe: _Probe) -> np.ndarray:
+    """P_plus at the probe's t, from the probe's eigenpairs."""
+    _, k = _plus_start(probe.w, probe.t, DEFAULT_LAMBDA_TOL)
+    return _span(probe.v[:, k:])
+
+
 def _bracket_step(lo: float, hi: float, guess: float | None, half_tol: float, widths: list[float]) -> float | None:
     """Next probe strictly inside the bracket (lo, hi), or None when no float lies there.
 
@@ -237,18 +235,12 @@ def _bracket_step(lo: float, hi: float, guess: float | None, half_tol: float, wi
     return t
 
 
-def _tau_search(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    level: float,
-    lambda_tol: float,
-    t_tol: float = T_TOL,
-):
+def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float):
     """Smallest t >= 0 with alpha(P_plus(t)) <= level, as a generator.
 
     A doubling search brackets t with alpha(P_plus(lo)) > level >=
     alpha(P_plus(hi)); safeguarded Newton steps then shrink the bracket to a
-    relative width t_tol.  Each step takes the first guess of the newest probe
+    relative width T_TOL.  Each step takes the first guess of the newest probe
     (its Newton step on alpha, then its step to an eigenvalue crossing), then
     of the probe at the other end, that lies in the bracket, clamped at least
     half the tolerance inside it so that a converged step closes it.  It
@@ -259,12 +251,13 @@ def _tau_search(
     the level: lower is the largest dual bound g(t) of the probes so far,
     upper the smallest beta of a test with alpha = level built from them,
     the mixture of the bracket-end tests P_plus(lo) and P_plus(hi), or
-    level * 1 before any probe has reached the level.  It returns the last
-    probe at hi, whose t is the threshold; ``_drain`` runs it to the end.
+    level * 1 before any probe has reached the level.  It returns the
+    bracket-end probes (at_lo, at_hi), at_lo None when the threshold is
+    t = 0; at_hi.t is the threshold.  ``_drain`` runs it to the end.
     """
 
     def probe(t: float) -> _Probe:
-        return _threshold_probe(rho, sigma, t, level, lambda_tol)
+        return _threshold_probe(rho, sigma, t, level)
 
     lower, upper = -math.inf, 1.0 - level
 
@@ -292,13 +285,13 @@ def _tau_search(
     at_hi = newest
     yield bounds(newest)
     if at_lo is None:
-        return at_hi
+        return at_lo, at_hi
 
     widths = [math.inf, math.inf]
-    while at_hi.t - at_lo.t > t_tol * max(1.0, at_hi.t):
+    while at_hi.t - at_lo.t > T_TOL * max(1.0, at_hi.t):
         newest_first = (newest.guesses + at_lo.guesses) if newest.below else (newest.guesses + at_hi.guesses)
         guess = next((g for g in newest_first if at_lo.t <= g <= at_hi.t), None)
-        t = _bracket_step(at_lo.t, at_hi.t, guess, 0.5 * t_tol * max(1.0, at_hi.t), widths)
+        t = _bracket_step(at_lo.t, at_hi.t, guess, 0.5 * T_TOL * max(1.0, at_hi.t), widths)
         if t is None:
             break
         newest = probe(t)
@@ -307,16 +300,17 @@ def _tau_search(
         else:
             at_lo = newest
         yield bounds(newest)
-    return at_hi
+    return at_lo, at_hi
 
 
 def _drain(search):
-    """Run a search generator to its end and return its return value."""
+    """Run a search generator to its end; return its last yield and its return value."""
+    last = None
     while True:
         try:
-            next(search)
+            last = next(search)
         except StopIteration as stop:
-            return stop.value
+            return last, stop.value
 
 
 def tau(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> float:
@@ -326,65 +320,66 @@ def tau(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> float:
         raise ValueError("alpha0 must lie strictly between 0 and 1")
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    return _drain(_tau_search(rho, sigma, alpha0, DEFAULT_LAMBDA_TOL)).t
+    _, (_, at_hi) = _drain(_tau_search(rho, sigma, alpha0))
+    return at_hi.t
 
 
 def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> HelstromTest:
     """Optimal test for null sigma vs alternative rho at type-I error alpha0.
 
-    Returns the operator M = P_plus + q0 * P_zero at t = tau(alpha0) with
-    q0 = (alpha0 - alpha(P_plus)) / alpha(P_zero) when the zero space carries
-    weight, so that alpha(M) = alpha0 exactly; beta(M) is then the minimal
-    type-II error among all tests with alpha <= alpha0.
+    The threshold search ends on a bracket [lo, hi] with alpha(P_plus(lo)) >
+    alpha0 >= alpha(P_plus(hi)).  M = (1 - q0) * P_plus(hi) + q0 * P_plus(lo),
+    q0 = (alpha0 - alpha(P_plus(hi))) / (alpha(P_plus(lo)) - alpha(P_plus(hi))),
+    attains alpha0 exactly and is built from the search's own eigenpairs, with
+    P_plus(lo) = 1 when the threshold is t = 0.  It reports t = hi,
+    p_plus = P_plus(hi), p_zero = P_plus(lo) - P_plus(hi) (in general not a
+    projector) and p_minus = 1 - P_plus(lo), so that M = p_plus + q0 * p_zero.
 
-    alpha0 = 1 returns M = 1 (t = 0, q0 = 1); alpha0 = 0 returns the bare
-    positive projection at a large threshold, attaining alpha below 1e-12.
+    beta(M) within GAP_TOL of the best dual bound of the search and of one
+    dual step (``_dual_step``) proves M optimal; a wider gap raises
+    SandwichViolated.  That happens at levels so small (1e-16 on the worked
+    example) that the relative zero band swallows a positive eigenvalue.
 
-    Each located t reuses the eigendecomposition of rho - t*sigma that the
-    search's last probe at t made, and the whole ZERO_BAND_LADDER is tried
-    on it.
+    alpha0 = 1 returns M = 1 (t = 0, q0 = 1).  alpha0 = 0 returns the exact
+    optimum, the projection onto the kernel of sigma (eigenvalues up to
+    EIG_FLOOR), from one eigh of sigma, with p_zero = 0, q0 = 0 and t = inf:
+    at level 0 the dual bound g(t) does not decrease in t.
     """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
     if not 0.0 <= alpha0 <= 1.0:
         raise ValueError("alpha0 must lie in [0, 1]")
 
+    one = np.eye(rho.dim, dtype=np.complex128)
     if alpha0 >= 1.0:
         proj = signed_projections(rho, sigma, 0.0)
-        m = np.eye(rho.dim, dtype=np.complex128)
-        alpha, beta = error_probabilities(m, sigma, rho)
-        return HelstromTest(m=m, t=0.0, q0=1.0, alpha=alpha, beta=beta, projections=proj)
-
-    level = alpha0 if alpha0 > 0.0 else ZERO_LEVEL
-
-    # Near the crossing the separating eigenvalue is numerically small but not
-    # exactly zero; widen the zero-classification band until the bracketing
-    # inequalities hold.  The relative rungs handle ordinary crossings; the
-    # absolute-floor rungs handle near-identical state pairs, where the
-    # projection rotates steeply in t without any eigenvalue crossing and the
-    # attainable beta error stays O(d * floor).  A rung is a threshold on the
-    # eigenvalues: alpha of the plus and zero sets is the sum of the weights
-    # <v_k|sigma|v_k> over them.  If no rung works at the standard bracket
-    # width, refine t to machine precision and retry.
-    for t_tol in (T_TOL, 4e-16):
-        end = _drain(_tau_search(rho, sigma, level, DEFAULT_LAMBDA_TOL, t_tol))
-        t, w, v = end.t, end.w, end.v
-        weight = np.real(np.sum(v.conj() * (sigma.matrix @ v), axis=0))
-        for rel, floor in ZERO_BAND_LADDER:
-            thr = _zero_threshold(w, t, rel, floor)
-            a_plus = float(np.sum(weight[w > thr]))
-            a_zero = float(np.sum(weight[np.abs(w) <= thr]))
-            if a_plus <= alpha0 + SANDWICH_TOL and a_plus + a_zero >= alpha0 - SANDWICH_TOL:
-                proj = _projections(w, v, t, thr, rel)
-                q0 = float(np.clip((alpha0 - a_plus) / a_zero, 0.0, 1.0)) if a_zero > 0.0 else 0.0
-                m = proj.p_plus + q0 * proj.p_zero
-                m = (m + m.conj().T) / 2.0
-                alpha, beta = error_probabilities(m, sigma, rho)
-                return HelstromTest(m=m, t=t, q0=q0, alpha=alpha, beta=beta, projections=proj)
-    raise SandwichViolated(
-        f"alpha(P_+)={a_plus:.3e}, alpha(P_+ + P_0)={a_plus + a_zero:.3e} "
-        f"do not bracket alpha0={alpha0:.3e} at t={t:.6e}"
-    )
+        alpha, beta = error_probabilities(one, sigma, rho)
+        return HelstromTest(m=one, t=0.0, q0=1.0, alpha=alpha, beta=beta, projections=proj)
+    if alpha0 == 0.0:
+        w, v = np.linalg.eigh(sigma.matrix)
+        plus_hi = plus_lo = _span(v[:, w <= EIG_FLOOR])
+        t, q0 = math.inf, 0.0
+    else:
+        (lower, _), (at_lo, at_hi) = _drain(_tau_search(rho, sigma, alpha0))
+        plus_hi = _plus_projection(at_hi)
+        if at_lo is None:
+            plus_lo, alpha_lo = one, float(np.sum(at_hi.rate))
+        else:
+            plus_lo, alpha_lo = _plus_projection(at_lo), at_lo.alpha
+        t, q0 = at_hi.t, (alpha0 - at_hi.alpha) / (alpha_lo - at_hi.alpha)
+    m = (1.0 - q0) * plus_hi + q0 * plus_lo
+    m = (m + m.conj().T) / 2.0
+    alpha = float(np.clip(np.real(np.trace(sigma.matrix @ m)), 0.0, 1.0))
+    beta = float(np.clip(1.0 - np.real(np.trace(rho.matrix @ m)), 0.0, 1.0))
+    if alpha0 > 0.0:
+        dual = max(lower, _dual_step(rho, sigma, alpha0, at_hi))
+        if beta - dual > GAP_TOL:
+            raise SandwichViolated(
+                f"beta={beta:.6e} exceeds the dual bound {dual:.6e} by more than "
+                f"{GAP_TOL:g} at alpha0={alpha0:.3e}, t={t:.6e}"
+            )
+    proj = SignedProjections(t=t, p_plus=plus_hi, p_zero=plus_lo - plus_hi, p_minus=one - plus_lo)
+    return HelstromTest(m=m, t=t, q0=q0, alpha=alpha, beta=beta, projections=proj)
 
 
 def _condition_levels(p_a: float, p_b: float) -> tuple[float, float]:
@@ -431,7 +426,7 @@ def _condition_margin(
     level_a, level_b = _condition_levels(p_a, p_b)
     levels = [level if level > 0.0 else ZERO_LEVEL for level in dict.fromkeys((level_a, level_b))]
     weight = 2.0 / len(levels)
-    searches = [_tau_search(rho, sigma, level, DEFAULT_LAMBDA_TOL) for level in levels]
+    searches = [_tau_search(rho, sigma, level) for level in levels]
     bounds = [(-math.inf, 1.0)] * len(levels)
     ends: list[_Probe | None] = [None] * len(levels)
     while any(end is None for end in ends):
@@ -440,7 +435,7 @@ def _condition_margin(
                 try:
                     bounds[i] = next(search)
                 except StopIteration as stop:
-                    ends[i] = stop.value
+                    _, ends[i] = stop.value
         lower = weight * sum(lo for lo, _ in bounds) - 1.0
         if not exact and (lower > 0.0 or weight * sum(up for _, up in bounds) <= 1.0):
             return lower

@@ -25,6 +25,7 @@ from qhtcert.errors import (
     InvalidProbabilityOrder,
     InvalidTestOperator,
     NegativeT,
+    SandwichViolated,
 )
 from qhtcert.helstrom import DEFAULT_LAMBDA_TOL, T_TOL, _alpha_plus, _condition_levels, _condition_margin
 from qhtcert.oracle import sample_test_operators
@@ -90,18 +91,19 @@ def tau_grid_scan(rho, sigma, alpha0, t_max=8.0, steps=4000) -> float:
     return math.inf
 
 
-def tau_bisection(rho, sigma, level, lambda_tol, t_tol=T_TOL) -> float:
-    """Reference threshold search: doubling, then plain bisection on _alpha_plus."""
+def tau_bisection(rho, sigma, level) -> tuple[float | None, float]:
+    """Reference threshold search: doubling, then plain bisection on _alpha_plus.
+    Returns the bracket (lo, hi), lo None when the threshold is t = 0."""
 
     def pred(t: float) -> bool:
-        return _alpha_plus(rho, sigma, t, lambda_tol) <= level
+        return _alpha_plus(rho, sigma, t, DEFAULT_LAMBDA_TOL) <= level
 
     if pred(0.0):
-        return 0.0
+        return None, 0.0
     lo, hi = 0.0, 1.0
     while not pred(hi):
         lo, hi = hi, 2.0 * hi
-    while hi - lo > t_tol * max(1.0, hi):
+    while hi - lo > T_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -109,15 +111,16 @@ def tau_bisection(rho, sigma, level, lambda_tol, t_tol=T_TOL) -> float:
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
 
 
-def bisection_search(rho, sigma, level, lambda_tol, t_tol=T_TOL):
-    """tau_bisection in the shape of helstrom's search: a generator whose
-    return value is the probe at the located threshold."""
-    t = tau_bisection(rho, sigma, level, lambda_tol, t_tol)
-    yield from ()
-    return hel._threshold_probe(rho, sigma, t, level, lambda_tol)
+def bisection_search(rho, sigma, level):
+    """tau_bisection in the shape of helstrom's search: a generator that
+    yields the dual bound of its bracket-end probes and returns them."""
+    lo, hi = tau_bisection(rho, sigma, level)
+    ends = (None if lo is None else hel._threshold_probe(rho, sigma, lo, level), hel._threshold_probe(rho, sigma, hi, level))
+    yield max(end.dual for end in ends if end is not None), 1.0 - level
+    return ends
 
 
 def test_tau_bisection_matches_grid_scan(rng):
@@ -180,13 +183,13 @@ def test_search_bounds_bracket_the_optimal_beta():
         if d > 16:
             continue
         for alpha0 in (0.05, 0.3, 0.7):
-            search = hel._tau_search(rho, sigma, alpha0, DEFAULT_LAMBDA_TOL)
+            search = hel._tau_search(rho, sigma, alpha0)
             yielded = []
             while True:
                 try:
                     yielded.append(next(search))
                 except StopIteration as stop:
-                    end = stop.value
+                    _, end = stop.value
                     break
             where = f"d={d} {kind} alpha0={alpha0}"
             optimal = dual_beta(rho, sigma, alpha0)
@@ -199,28 +202,62 @@ def test_search_bounds_bracket_the_optimal_beta():
             assert uppers[-1] - lowers[-1] <= 1e-7, where
 
 
-def test_zero_band_ladder_costs_no_eigendecomposition(monkeypatch):
-    # A near-identical pair at d = 16 (eps = 1e-4) whose sandwich check fails
-    # on the first rung of the zero-band ladder.
+def counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_near_identical_pairs_get_the_optimal_test(monkeypatch):
+    # rho = (1 - 1e-4) sigma + 1e-4 tau: the projection rotates steeply in t
+    # without any eigenvalue crossing, so a test built from the eigenspaces at
+    # one t misses the optimum, and only the bracket-end mixture attains it.
     rng = philox(5)
-    sigma = random_density(16, rng)
-    rho = DensityMatrix((1.0 - 1e-4) * sigma.matrix + 1e-4 * random_density(16, rng).matrix)
+    cases = []
+    for d in (4, 16, 64):
+        sigma = random_density(d, rng)
+        rho = DensityMatrix((1.0 - 1e-4) * sigma.matrix + 1e-4 * random_density(d, rng).matrix)
+        for alpha0 in (0.05, 0.3, 0.7, 0.95):
+            cases.append((f"d={d} alpha0={alpha0}", sigma, rho, alpha0, dual_beta(rho, sigma, alpha0)))
     calls = {"eigh": 0, "probe": 0, "search": 0}
+    monkeypatch.setattr(np.linalg, "eigh", counting(calls, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(hel, "_threshold_probe", counting(calls, "probe", hel._threshold_probe))
+    monkeypatch.setattr(hel, "_tau_search", counting(calls, "search", hel._tau_search))
+    for where, sigma, rho, alpha0, optimal in cases:
+        calls.update(eigh=0, probe=0, search=0)
+        test = helstrom(rho, sigma, alpha0)
+        assert abs(test.beta - optimal) <= 1e-12, where
+        assert abs(test.alpha - alpha0) <= 1e-12, where
+        # One eigendecomposition per search probe, and one search.
+        assert calls["eigh"] == calls["probe"] and calls["search"] == 1, where
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    monkeypatch.setattr(hel, "_threshold_probe", counting("probe", hel._threshold_probe))
-    monkeypatch.setattr(hel, "_tau_search", counting("search", hel._tau_search))
-    test = helstrom(rho, sigma, 0.7)
-    assert test.projections.lambda_tol > DEFAULT_LAMBDA_TOL  # a later rung passed
-    assert test.alpha == pytest.approx(0.7, abs=1e-9)
-    # One eigendecomposition per search probe; the located t reuses its probe's.
-    assert calls["eigh"] == calls["probe"]
+def test_zero_level_is_the_kernel_of_sigma(monkeypatch):
+    # Rank-deficient sigma at d = 64: the optimal test at alpha0 = 0 is the
+    # projection onto ker sigma, beta = 1 - Tr[rho Pi_ker].
+    cases = [(kind, sigma, rho) for d, kind, sigma, rho in search_cases() if d == 64 and kind in ("low-rank", "pure/mixed")]
+    calls = {"eigh": 0}
+    monkeypatch.setattr(np.linalg, "eigh", counting(calls, "eigh", np.linalg.eigh))
+    for kind, sigma, rho in cases:
+        _, v = np.linalg.eigh(sigma.matrix)
+        kernel = v[:, : sigma.dim - np.linalg.matrix_rank(sigma.matrix)]
+        exact = 1.0 - float(np.real(np.trace(rho.matrix @ kernel @ kernel.conj().T)))
+        calls["eigh"] = 0
+        test = helstrom(rho, sigma, 0.0)
+        assert abs(test.beta - exact) <= 1e-12, kind
+        assert test.alpha <= 1e-12, kind
+        assert calls["eigh"] == 1, kind
+
+
+def test_tiny_levels_raise_instead_of_returning_a_wrong_test():
+    # Below about 1e-15 the relative zero band at t ~ 2.5e7 swallows the
+    # positive eigenvalue (about 0.25) of rho - t*sigma; the dual gap shows it.
+    for alpha0 in (1e-16, 1e-20):
+        with pytest.raises(SandwichViolated):
+            helstrom(RHO, SIGMA, alpha0)
+    beta_closed, _ = pure_beta_closed_form(OVERLAP_SQ, 1.0 - 1e-13, 0.0)
+    assert helstrom(RHO, SIGMA, 1e-13).beta == pytest.approx(beta_closed, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +363,13 @@ def test_helstrom_demo_beta():
 
 
 def test_helstrom_equal_states():
+    # rho - t*sigma = (1 - t) |psi><psi|: the bracket ends are P_plus = |psi><psi|
+    # just below t = 1 and P_plus = 0 at t = 1, mixed at weight 0.1.
     test = helstrom(SIGMA, SIGMA, 0.1)
     assert test.t == pytest.approx(1.0, abs=1e-9)
     assert test.alpha == pytest.approx(0.1, abs=1e-9)
     assert test.beta == pytest.approx(0.9, abs=1e-9)
-    assert np.allclose(test.m, 0.1 * np.eye(2), atol=1e-9)
+    assert np.allclose(test.m, 0.1 * SIGMA.matrix, atol=1e-9)
 
 
 @pytest.mark.parametrize("alpha0", [0.0, 0.3, 1.0])
@@ -536,8 +575,8 @@ def test_condition_needs_few_eigendecompositions(monkeypatch):
 
 
 def test_condition_at_a_zero_level_matches_the_optimal_tests():
-    # pA = 1 asks for a test at type-I error 0, which the search locates at
-    # the stand-in level ZERO_LEVEL, as helstrom does.
+    # pA = 1 asks for a test at type-I error 0, which the condition's search
+    # locates at the stand-in level ZERO_LEVEL; helstrom builds it exactly.
     rng = philox(1001)
     checked = 0
     for d in (2, 4):
