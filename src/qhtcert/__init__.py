@@ -47,7 +47,6 @@ from .helstrom import (
     error_probabilities,
     helstrom,
     signed_projections,
-    tau,
 )
 from .oracle import (
     SearchReport,

@@ -13,7 +13,8 @@ the requested level is bracketed by doubling, and the bracket is closed by
 Newton steps taken from each probe's eigendecomposition, with bisection as
 the safeguard.  The optimal test mixes the plus projections at the two
 bracket ends so that it attains the level exactly, and its beta is checked
-against the Lagrange dual bound, which proves it optimal.
+against the Lagrange dual bound, which proves it optimal.  At level 0 the
+optimal test is the projection onto the kernel of sigma, with no search.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     NegativeT,
     SandwichViolated,
 )
-from .states import TOL_PSD, DensityMatrix, PureState, depolarize, hermitian_residual
+from .states import TOL_PSD, DensityMatrix, hermitian_residual
 
 # Relative zero-classification threshold for eigenvalues of rho - t*sigma.
 DEFAULT_LAMBDA_TOL = 1e-8
@@ -44,11 +45,6 @@ EIG_FLOOR = 1e-13
 
 # Relative bracket width at which the search for t stops.
 T_TOL = 1e-12
-
-# Stand-in level of the robustness condition's searches when a level is
-# exactly zero.  The optimal beta does not increase with the level, so dual
-# bounds at this level still bound the beta at level zero from below.
-ZERO_LEVEL = 1e-12
 
 # Largest excess of a constructed test's beta over the dual lower bound.
 GAP_TOL = 1e-9
@@ -96,10 +92,6 @@ class HelstromTest:
     projections: SignedProjections
 
 
-def _eig_difference(rho: DensityMatrix, sigma: DensityMatrix, t: float):
-    return np.linalg.eigh(rho.matrix - t * sigma.matrix)
-
-
 def _zero_threshold(w: np.ndarray, t: float, lambda_tol: float) -> float:
     op_norm = float(np.max(np.abs(w))) if w.size else 0.0
     return max(lambda_tol * op_norm, EIG_FLOOR * (1.0 + t))
@@ -112,17 +104,16 @@ def _plus_start(w: np.ndarray, t: float, lambda_tol: float) -> tuple[float, int]
     return thr, int(np.searchsorted(w, thr, side="right"))
 
 
-def _alpha_plus(rho: DensityMatrix, sigma: DensityMatrix, t: float, lambda_tol: float) -> float:
-    """alpha(P_plus(t)) without assembling the projector."""
-    w, v = _eig_difference(rho, sigma, t)
-    _, k = _plus_start(w, t, lambda_tol)
-    cols = v[:, k:]
-    return float(np.real(np.sum(cols.conj() * (sigma.matrix @ cols))))
-
-
 def _span(cols: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the span of orthonormal columns."""
     return cols @ cols.conj().T
+
+
+def _kernel(sigma: DensityMatrix) -> np.ndarray:
+    """Orthonormal columns spanning ker sigma: the eigenvectors of sigma whose
+    eigenvalues are at most EIG_FLOOR, from one eigh."""
+    w, v = np.linalg.eigh(sigma.matrix)
+    return v[:, w <= EIG_FLOOR]
 
 
 def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> SignedProjections:
@@ -136,7 +127,7 @@ def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> Si
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
     if t < 0:
         raise NegativeT(f"t must be non-negative, got {t}")
-    w, v = _eig_difference(rho, sigma, t)
+    w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
     thr = _zero_threshold(w, t, DEFAULT_LAMBDA_TOL)
     plus = _span(v[:, w > thr])
     minus = _span(v[:, w < -thr])
@@ -183,7 +174,7 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     Lagrange dual g(t) = 1 - t * level - Tr[(rho - t*sigma)_+] bounds the beta
     of every test with alpha <= level from below (weak duality).
     """
-    w, v = _eig_difference(rho, sigma, t)
+    w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
     thr, k = _plus_start(w, t, DEFAULT_LAMBDA_TOL)
     s = v.conj().T @ sigma.matrix @ v
     rate = s.diagonal().real
@@ -253,8 +244,22 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float):
     the mixture of the bracket-end tests P_plus(lo) and P_plus(hi), or
     level * 1 before any probe has reached the level.  It returns the
     bracket-end probes (at_lo, at_hi), at_lo None when the threshold is
-    t = 0; at_hi.t is the threshold.  ``_drain`` runs it to the end.
+    t = 0; at_hi.t is the threshold.  ``_converged`` runs it to the end.
+
+    Level 0 has no threshold: the dual g(t) = 1 - Tr[(rho - t*sigma)_+] does
+    not decrease in t, and its limit is the beta of the optimal test, the
+    projection onto ker sigma.  One eigh of sigma (``_kernel``) yields the
+    bounds (b0, b0), b0 = 1 - Tr[rho Pi_ker], and the search returns
+    (None, None).  Roundoff can only add near-kernel vectors (eigenvalues up
+    to EIG_FLOOR) to Pi_ker, and they can only lower b0: as a lower bound b0
+    never overclaims, and as an upper bound it can only stop a search at
+    "not certified".
     """
+    if level == 0.0:
+        cols = _kernel(sigma)
+        b0 = 1.0 - float(np.real(np.sum(cols.conj() * (rho.matrix @ cols))))
+        yield b0, b0
+        return None, None
 
     def probe(t: float) -> _Probe:
         return _threshold_probe(rho, sigma, t, level)
@@ -276,9 +281,7 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float):
     newest = probe(0.0)
     while not newest.below:
         if newest.t > 2.0**100:
-            raise SandwichViolated(
-                f"no t <= 2^100 reaches type-I error level {level}"
-            )
+            raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
         at_lo = newest
         yield bounds(newest)
         newest = probe(max(1.0, 2.0 * newest.t))
@@ -303,25 +306,35 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float):
     return at_lo, at_hi
 
 
-def _drain(search):
-    """Run a search generator to its end; return its last yield and its return value."""
-    last = None
+def _dual_step(rho: DensityMatrix, sigma: DensityMatrix, level: float, lower: float, end: _Probe | None) -> float:
+    """The larger of a search's best dual bound lower and the dual bound g at
+    t* = t + w_k / S_kk, the first-order zero crossing of the eigenvalue of
+    the search's final probe nearest to zero in t; lower itself when the
+    search ended without probes (level 0, where lower is the optimum).
+
+    The search stops where alpha(P_plus) passes the level with the plus set
+    w > thr, about thr / S_kk past the maximiser of g, where the eigenvalue
+    that carries the jump crosses zero; one eigvalsh at t* recovers g there.
+    """
+    if end is None:
+        return lower
+    moving = end.rate > 0.0
+    steps = end.w[moving] / end.rate[moving]
+    t_star = max(end.t + float(steps[np.argmin(np.abs(steps))]), 0.0)
+    w = np.linalg.eigvalsh(rho.matrix - t_star * sigma.matrix)
+    return max(lower, 1.0 - t_star * level - float(np.sum(w[w > 0.0])))
+
+
+def _converged(rho: DensityMatrix, sigma: DensityMatrix, level: float):
+    """Run the threshold search at level to its end: (the best dual bound on
+    the optimal beta, its dual step included, at_lo, at_hi)."""
+    search = _tau_search(rho, sigma, level)
     while True:
         try:
-            last = next(search)
+            lower, _ = next(search)
         except StopIteration as stop:
-            return last, stop.value
-
-
-def tau(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> float:
-    """The threshold tau(alpha0) = inf{t >= 0 : alpha(P_plus(t)) <= alpha0}, with
-    P_plus classified at DEFAULT_LAMBDA_TOL and located to a relative T_TOL."""
-    if not 0.0 < alpha0 < 1.0:
-        raise ValueError("alpha0 must lie strictly between 0 and 1")
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    _, (_, at_hi) = _drain(_tau_search(rho, sigma, alpha0))
-    return at_hi.t
+            at_lo, at_hi = stop.value
+            return _dual_step(rho, sigma, level, lower, at_hi), at_lo, at_hi
 
 
 def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> HelstromTest:
@@ -336,14 +349,13 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     projector) and p_minus = 1 - P_plus(lo), so that M = p_plus + q0 * p_zero.
 
     beta(M) within GAP_TOL of the best dual bound of the search and of one
-    dual step (``_dual_step``) proves M optimal; a wider gap raises
+    dual step (``_converged``) proves M optimal; a wider gap raises
     SandwichViolated.  That happens at levels so small (1e-16 on the worked
     example) that the relative zero band swallows a positive eigenvalue.
 
     alpha0 = 1 returns M = 1 (t = 0, q0 = 1).  alpha0 = 0 returns the exact
-    optimum, the projection onto the kernel of sigma (eigenvalues up to
-    EIG_FLOOR), from one eigh of sigma, with p_zero = 0, q0 = 0 and t = inf:
-    at level 0 the dual bound g(t) does not decrease in t.
+    optimum, the projection onto the kernel of sigma (``_kernel``), from one
+    eigh of sigma, with p_zero = 0, q0 = 0 and t = inf (see ``_tau_search``).
     """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
@@ -356,11 +368,10 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
         alpha, beta = error_probabilities(one, sigma, rho)
         return HelstromTest(m=one, t=0.0, q0=1.0, alpha=alpha, beta=beta, projections=proj)
     if alpha0 == 0.0:
-        w, v = np.linalg.eigh(sigma.matrix)
-        plus_hi = plus_lo = _span(v[:, w <= EIG_FLOOR])
+        plus_hi = plus_lo = _span(_kernel(sigma))
         t, q0 = math.inf, 0.0
     else:
-        (lower, _), (at_lo, at_hi) = _drain(_tau_search(rho, sigma, alpha0))
+        dual, at_lo, at_hi = _converged(rho, sigma, alpha0)
         plus_hi = _plus_projection(at_hi)
         if at_lo is None:
             plus_lo, alpha_lo = one, float(np.sum(at_hi.rate))
@@ -371,13 +382,11 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     m = (m + m.conj().T) / 2.0
     alpha = float(np.clip(np.real(np.trace(sigma.matrix @ m)), 0.0, 1.0))
     beta = float(np.clip(1.0 - np.real(np.trace(rho.matrix @ m)), 0.0, 1.0))
-    if alpha0 > 0.0:
-        dual = max(lower, _dual_step(rho, sigma, alpha0, at_hi))
-        if beta - dual > GAP_TOL:
-            raise SandwichViolated(
-                f"beta={beta:.6e} exceeds the dual bound {dual:.6e} by more than "
-                f"{GAP_TOL:g} at alpha0={alpha0:.3e}, t={t:.6e}"
-            )
+    if alpha0 > 0.0 and beta - dual > GAP_TOL:
+        raise SandwichViolated(
+            f"beta={beta:.6e} exceeds the dual bound {dual:.6e} by more than "
+            f"{GAP_TOL:g} at alpha0={alpha0:.3e}, t={t:.6e}"
+        )
     proj = SignedProjections(t=t, p_plus=plus_hi, p_zero=plus_lo - plus_hi, p_minus=one - plus_lo)
     return HelstromTest(m=m, t=t, q0=q0, alpha=alpha, beta=beta, projections=proj)
 
@@ -393,53 +402,35 @@ def _condition_levels(p_a: float, p_b: float) -> tuple[float, float]:
     return 1.0 - p_a, p_b
 
 
-def _dual_step(rho: DensityMatrix, sigma: DensityMatrix, level: float, end: _Probe) -> float:
-    """The dual bound g at t* = t + w_k / S_kk, the first-order zero crossing
-    of the eigenvalue of the search's final probe nearest to zero in t.
-
-    The search stops where alpha(P_plus) passes the level with the plus set
-    w > thr, about thr / S_kk past the maximiser of g, where the eigenvalue
-    that carries the jump crosses zero; one eigvalsh at t* recovers g there.
-    """
-    moving = end.rate > 0.0
-    steps = end.w[moving] / end.rate[moving]
-    t_star = max(end.t + float(steps[np.argmin(np.abs(steps))]), 0.0)
-    w = np.linalg.eigvalsh(rho.matrix - t_star * sigma.matrix)
-    return 1.0 - t_star * level - float(np.sum(w[w > 0.0]))
-
-
-def _condition_margin(
-    sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float, exact: bool = False
-) -> float:
+def _condition_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> float:
     """A lower bound on beta(M_A) + beta(M_B) - 1 (2 * beta(L) - 1 on equal
     levels) whose sign is the verdict of ``certify_condition``.
 
     Steps the level searches in lockstep and sums the dual bounds g they
     yield.  It returns as soon as the sign is known: the lower bounds sum
     past 1 (certified), or the upper bounds, betas of feasible tests, sum to
-    at most 1 (not certified).  When the searches converge first, or always
-    with ``exact``, each level adds a dual step (``_dual_step``) and the
-    margin is the dual one, g_A + g_B - 1 at the best t found.
+    at most 1 (not certified).  When the searches converge first, each level
+    adds a dual step (``_dual_step``) and the margin is the dual one,
+    g_A + g_B - 1 at the best t found.
     """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    level_a, level_b = _condition_levels(p_a, p_b)
-    levels = [level if level > 0.0 else ZERO_LEVEL for level in dict.fromkeys((level_a, level_b))]
+    levels = list(dict.fromkeys(_condition_levels(p_a, p_b)))
     weight = 2.0 / len(levels)
     searches = [_tau_search(rho, sigma, level) for level in levels]
     bounds = [(-math.inf, 1.0)] * len(levels)
-    ends: list[_Probe | None] = [None] * len(levels)
+    ends: list[tuple | None] = [None] * len(levels)
     while any(end is None for end in ends):
         for i, search in enumerate(searches):
             if ends[i] is None:
                 try:
                     bounds[i] = next(search)
                 except StopIteration as stop:
-                    _, ends[i] = stop.value
+                    ends[i] = stop.value
         lower = weight * sum(lo for lo, _ in bounds) - 1.0
-        if not exact and (lower > 0.0 or weight * sum(up for _, up in bounds) <= 1.0):
+        if lower > 0.0 or weight * sum(up for _, up in bounds) <= 1.0:
             return lower
-    duals = [max(lo, _dual_step(rho, sigma, level, end)) for (lo, _), level, end in zip(bounds, levels, ends)]
+    duals = [_dual_step(rho, sigma, level, lo, at_hi) for (lo, _), level, (_, at_hi) in zip(bounds, levels, ends)]
     return weight * sum(duals) - 1.0
 
 
@@ -457,7 +448,9 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     above by the beta of a feasible test; the searches stop once the bounds
     fix the sign.  Certification rests on the dual bounds alone, so it never
     overclaims.  When the searches converge undecided, one dual step per
-    level (``_dual_step``) decides on g_A + g_B - 1.
+    level (``_dual_step``) decides on g_A + g_B - 1.  At p_a = 1 the level-0
+    search yields the exact beta of the kernel projection of sigma from one
+    eigh (see ``_tau_search``).
 
     When p_b equals 1 - p_a up to rounding (typed pairs such as (0.8, 0.2)),
     one test at the larger level L = max(1 - p_a, p_b) decides: beta does not
@@ -465,77 +458,3 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     condition and never overclaims.
     """
     return bool(_condition_margin(sigma, rho, p_a, p_b) > 0.0)
-
-
-def _plane_boundary_radius(
-    sigma: DensityMatrix,
-    psi: np.ndarray,
-    partner: np.ndarray,
-    p_a: float,
-    p_b: float,
-    steps: int,
-    p: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Largest trace distance from the pure state psi that ``certify_condition`` certifies.
-
-    Searches the angle theta over [0, pi] for the pure states
-    cos(theta/2) psi + sin(theta/2) e^{i phi} partner, where sigma is the
-    density of psi and partner is a unit vector orthogonal to psi, and returns
-    the boundary trace distance sin(theta*/2), or 1.0 when even the orthogonal
-    state is certified.  For pure pairs the condition depends only on the
-    overlap, so the boundary is the same in every plane and at every phase:
-    phi is 0 without ``rng``, and a fresh draw from it at every evaluation
-    otherwise.  With p > 0 both states are depolarized before the test (the
-    benign one once), and the radius stays a distance between unsmoothed states.
-
-    The bracket [lo, hi] keeps the condition holding at lo and failing at hi.
-    Each step is an Illinois regula-falsi guess from the dual condition
-    margins g_A + g_B - 1 at the two ends, each from level searches run to
-    convergence plus one dual step (at theta = 0, where the states coincide,
-    the margin is 1 - level_A - level_B without a solve), safeguarded by
-    bisection as in the threshold search.  The search stops at bracket width
-    pi * 2**-steps, which bisection would reach after ``steps`` steps, when
-    no float lies strictly inside the bracket, or at an angle whose margin
-    is exactly 0, which is the boundary.
-    """
-    null = depolarize(sigma, p) if p > 0.0 else sigma
-    level_a, level_b = _condition_levels(p_a, p_b)
-
-    def margin(theta: float) -> float:
-        tilt = np.sin(theta / 2.0)
-        if rng is not None:
-            tilt = tilt * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        rho = PureState(np.cos(theta / 2.0) * psi + tilt * partner).density()
-        if p > 0.0:
-            rho = depolarize(rho, p)
-        return _condition_margin(null, rho, p_a, p_b, exact=True)
-
-    lo, hi = 0.0, math.pi
-    at_lo, at_hi = 1.0 - level_a - level_b, margin(hi)
-    if at_hi > 0.0:
-        return 1.0
-    tol = math.ldexp(math.pi, -steps)
-    widths = [math.inf, math.inf]
-    kept = None
-    while hi - lo > tol:
-        guess = lo + (hi - lo) * at_lo / (at_lo - at_hi) if at_lo > at_hi else None
-        theta = _bracket_step(lo, hi, guess, 0.5 * tol, widths)
-        if theta is None:
-            break
-        value = margin(theta)
-        if value == 0.0:
-            return math.sin(theta / 2.0)
-        # Illinois: halve the margin at an end that stays put twice in a row.
-        if value > 0.0:
-            lo, at_lo = theta, value
-            if kept == "hi":
-                at_hi *= 0.5
-            kept = "hi"
-        else:
-            hi, at_hi = theta, value
-            if kept == "lo":
-                at_lo *= 0.5
-            kept = "lo"
-    theta = 0.5 * (lo + hi)
-    return math.sin(theta / 2.0)

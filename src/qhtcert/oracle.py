@@ -13,8 +13,10 @@ the library's closed forms and optimal tests on small instances:
 * ``boundary_radius_search`` angle search for the largest certified trace
                              distance around a pure qubit reference, using
                              only the generic robustness condition and its
-                             dual margin g_A + g_B - 1; the reference for
-                             ``radius_depol_qht`` runs it at any dimension.
+                             dual margin g_A + g_B - 1 from converged level
+                             searches (``_plane_boundary_radius``); the
+                             reference for ``radius_depol_qht`` runs it at
+                             any dimension.
 * ``hoeffding_coverage``     empirical coverage of the confidence lower bound.
 """
 
@@ -29,8 +31,8 @@ import numpy as np
 from .classifier import Classifier, class_probabilities
 from .certification import hoeffding_margin
 from .errors import DimMismatch, InvalidProbabilityOrder, OutOfRegime, RegimeTooLarge
-from .helstrom import _plane_boundary_radius
-from .states import DensityMatrix, PureState
+from .helstrom import _bracket_step, _condition_levels, _converged
+from .states import DensityMatrix, PureState, depolarize
 
 MAX_BRUTE_DIM = 4
 # Guard of the root solve in ``_spectrum_ends``: the rows it keeps stay within
@@ -254,6 +256,89 @@ def brute_force_min_beta(
                         argmin_description={"alpha": best_alpha, "alpha_target": target, "family": "ginibre-mapped"})
 
 
+def _dual_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> float:
+    """The dual condition margin g_A + g_B - 1 (2 * g(L) - 1 on equal levels),
+    each g from a level search run to convergence plus its dual step
+    (``helstrom._converged``): the margin whose sign ``certify_condition``
+    decides, located to the search's tolerance, to guide the angle search."""
+    levels = dict.fromkeys(_condition_levels(p_a, p_b))
+    return 2.0 / len(levels) * sum(_converged(rho, sigma, level)[0] for level in levels) - 1.0
+
+
+def _plane_boundary_radius(
+    sigma: DensityMatrix,
+    psi: np.ndarray,
+    partner: np.ndarray,
+    p_a: float,
+    p_b: float,
+    steps: int,
+    p: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Largest trace distance from the pure state psi that ``certify_condition`` certifies.
+
+    Searches the angle theta over [0, pi] for the pure states
+    cos(theta/2) psi + sin(theta/2) e^{i phi} partner, where sigma is the
+    density of psi and partner is a unit vector orthogonal to psi, and returns
+    the boundary trace distance sin(theta*/2), or 1.0 when even the orthogonal
+    state is certified.  For pure pairs the condition depends only on the
+    overlap, so the boundary is the same in every plane and at every phase:
+    phi is 0 without ``rng``, and a fresh draw from it at every evaluation
+    otherwise.  With p > 0 both states are depolarized before the test (the
+    benign one once), and the radius stays a distance between unsmoothed states.
+
+    The bracket [lo, hi] keeps the condition holding at lo and failing at hi.
+    Each step is an Illinois regula-falsi guess from the dual condition
+    margins g_A + g_B - 1 at the two ends, each from level searches run to
+    convergence plus one dual step (at theta = 0, where the states coincide,
+    the margin is 1 - level_A - level_B without a solve), safeguarded by
+    bisection as in the threshold search.  The search stops at bracket width
+    pi * 2**-steps, which bisection would reach after ``steps`` steps, when
+    no float lies strictly inside the bracket, or at an angle whose margin
+    is exactly 0, which is the boundary.
+    """
+    null = depolarize(sigma, p) if p > 0.0 else sigma
+    level_a, level_b = _condition_levels(p_a, p_b)
+
+    def margin(theta: float) -> float:
+        tilt = np.sin(theta / 2.0)
+        if rng is not None:
+            tilt = tilt * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        rho = PureState(np.cos(theta / 2.0) * psi + tilt * partner).density()
+        if p > 0.0:
+            rho = depolarize(rho, p)
+        return _dual_margin(null, rho, p_a, p_b)
+
+    lo, hi = 0.0, math.pi
+    at_lo, at_hi = 1.0 - level_a - level_b, margin(hi)
+    if at_hi > 0.0:
+        return 1.0
+    tol = math.ldexp(math.pi, -steps)
+    widths = [math.inf, math.inf]
+    kept = None
+    while hi - lo > tol:
+        guess = lo + (hi - lo) * at_lo / (at_lo - at_hi) if at_lo > at_hi else None
+        theta = _bracket_step(lo, hi, guess, 0.5 * tol, widths)
+        if theta is None:
+            break
+        value = margin(theta)
+        if value == 0.0:
+            return math.sin(theta / 2.0)
+        # Illinois: halve the margin at an end that stays put twice in a row.
+        if value > 0.0:
+            lo, at_lo = theta, value
+            if kept == "hi":
+                at_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, at_hi = theta, value
+            if kept == "lo":
+                at_lo *= 0.5
+            kept = "lo"
+    theta = 0.5 * (lo + hi)
+    return math.sin(theta / 2.0)
+
+
 def boundary_radius_search(
     p_a: float,
     p_b: float,
@@ -290,7 +375,7 @@ def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps
 
     Searches the angle between the pure state sigma and a pure state in a
     fixed 2-plane, both depolarized with parameter p, by margin-guided steps
-    of the generic condition (``helstrom._plane_boundary_radius``) down to
+    of the generic condition (``_plane_boundary_radius``) down to
     bracket width pi * 2**-steps; for pure pairs the condition depends only
     on the overlap, so the result is the trace distance (between unsmoothed
     states) below which certification holds.  ``OutOfRegime`` below d = 2.

@@ -325,13 +325,6 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     return DensityMatrix((1.0 - p) * rho.matrix + (p / d) * np.eye(d))
 
 
-def overlap(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b>."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 # ---------------------------------------------------------------------------
 # Random instances (used by the search oracles and the test suite)
 

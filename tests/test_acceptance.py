@@ -29,11 +29,10 @@ from qhtcert import (
 )
 from qhtcert import demo
 from qhtcert.cli import main
-from qhtcert.helstrom import _alpha_plus
 from qhtcert.oracle import _smoothed_boundary_generic
 from qhtcert.states import PureState
 
-from conftest import philox
+from conftest import _alpha_plus, philox
 
 
 def _report(name: str, elapsed: float, budget: float) -> None:

@@ -255,9 +255,9 @@ def test_smoothed_one_dimensional_input_is_out_of_regime():
 
 def test_smoothed_d4_runs_no_condition_search(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("certify_smoothed ran the condition margin")
+        raise AssertionError("certify_smoothed ran a threshold search")
 
-    monkeypatch.setattr(importlib.import_module("qhtcert.helstrom"), "_condition_margin", forbidden)
+    monkeypatch.setattr(importlib.import_module("qhtcert.helstrom"), "_tau_search", forbidden)
     povm = Povm((np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0, 1.0])), (0, 1))
     cl = Classifier(identity_kraus(4), povm)
     for p in (0.1, 0.2):

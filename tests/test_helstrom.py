@@ -17,7 +17,6 @@ from qhtcert import (
     random_density,
     random_pure,
     signed_projections,
-    tau,
     trace_distance,
 )
 from qhtcert.errors import (
@@ -27,11 +26,11 @@ from qhtcert.errors import (
     NegativeT,
     SandwichViolated,
 )
-from qhtcert.helstrom import DEFAULT_LAMBDA_TOL, T_TOL, _alpha_plus, _condition_levels, _condition_margin
-from qhtcert.oracle import sample_test_operators
+from qhtcert.helstrom import DEFAULT_LAMBDA_TOL, T_TOL, _condition_levels, _condition_margin
+from qhtcert.oracle import _dual_margin, sample_test_operators
 from qhtcert import bounds, demo
 
-from conftest import philox
+from conftest import _alpha_plus, philox
 
 hel = importlib.import_module("qhtcert.helstrom")
 
@@ -130,7 +129,7 @@ def test_tau_bisection_matches_grid_scan(rng):
             t_scan = tau_grid_scan(a, b, alpha0)
             if math.isinf(t_scan):
                 continue
-            assert tau(a, b, alpha0) == pytest.approx(t_scan, abs=8.0 / 4000 + 1e-9)
+            assert helstrom(a, b, alpha0).t == pytest.approx(t_scan, abs=8.0 / 4000 + 1e-9)
 
 
 def search_cases():
@@ -197,7 +196,7 @@ def test_search_bounds_bracket_the_optimal_beta():
                 assert lower <= optimal + 1e-12 and optimal - 1e-12 <= upper, where
             lowers, uppers = zip(*yielded)
             assert list(lowers) == sorted(lowers) and list(uppers) == sorted(uppers, reverse=True), where
-            assert end.t == tau(rho, sigma, alpha0), where
+            assert end.t == helstrom(rho, sigma, alpha0).t, where
             # The final bracket pins beta down to the search's tolerance.
             assert uppers[-1] - lowers[-1] <= 1e-7, where
 
@@ -323,20 +322,20 @@ def test_error_probabilities_rejects_bad_operator():
 def test_tau_demo_value():
     want = tau_closed_form(OVERLAP_SQ, 0.1)
     assert want == pytest.approx(1.6547005383793, abs=1e-10)
-    assert tau(RHO, SIGMA, 0.1) == pytest.approx(want, abs=1e-9)
+    assert helstrom(RHO, SIGMA, 0.1).t == pytest.approx(want, abs=1e-9)
 
 
 def test_tau_zero_when_level_above_overlap():
     # At alpha0 = |gamma|^2 exactly, roundoff may push the search one bracket
     # width above the true threshold 0.
-    assert tau(RHO, SIGMA, 0.75) == pytest.approx(0.0, abs=1e-9)
-    assert tau(RHO, SIGMA, 0.9) == 0.0
+    assert helstrom(RHO, SIGMA, 0.75).t == pytest.approx(0.0, abs=1e-9)
+    assert helstrom(RHO, SIGMA, 0.9).t == 0.0
 
 
 def test_tau_equal_states_is_one(rng):
     dm = random_density(3, rng)
     for alpha0 in (0.1, 0.5, 0.9):
-        assert tau(dm, dm, alpha0) == pytest.approx(1.0, abs=1e-9)
+        assert helstrom(dm, dm, alpha0).t == pytest.approx(1.0, abs=1e-9)
 
 
 @given(seed=st.integers(0, 2**32 - 1), alpha0=st.floats(0.02, 0.98))
@@ -347,7 +346,7 @@ def test_tau_matches_closed_form_for_pure_pairs(seed, alpha0):
     g2 = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
     if g2 > 0.999 or abs(g2 - alpha0) < 1e-3:
         return
-    got = tau(b.density(), a.density(), alpha0)
+    got = helstrom(b.density(), a.density(), alpha0).t
     assert got == pytest.approx(tau_closed_form(g2, alpha0), abs=1e-7)
 
 
@@ -548,7 +547,7 @@ def test_condition_margin_never_exceeds_the_dual():
         assert _condition_margin(sigma, rho, p_a, p_b) <= reference + 1e-12, where
     # Run to convergence, the margin is the dual optimum itself.
     for where, sigma, rho, p_a, p_b, reference in cases:
-        full = _condition_margin(sigma, rho, p_a, p_b, exact=True)
+        full = _dual_margin(sigma, rho, p_a, p_b)
         assert full == pytest.approx(reference, abs=1e-12), where
 
 
@@ -574,20 +573,31 @@ def test_condition_needs_few_eigendecompositions(monkeypatch):
     assert calls[0] / verdicts <= 4.0
 
 
-def test_condition_at_a_zero_level_matches_the_optimal_tests():
-    # pA = 1 asks for a test at type-I error 0, which the condition's search
-    # locates at the stand-in level ZERO_LEVEL; helstrom builds it exactly.
+def test_condition_at_a_zero_level_matches_the_optimal_tests(monkeypatch):
+    # pA = 1 asks for a test at type-I error 0: the condition's search, its
+    # converged margin and helstrom all answer it with the kernel of sigma.
     rng = philox(1001)
-    checked = 0
+    checked = verdicts = 0
+    calls = {"eig": 0}
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
     for d in (2, 4):
         for _ in range(8):
             sigma = random_pure(d, rng).density()
             for rho in (random_pure(d, rng).density(), random_density(d, rng), random_density(d, rng, 1 + d // 2)):
                 for p_b in (0.0, 0.1, 0.4):
+                    where = f"d={d} pB={p_b}"
                     level_a, level_b = _condition_levels(1.0, p_b)
                     margin = helstrom(rho, sigma, level_a).beta + helstrom(rho, sigma, level_b).beta - 1.0
+                    assert _dual_margin(sigma, rho, 1.0, p_b) == pytest.approx(margin, abs=1e-12), where
+                    with monkeypatch.context() as m:
+                        m.setattr(np.linalg, "eigh", counting(calls, "eig", eigh))
+                        m.setattr(np.linalg, "eigvalsh", counting(calls, "eig", eigvalsh))
+                        verdict = certify_condition(sigma, rho, 1.0, p_b)
+                    verdicts += 1
                     if abs(margin) <= 1e-6:
                         continue
-                    assert certify_condition(sigma, rho, 1.0, p_b) == (margin > 0.0), f"d={d} pB={p_b}"
+                    assert verdict == (margin > 0.0), where
                     checked += 1
     assert checked > 120
+    # One eigh of sigma for the level-0 test, about one probe for the other.
+    assert calls["eig"] / verdicts <= 4.0

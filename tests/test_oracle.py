@@ -24,7 +24,6 @@ from qhtcert.oracle import _smoothed_boundary_generic, sample_test_operators
 
 from conftest import philox
 
-helstrom_module = importlib.import_module("qhtcert.helstrom")
 oracle_module = importlib.import_module("qhtcert.oracle")
 
 SIGMA = demo.benign_state().density()
@@ -330,6 +329,13 @@ def test_boundary_cross_validates_closed_form(rng):
         assert t == pytest.approx(radius_qht_pure(p_a, p_b), abs=1e-6)
 
 
+@pytest.mark.parametrize("p_a, p_b", [(1.0, 0.0), (1.0, 0.2), (0.95, 0.0)])
+def test_boundary_at_a_zero_level_is_the_closed_form(p_a, p_b):
+    # pA = 1 or pB = 0 puts a test at type-I error 0, whose beta is the overlap.
+    t = boundary_radius_search(p_a, p_b, demo.benign_state(), samples=60, seed=7)
+    assert t == pytest.approx(radius_qht_pure(p_a, p_b), abs=1e-12)
+
+
 def test_boundary_input_checks():
     with pytest.raises(InvalidProbabilityOrder):
         boundary_radius_search(0.3, 0.5, demo.benign_state())
@@ -452,13 +458,13 @@ def test_boundary_search_stops_at_a_zero_margin(monkeypatch):
     psi = reference.amplitudes
     seen = []
 
-    def margin(sigma, rho, p_a, p_b, exact=False):
+    def margin(sigma, rho, p_a, p_b):
         overlap = float(np.real(np.vdot(psi, rho.matrix @ psi)))
         theta = 2.0 * math.acos(math.sqrt(min(max(overlap, 0.0), 1.0)))
         seen.append(theta)
         return 0.0 if abs(theta - 1.0) < 0.2 else 1.0 - theta
 
-    monkeypatch.setattr(helstrom_module, "_condition_margin", margin)
+    monkeypatch.setattr(oracle_module, "_dual_margin", margin)
     radius = boundary_radius_search(0.9, 0.1, reference, samples=60, seed=4)
     assert abs(seen[-1] - 1.0) < 0.2
     assert radius == pytest.approx(math.sin(seen[-1] / 2.0), abs=1e-12)
