@@ -140,10 +140,19 @@ def radius_depol_dp(p_a: float, p: float) -> float:
     return min((p / (2.0 * (1.0 - p))) * (math.sqrt(p_a / (1.0 - p_a)) - 1.0), 1.0)
 
 
+def _depol_radii(p_a: float, p: float, d: int, pure: bool) -> tuple[float | None, float, float | None]:
+    """The smoothed radii (qht, hoelder, dp) that hold at dimension d: the QHT
+    radius needs a pure benign state, the DP radius a pure qubit, and the
+    duality radius always holds."""
+    r_qht = radius_depol_qht(p_a, p, d) if pure else None
+    r_dp = radius_depol_dp(p_a, p) if pure and d == 2 else None
+    return r_qht, radius_depol_hoelder(p_a, p), r_dp
+
+
 def smoothing_covers_everything(p_a: float, p: float, d: int = 2) -> bool:
     """True when the smoothed radius at dimension d saturates at 1 (every state certified)."""
     _, t2 = _depol_case_thresholds(p, d)
-    return p_a > t2
+    return bool(p_a > t2)
 
 
 def pure_beta_closed_form(overlap_sq: float, p_a: float, p_b: float) -> tuple[float, float]:
@@ -214,9 +223,7 @@ def bound_report(p_a: float, p_b: float, p: float = 0.0, *, benign_pure: bool = 
         r_mixed_app = radius_qht_pure_mixed(p_a, p_b, "appendix")
     r_depol_q = r_depol_h = r_depol_d = None
     if p > 0.0 and abs(p_a + p_b - 1.0) <= 1e-12 and benign_pure and p_a > 0.5:
-        r_depol_q = radius_depol_qht(p_a, p)
-        r_depol_h = radius_depol_hoelder(p_a, p)
-        r_depol_d = radius_depol_dp(p_a, p)
+        r_depol_q, r_depol_h, r_depol_d = _depol_radii(p_a, p, 2, True)
     return BoundReport(
         p_a=p_a,
         p_b=p_b,

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .bounds import (
-    BoundReport,
-    bound_report,
-    radius_depol_dp,
-    radius_depol_hoelder,
-    radius_depol_qht,
-    smoothing_covers_everything,
-)
+from .bounds import BoundReport, _depol_radii, bound_report, smoothing_covers_everything
 from .classifier import Classifier, class_probabilities
 from .states import DensityMatrix, depolarize, is_rank_one
 
@@ -157,20 +150,9 @@ def _certify(
         radii = bound_report(est.pA_lower, p_b, benign_pure=pure)
     elif not abstained:
         pa = est.pA_lower
-        r_qht_p = r_dp = None
-        if pure:
-            r_qht_p = radius_depol_qht(pa, p, sigma.dim)
-            covers_all = smoothing_covers_everything(pa, p, sigma.dim)
-            if sigma.dim == 2:
-                r_dp = radius_depol_dp(pa, p)
-        radii = BoundReport(
-            p_a=pa,
-            p_b=p_b,
-            p=p,
-            r_depol_qht=r_qht_p,
-            r_depol_hoelder=radius_depol_hoelder(pa, p),
-            r_depol_dp=r_dp,
-        )
+        r_qht, r_hoelder, r_dp = _depol_radii(pa, p, sigma.dim, pure)
+        covers_all = pure and smoothing_covers_everything(pa, p, sigma.dim)
+        radii = BoundReport(pa, p_b, p, r_depol_qht=r_qht, r_depol_hoelder=r_hoelder, r_depol_dp=r_dp)
     return Certificate(
         label=label,
         pA_lower=est.pA_lower,

@@ -21,6 +21,7 @@ process starts; numpy reads them only when it is first imported.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -63,21 +64,11 @@ def _emit(lines, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _bound_row(p_a: float, p_b: float, p: float) -> str:
-    report = bnd.bound_report(p_a, p_b, p)
-    values = [
-        report.p_a,
-        report.p_b,
-        report.p,
-        report.r_qht_pure,
-        report.r_hoelder,
-        report.r_qht_pure_mixed_main,
-        report.r_qht_pure_mixed_appendix,
-        report.r_depol_qht,
-        report.r_depol_hoelder,
-        report.r_depol_dp,
-    ]
-    return ",".join(_fmt(v) for v in values)
+def _write_json(record: dict, path: str | None = None) -> None:
+    if path:
+        serialize.save_json(record, path)
+    else:
+        sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_certify(args) -> int:
@@ -89,17 +80,14 @@ def cmd_certify(args) -> int:
         cert = certify_smoothed(cl, sigma, args.smooth_p, args.shots, args.epsilon, args.seed)
     else:
         cert = certify(cl, sigma, args.shots, args.epsilon, args.seed, mode=args.mode)
-    record = certificate_to_json(cert)
-    if args.output:
-        serialize.save_json(record, args.output)
-    else:
-        sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_json(certificate_to_json(cert), args.output)
     return 2 if cert.abstained else 0
 
 
 def cmd_bounds(args) -> int:
-    lines = [",".join(CSV_BOUND_COLUMNS), _bound_row(args.pA, args.pB, args.p)]
-    _emit(lines, args.output)
+    report = bnd.bound_report(args.pA, args.pB, args.p)
+    row = ",".join(_fmt(getattr(report, name)) for name in ["p_a", "p_b"] + CSV_BOUND_COLUMNS[2:])
+    _emit([",".join(CSV_BOUND_COLUMNS), row], args.output)
     return 0
 
 
@@ -111,16 +99,11 @@ def cmd_compare_pure(args) -> int:
     lines = [header]
     values = np.linspace(0.0, 1.0, n)
     for p_a in values:
-        for p_b in values:
-            if not p_b < p_a:
-                continue
-            r1 = bnd.radius_qht_pure(p_a, p_b)
-            rh = bnd.radius_hoelder(p_a, p_b)
-            r2m = bnd.radius_qht_pure_mixed(p_a, p_b, "main")
-            r2a = bnd.radius_qht_pure_mixed(p_a, p_b, "appendix")
-            lines.append(
-                ",".join(_fmt(v) for v in (p_a, p_b, r1, rh, r1 - rh, rh - r2m, rh - r2a))
-            )
+        for p_b in values[values < p_a]:
+            r = bnd.bound_report(p_a, p_b)
+            r1, rh = r.r_qht_pure, r.r_hoelder
+            diffs = (r1 - rh, rh - r.r_qht_pure_mixed_main, rh - r.r_qht_pure_mixed_appendix)
+            lines.append(",".join(_fmt(v) for v in (p_a, p_b, r1, rh) + diffs))
     _emit(lines, args.output)
     return 0
 
@@ -137,18 +120,7 @@ def cmd_compare_depol(args) -> int:
     pa_values = [0.5 + (k + 1) * 0.5 / (n + 1) for k in range(n)]
     for p in p_values:
         for p_a in pa_values:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        p,
-                        p_a,
-                        bnd.radius_depol_qht(p_a, p),
-                        bnd.radius_depol_hoelder(p_a, p),
-                        bnd.radius_depol_dp(p_a, p),
-                    )
-                )
-            )
+            lines.append(",".join(_fmt(v) for v in (p, p_a) + bnd._depol_radii(p_a, p, 2, True)))
     _emit(lines, args.output)
     return 0
 
@@ -177,32 +149,29 @@ def cmd_toy_example(args) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_oracle(args) -> int:
-    if args.oracle_cmd == "min-beta":
-        sigma = serialize.state_from_json(serialize.load_json(args.null))
-        rho = serialize.state_from_json(serialize.load_json(args.alt))
-        report = oracle.brute_force_min_beta(sigma, rho, args.alpha0, args.samples, args.seed)
-        print(json.dumps({
-            "best_value": report.best_value,
-            "argmin_description": report.argmin_description,
-            "samples_used": report.samples_used,
-            "seed": report.seed,
-        }, indent=2, sort_keys=True))
-    elif args.oracle_cmd == "boundary":
-        reference = PureState([1.0, 0.0])
-        if args.reference:
-            mat = serialize.state_from_json(serialize.load_json(args.reference))
-            reference = PureState.from_density(mat)
-        radius = oracle.boundary_radius_search(args.pA, args.pB, reference, args.samples, args.seed)
-        print(json.dumps({
-            "trace_distance": radius,
-            "theta": 2.0 * math.asin(min(radius, 1.0)),
-        }, indent=2, sort_keys=True))
-    else:
-        cl = serialize.classifier_from_json(serialize.load_json(args.classifier))
-        sigma = serialize.state_from_json(serialize.load_json(args.state))
-        cov = oracle.hoeffding_coverage(cl, sigma, args.trials, args.shots, args.epsilon, args.seed)
-        print(json.dumps({"coverage": cov, "epsilon": args.epsilon}, indent=2, sort_keys=True))
+def cmd_oracle_min_beta(args) -> int:
+    sigma = serialize.state_from_json(serialize.load_json(args.null))
+    rho = serialize.state_from_json(serialize.load_json(args.alt))
+    report = oracle.brute_force_min_beta(sigma, rho, args.alpha0, args.samples, args.seed)
+    _write_json(dataclasses.asdict(report))
+    return 0
+
+
+def cmd_oracle_boundary(args) -> int:
+    reference = PureState([1.0, 0.0])
+    if args.reference:
+        mat = serialize.state_from_json(serialize.load_json(args.reference))
+        reference = PureState.from_density(mat)
+    radius = oracle.boundary_radius_search(args.pA, args.pB, reference, args.samples, args.seed)
+    _write_json({"trace_distance": radius, "theta": 2.0 * math.asin(min(radius, 1.0))})
+    return 0
+
+
+def cmd_oracle_coverage(args) -> int:
+    cl = serialize.classifier_from_json(serialize.load_json(args.classifier))
+    sigma = serialize.state_from_json(serialize.load_json(args.state))
+    cov = oracle.hoeffding_coverage(cl, sigma, args.trials, args.shots, args.epsilon, args.seed)
+    _write_json({"coverage": cov, "epsilon": args.epsilon})
     return 0
 
 
@@ -260,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--alpha0", type=float, required=True)
     q.add_argument("--samples", type=int, default=100_000)
     q.add_argument("--seed", type=int, default=0)
+    q.set_defaults(func=cmd_oracle_min_beta)
 
     q = osub.add_parser("boundary", help="angle search for the certified-radius boundary")
     q.add_argument("--pA", type=float, required=True)
@@ -268,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", type=int, default=60,
                    help="the search stops at angle bracket width pi*2^-samples")
     q.add_argument("--seed", type=int, default=0)
+    q.set_defaults(func=cmd_oracle_boundary)
 
     q = osub.add_parser("coverage", help="empirical coverage of the confidence bound")
     q.add_argument("--classifier", required=True)
@@ -276,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--shots", type=int, default=1_000)
     q.add_argument("--epsilon", type=float, default=0.05)
     q.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_oracle)
+    q.set_defaults(func=cmd_oracle_coverage)
 
     return parser
 

@@ -25,13 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    InvalidProbabilityOrder,
-    InvalidTestOperator,
-    NegativeT,
-    SandwichViolated,
-)
+from .bounds import _check_order
+from .errors import DimMismatch, InvalidTestOperator, NegativeT, SandwichViolated
 from .states import TOL_PSD, DensityMatrix, hermitian_residual
 
 # Relative zero-classification threshold for eigenvalues of rho - t*sigma.
@@ -92,15 +87,15 @@ class HelstromTest:
     projections: SignedProjections
 
 
-def _zero_threshold(w: np.ndarray, t: float, lambda_tol: float) -> float:
+def _zero_threshold(w: np.ndarray, t: float) -> float:
     op_norm = float(np.max(np.abs(w))) if w.size else 0.0
-    return max(lambda_tol * op_norm, EIG_FLOOR * (1.0 + t))
+    return max(DEFAULT_LAMBDA_TOL * op_norm, EIG_FLOOR * (1.0 + t))
 
 
-def _plus_start(w: np.ndarray, t: float, lambda_tol: float) -> tuple[float, int]:
+def _plus_start(w: np.ndarray, t: float) -> tuple[float, int]:
     """Zero threshold and the index where the plus set starts in the ascending
     eigenvalues w of rho - t*sigma: P_plus(t) spans the eigenvectors of w[k:]."""
-    thr = _zero_threshold(w, t, lambda_tol)
+    thr = _zero_threshold(w, t)
     return thr, int(np.searchsorted(w, thr, side="right"))
 
 
@@ -128,7 +123,7 @@ def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> Si
     if t < 0:
         raise NegativeT(f"t must be non-negative, got {t}")
     w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
-    thr = _zero_threshold(w, t, DEFAULT_LAMBDA_TOL)
+    thr = _zero_threshold(w, t)
     plus = _span(v[:, w > thr])
     minus = _span(v[:, w < -thr])
     zero = np.eye(len(w)) - plus - minus
@@ -175,7 +170,7 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     of every test with alpha <= level from below (weak duality).
     """
     w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
-    thr, k = _plus_start(w, t, DEFAULT_LAMBDA_TOL)
+    thr, k = _plus_start(w, t)
     s = v.conj().T @ sigma.matrix @ v
     rate = s.diagonal().real
     alpha = float(np.sum(rate[k:]))
@@ -202,7 +197,7 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
 
 def _plus_projection(probe: _Probe) -> np.ndarray:
     """P_plus at the probe's t, from the probe's eigenpairs."""
-    _, k = _plus_start(probe.w, probe.t, DEFAULT_LAMBDA_TOL)
+    _, k = _plus_start(probe.w, probe.t)
     return _span(probe.v[:, k:])
 
 
@@ -353,9 +348,10 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     SandwichViolated.  That happens at levels so small (1e-16 on the worked
     example) that the relative zero band swallows a positive eigenvalue.
 
-    alpha0 = 1 returns M = 1 (t = 0, q0 = 1).  alpha0 = 0 returns the exact
-    optimum, the projection onto the kernel of sigma (``_kernel``), from one
-    eigh of sigma, with p_zero = 0, q0 = 0 and t = inf (see ``_tau_search``).
+    alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).
+    alpha0 = 0 returns the exact optimum, the projection onto the kernel of
+    sigma (``_kernel``), from one eigh of sigma, with p_zero = 0, q0 = 0 and
+    t = inf (see ``_tau_search``).
     """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
@@ -363,11 +359,10 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
         raise ValueError("alpha0 must lie in [0, 1]")
 
     one = np.eye(rho.dim, dtype=np.complex128)
-    if alpha0 >= 1.0:
-        proj = signed_projections(rho, sigma, 0.0)
-        alpha, beta = error_probabilities(one, sigma, rho)
-        return HelstromTest(m=one, t=0.0, q0=1.0, alpha=alpha, beta=beta, projections=proj)
-    if alpha0 == 0.0:
+    if alpha0 == 1.0:
+        plus_hi = plus_lo = one
+        t, q0 = 0.0, 1.0
+    elif alpha0 == 0.0:
         plus_hi = plus_lo = _span(_kernel(sigma))
         t, q0 = math.inf, 0.0
     else:
@@ -382,7 +377,7 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     m = (m + m.conj().T) / 2.0
     alpha = float(np.clip(np.real(np.trace(sigma.matrix @ m)), 0.0, 1.0))
     beta = float(np.clip(1.0 - np.real(np.trace(rho.matrix @ m)), 0.0, 1.0))
-    if alpha0 > 0.0 and beta - dual > GAP_TOL:
+    if 0.0 < alpha0 < 1.0 and beta - dual > GAP_TOL:
         raise SandwichViolated(
             f"beta={beta:.6e} exceeds the dual bound {dual:.6e} by more than "
             f"{GAP_TOL:g} at alpha0={alpha0:.3e}, t={t:.6e}"
@@ -394,8 +389,7 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
 def _condition_levels(p_a: float, p_b: float) -> tuple[float, float]:
     """Type-I error levels (1 - p_a, p_b) of the tests M_A and M_B, or the one
     level L = max(1 - p_a, p_b) twice when p_b equals 1 - p_a up to rounding."""
-    if not (0.0 <= p_b < p_a <= 1.0):
-        raise InvalidProbabilityOrder(f"need 0 <= pB < pA <= 1, got pA={p_a}, pB={p_b}")
+    _check_order(p_a, p_b)
     if abs(p_b - (1.0 - p_a)) <= 1e-15:
         level = max(1.0 - p_a, p_b)
         return level, level

@@ -30,7 +30,7 @@ import numpy as np
 
 from .classifier import Classifier, class_probabilities
 from .certification import hoeffding_margin
-from .errors import DimMismatch, InvalidProbabilityOrder, OutOfRegime, RegimeTooLarge
+from .errors import DimMismatch, OutOfRegime, RegimeTooLarge
 from .helstrom import _bracket_step, _condition_levels, _converged
 from .states import DensityMatrix, PureState, depolarize
 
@@ -358,8 +358,6 @@ def boundary_radius_search(
     float lies strictly inside the bracket.  Returns the boundary trace
     distance sin(theta*/2).
     """
-    if not (0.0 <= p_b < p_a <= 1.0):
-        raise InvalidProbabilityOrder(f"need 0 <= pB < pA <= 1, got pA={p_a}, pB={p_b}")
     if reference.dim != 2:
         raise ValueError("reference must be a qubit state")
     if samples < 1:

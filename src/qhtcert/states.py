@@ -10,6 +10,7 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_TP = 1e-9
 TOL_PSD = 1e-9
-TOL_EIG = 1e-10
 TOL_NORM = 1e-9
 
 # Second-largest eigenvalue below which a density matrix counts as rank one.
@@ -81,6 +81,9 @@ class PureState:
         if arr.ndim != 1:
             raise ValueError("amplitudes must be a 1-d vector")
         norm = float(np.linalg.norm(arr))
+        # A NaN norm passes the tolerance test below, so check it first.
+        if not math.isfinite(norm):
+            raise ValueError("matrix entries must be finite")
         if abs(norm - 1.0) > TOL_NORM:
             raise ValueError(f"state vector norm {norm} differs from 1 beyond {TOL_NORM}")
         arr.setflags(write=False)
@@ -100,13 +103,13 @@ class PureState:
         return cls([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
 
     @classmethod
-    def from_density(cls, dm: DensityMatrix, tol: float = RANK_ONE_TOL) -> "PureState":
+    def from_density(cls, dm: DensityMatrix) -> "PureState":
         """Extract the amplitude vector of a rank-one density matrix.
 
-        Raises ValueError when the second-largest eigenvalue is >= ``tol``.
+        Raises ValueError when the second-largest eigenvalue is >= RANK_ONE_TOL.
         """
         w, v = np.linalg.eigh(dm.matrix)
-        if dm.dim > 1 and w[-2] >= tol:
+        if dm.dim > 1 and w[-2] >= RANK_ONE_TOL:
             raise ValueError(f"density matrix is not rank one (second eigenvalue {w[-2]:.3e})")
         vec = v[:, -1]
         # Fix the global phase so round-trips are stable.
@@ -115,9 +118,9 @@ class PureState:
         return cls(vec / np.linalg.norm(vec))
 
 
-def is_rank_one(dm: DensityMatrix, tol: float = RANK_ONE_TOL) -> bool:
+def is_rank_one(dm: DensityMatrix) -> bool:
     w = np.linalg.eigvalsh(dm.matrix)
-    return dm.dim == 1 or w[-2] < tol
+    return dm.dim == 1 or bool(w[-2] < RANK_ONE_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,32 +198,24 @@ class Povm:
 # Constructors and validation
 
 
-def validate_density(
-    raw,
-    *,
-    tol_herm: float = TOL_HERM,
-    tol_trace: float = TOL_TRACE,
-    tol_psd: float = TOL_PSD,
-) -> DensityMatrix:
+def validate_density(raw) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity, then wrap the matrix.
 
     The stored matrix is symmetrized, (A + A^dag)/2, so downstream
     eigendecompositions see an exactly Hermitian operand.  Eigenvalues in
-    [-tol_psd, 0) are accepted (clipped conceptually at zero), anything lower
+    [-TOL_PSD, 0) are accepted (clipped conceptually at zero), anything lower
     raises :class:`NotPSD`.
     """
-    a = _as_complex_matrix(raw)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("density matrix must be square")
+    a = DensityMatrix(raw).matrix
     res = hermitian_residual(a)
-    if res > tol_herm:
+    if res > TOL_HERM:
         raise NotHermitian("matrix is not Hermitian", residual=res)
     h = (a + a.conj().T) / 2.0
     tr = float(np.real(np.trace(h)))
-    if abs(tr - 1.0) > tol_trace:
+    if abs(tr - 1.0) > TOL_TRACE:
         raise TraceNotOne("trace differs from 1", residual=abs(tr - 1.0))
     w = np.linalg.eigvalsh(h)
-    if w[0] < -tol_psd:
+    if w[0] < -TOL_PSD:
         raise NotPSD("matrix has a negative eigenvalue", residual=float(-w[0]))
     return DensityMatrix(h)
 
@@ -259,12 +254,12 @@ def depolarizing_kraus(p: float, dim: int = 2) -> Channel:
 # Operations
 
 
-def spectral_decompose(a, tol_herm: float = TOL_HERM):
+def spectral_decompose(a):
     """Eigenvalues (descending) and orthonormal eigenvector columns of a
     Hermitian matrix."""
     m = np.asarray(a, dtype=np.complex128)
     res = hermitian_residual(m)
-    if res > tol_herm:
+    if res > TOL_HERM:
         raise NotHermitian("matrix is not Hermitian", residual=res)
     w, v = np.linalg.eigh(m)
     return w[::-1].copy(), v[:, ::-1].copy()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qhtcert.helstrom import _plus_start
+from qhtcert.helstrom import EIG_FLOOR
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -10,9 +10,11 @@ def philox(seed: int) -> np.random.Generator:
 
 def _alpha_plus(rho, sigma, t: float, lambda_tol: float) -> float:
     """Reference predicate alpha(P_plus(t)), from the eigenvectors of rho - t*sigma
-    above the zero threshold, without assembling the projector."""
+    above the zero band max(lambda_tol * ||w||_inf, EIG_FLOOR * (1 + t)),
+    without assembling the projector."""
     w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
-    _, k = _plus_start(w, t, lambda_tol)
+    thr = max(lambda_tol * float(np.max(np.abs(w))), EIG_FLOOR * (1.0 + t))
+    k = int(np.searchsorted(w, thr, side="right"))
     cols = v[:, k:]
     return float(np.real(np.sum(cols.conj() * (sigma.matrix @ cols))))
 

@@ -25,7 +25,7 @@ from qhtcert import (
     trace_distance,
 )
 import qhtcert
-from qhtcert import demo
+from qhtcert import demo, serialize
 from qhtcert.errors import OutOfRegime
 from qhtcert.oracle import _smoothed_boundary_generic
 
@@ -140,6 +140,47 @@ def test_certificates_are_reproducible():
     )
 
 
+def _pinned_inputs(d: int, kind: str):
+    """A diagonal-POVM classifier and a benign state with exact entries, so
+    the pins need no libm: class 0 gets 0.64 (pure) or 0.8 (mixed) at d = 2
+    and 0.75 or 0.7 at d = 4, where classes 2 and 3 share one element."""
+    weights = np.eye(2) if d == 2 else [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]
+    cl = Classifier(identity_kraus(d), Povm(tuple(np.diag(w) for w in weights)))
+    if kind == "mixed":
+        return cl, depolarize(PureState(np.eye(d)[0]).density(), 0.4)
+    amplitudes = [0.8, 0.6] if d == 2 else [np.sqrt(0.75)] + [np.sqrt(1.0 / 12.0)] * 3
+    return cl, PureState(amplitudes).density()
+
+
+_CERTIFICATE_PINS = {
+    (2, "pure", "protocol"): "ea2b1649f1c948e09b7363b54fa9fc009759d905b6366a60c9b4704bfcbf5bc8",
+    (2, "pure", "extended"): "691dcfa2389f6c4d2b04d17654c8adea5b760ff14df072091702ee18dca33cd1",
+    (2, "pure", "smoothed"): "43e3d19a51cff8b008377dbb91894e37e955cc09eb4443bec66f036c84eccca7",
+    (2, "mixed", "protocol"): "a0533dea594822efab4900ed21578dad44f258ddec8b1dcfa6e87be186decba7",
+    (2, "mixed", "extended"): "78edbd6492e6c665ec62944a6b46f1c274d3a0a1fb6ae7eef683feb98873dd93",
+    (2, "mixed", "smoothed"): "1f4739e6f75154df2ae26b1e762121f245cc3c059ce6404195943e7af2c515f0",
+    (4, "pure", "protocol"): "bd3e33a233b079b533bc828890c30134c1fafe2b836984c71d87741e2077faf7",
+    (4, "pure", "extended"): "0496e817dd2a8e1ee70e5b99ed50207266d605f5ac88900a59c4e08c974e51cf",
+    (4, "pure", "smoothed"): "157d484d9ad979266a356f5ffa7a00c963eba9cf9ba05854d48e881b1dbb41cb",
+    (4, "mixed", "protocol"): "b1b6dc8dfc40699495bd2af29251dc70b3b498d32a3c57d6da3e5e59790744db",
+    (4, "mixed", "extended"): "514e1cd21a9b7fdd34b4869bc756b8127750a348ec0ccb4e1ca409de4e32f738",
+    (4, "mixed", "smoothed"): "8acf93dc43545802ad223f6454e40850858ebfbf38f071b49c781bce44a5d432",
+}
+
+
+@pytest.mark.parametrize("d,kind,mode", sorted(_CERTIFICATE_PINS))
+def test_certificate_is_pinned(d, kind, mode):
+    # Certificates must stay bit-reproducible across versions: the canonical
+    # sha256 of each record, radii and input hashes included, is pinned.
+    cl, sigma = _pinned_inputs(d, kind)
+    if mode == "smoothed":
+        cert = certify_smoothed(cl, sigma, 0.2, 20_000, 0.01, seed=7)
+    else:
+        cert = certify(cl, sigma, 20_000, 0.01, seed=7, mode=mode)
+    assert not cert.abstained
+    assert serialize.content_hash(certificate_to_json(cert)) == _CERTIFICATE_PINS[d, kind, mode]
+
+
 def test_balanced_classifier_abstains():
     cert = certify(demo.balanced_classifier(), SIGMA, 10_000, 0.01, seed=1)
     assert cert.abstained
@@ -221,6 +262,10 @@ def test_smoothed_whole_sphere_flag():
     assert cert.pA_lower > (4 - 3 * 0.1) / (4 - 2 * 0.1)
     assert cert.covers_all_states
     assert cert.radii.r_depol_qht == 1.0
+    # A numpy float p still yields a Python bool, so the record stays JSON-ready.
+    record = certificate_to_json(certify_smoothed(computational_classifier(), SIGMA, np.float64(0.1), 50, 0.99, seed=0))
+    assert record["covers_all_states"] is True
+    json.dumps(record)
 
 
 def test_smoothed_fallback_beyond_qubit():

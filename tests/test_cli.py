@@ -103,12 +103,15 @@ def test_compare_depol_grid(capsys):
 
 
 @pytest.mark.parametrize("argv,digest", [
-    ((), "dd186dda112d6a6b4a4a710809269f68a59ae9a3a77ce66d6773f53a30e58e64"),
-    (("--grid", "100"), "c93ccf3fbf2050b049b15dde17bdaec4e17c499636aeada1b5816106a19e80ab"),
-], ids=["defaults", "grid-100"])
+    (("compare-depol",), "dd186dda112d6a6b4a4a710809269f68a59ae9a3a77ce66d6773f53a30e58e64"),
+    (("compare-depol", "--grid", "100"), "c93ccf3fbf2050b049b15dde17bdaec4e17c499636aeada1b5816106a19e80ab"),
+    (("compare-pure",), "bb8167e959c578cb101e2eac921eb906b0eeaba41c2bf157116c548c420dbbe0"),
+    (("bounds", "--pA", "0.9", "--pB", "0.1", "--p", "0.2"), "36b8c5545c476f42c1b9fcbc756aad7e419d951ffd716dbcd58a4bfa82e5e022"),
+], ids=["defaults", "grid-100", "compare-pure-defaults", "bounds-p0.2"])
 def test_compare_depol_csv_is_pinned(capsys, argv, digest):
-    # The smoothed-curve CSVs (defaults, and the figure grid) must stay byte-stable.
-    rc, out, _ = run(capsys, "compare-depol", *argv)
+    # The CSVs must stay byte-stable: the smoothed curves (defaults, and the
+    # figure grid), the pure-radius grid and one smoothed bounds row.
+    rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

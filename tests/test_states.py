@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from qhtcert import (
     trace_distance,
     validate_density,
 )
+from qhtcert import serialize
 from qhtcert.errors import (
     DimMismatch,
     NotHermitian,
@@ -230,6 +233,14 @@ def test_pure_state_norm_enforced():
         PureState([1.0, 1.0])
 
 
+def test_pure_state_rejects_nan_amplitudes():
+    # abs(nan - 1) > TOL_NORM is False, so the norm check alone lets NaN through.
+    with pytest.raises(ValueError, match="finite"):
+        PureState([np.nan, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        serialize.pure_from_json(json.loads('{"amplitudes_re": [NaN, 0.0], "amplitudes_im": [0.0, 0.0]}'))
+
+
 def test_pure_state_round_trip(rng):
     psi = random_pure(3, rng)
     back = PureState.from_density(psi.density())
@@ -242,8 +253,8 @@ def test_from_density_rejects_mixed():
 
 
 def test_rank_one_detection(rng):
-    assert is_rank_one(random_pure(4, rng).density())
-    assert not is_rank_one(maximally_mixed(2))
+    assert is_rank_one(random_pure(4, rng).density()) is True
+    assert is_rank_one(maximally_mixed(2)) is False
 
 
 def test_povm_requires_completeness():
