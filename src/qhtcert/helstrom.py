@@ -66,13 +66,15 @@ class _Probe(NamedTuple):
 
     t: float
     below: bool
-    guesses: tuple[float, float]
+    newton: float
     alpha: float
     beta: float
     dual: float
     w: np.ndarray
     v: np.ndarray
     rate: np.ndarray
+    thr: float
+    k: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,15 +90,8 @@ class HelstromTest:
 
 
 def _zero_threshold(w: np.ndarray, t: float) -> float:
-    op_norm = float(np.max(np.abs(w))) if w.size else 0.0
+    op_norm = float(max(-w[0], w[-1])) if w.size else 0.0  # max |w| of ascending w
     return max(DEFAULT_LAMBDA_TOL * op_norm, EIG_FLOOR * (1.0 + t))
-
-
-def _plus_start(w: np.ndarray, t: float) -> tuple[float, int]:
-    """Zero threshold and the index where the plus set starts in the ascending
-    eigenvalues w of rho - t*sigma: P_plus(t) spans the eigenvectors of w[k:]."""
-    thr = _zero_threshold(w, t)
-    return thr, int(np.searchsorted(w, thr, side="right"))
 
 
 def _span(cols: np.ndarray) -> np.ndarray:
@@ -151,73 +146,74 @@ def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
 
 def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: float):
     """One eigendecomposition of rho - t*sigma: whether alpha(P_plus(t)) <= level,
-    a pair of Newton guesses for the threshold (NaN where there is none), the
-    error rates of the test P_plus(t), the dual bound at t, and the eigenpairs
-    with the rates S_kk.
+    a Newton guess for the threshold (NaN where there is none), the error
+    rates of the test P_plus(t), the dual bound at t, and the eigenpairs with
+    the rates S_kk, the zero threshold and the plus-set start.
 
     With S = V^H sigma V in the eigenbasis of rho - t*sigma, alpha(P_plus) is
     the sum of S_kk over the plus set, each eigenvalue moves at
     d(lambda_k)/dt = -S_kk (Hellmann-Feynman), and first-order perturbation
     theory gives the slope alpha'(t) = -2 sum_{i in +, j not in +}
-    |S_ij|^2 / (lambda_i - lambda_j).  The first guess is a Newton step on
-    alpha - level.  The second serves levels that sit on a jump of alpha: it
-    moves every eigenvalue at its rate toward the level and returns the first
-    crossing of the zero threshold after which the plus set's weight has
-    passed the level.
+    |S_ij|^2 / (lambda_i - lambda_j).  The guess is a Newton step on
+    alpha - level.  The second guess, for levels that sit on a jump of
+    alpha, is computed on demand from the probe by ``_crossing``.
 
     beta(P_plus) = 1 - Tr[(rho - t*sigma) P_plus] - t * alpha(P_plus), and the
     Lagrange dual g(t) = 1 - t * level - Tr[(rho - t*sigma)_+] bounds the beta
     of every test with alpha <= level from below (weak duality).
     """
     w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
-    thr, k = _plus_start(w, t)
+    thr = _zero_threshold(w, t)
+    k = int(np.searchsorted(w, thr, side="right"))  # P_plus(t) spans the eigenvectors of w[k:]
     s = v.conj().T @ sigma.matrix @ v
     rate = s.diagonal().real
-    alpha = float(np.sum(rate[k:]))
-    below = alpha <= level
-    beta = 1.0 - float(np.sum(w[k:])) - t * alpha
-    dual = 1.0 - t * level - float(np.sum(w[w > 0.0]))
-
+    # ndarray.sum is the reduction np.sum calls, without its dispatch.
+    alpha = float(rate[k:].sum())
+    beta = 1.0 - float(w[k:].sum()) - t * alpha
+    dual = 1.0 - t * level - float(w[w > 0.0].sum())
     gap = w[k:, None] - w[None, :k]
-    slope = -2.0 * float(np.sum(np.abs(s[k:, :k]) ** 2 / gap))
+    slope = -2.0 * float((np.abs(s[k:, :k]) ** 2 / gap).sum())
     newton = t - (alpha - level) / slope if slope < 0.0 else math.nan
+    return _Probe(t, alpha <= level, newton, alpha, beta, dual, w, v, rate, thr, k)
 
-    # Below the level the threshold lies to the left, where eigenvalues
-    # outside P_plus rise through thr and add their weight; above it, to the
-    # right, where eigenvalues in P_plus fall through thr and take theirs away.
-    sign, side = (1.0, slice(None, k)) if below else (-1.0, slice(k, None))
-    moving = rate[side] > 0.0
-    times = t + (w[side][moving] - thr) / rate[side][moving]
+
+def _crossing(probe: _Probe, level: float) -> float:
+    """The probe's guess for a threshold on a jump of alpha (NaN where there
+    is none): move every eigenvalue at its rate toward the level and return
+    the first crossing of the zero threshold after which the plus set's
+    weight has passed the level.
+
+    Below the level the threshold lies to the left, where eigenvalues
+    outside P_plus rise through thr and add their weight; above it, to the
+    right, where eigenvalues in P_plus fall through thr and take theirs away.
+    """
+    sign, side = (1.0, slice(None, probe.k)) if probe.below else (-1.0, slice(probe.k, None))
+    moving = probe.rate[side] > 0.0
+    times = probe.t + (probe.w[side][moving] - probe.thr) / probe.rate[side][moving]
     order = np.argsort(-sign * times)
-    weight = alpha + sign * np.cumsum(rate[side][moving][order])
-    passed = (weight > level) == below
-    crossing = float(times[order][np.argmax(passed)]) if np.any(passed) else math.nan
-    return _Probe(t, below, (newton, crossing), alpha, beta, dual, w, v, rate)
+    weight = probe.alpha + sign * np.cumsum(probe.rate[side][moving][order])
+    passed = (weight > level) == probe.below
+    return float(times[order][np.argmax(passed)]) if np.any(passed) else math.nan
 
 
-def _plus_projection(probe: _Probe) -> np.ndarray:
-    """P_plus at the probe's t, from the probe's eigenpairs."""
-    _, k = _plus_start(probe.w, probe.t)
-    return _span(probe.v[:, k:])
-
-
-def _bracket_step(lo: float, hi: float, guess: float | None, half_tol: float, widths: list[float]) -> float | None:
+def _bracket_step(
+    lo: float, hi: float, guess: float | None, half_tol: float, newest: float, lengths: list[float]
+) -> float | None:
     """Next probe strictly inside the bracket (lo, hi), or None when no float lies there.
 
     Takes the guess clamped at least half_tol inside the bracket, so that a
     converged guess closes it, and the midpoint when there is no guess or when
-    the bracket has not halved over the last two steps.  widths holds the
-    bracket widths before those two steps and is updated in place.
+    the clamped guess would move farther from the newest point than half the
+    step taken two steps earlier (the step-length safeguard of Brent's
+    zeroin).  lengths holds the lengths of the last two steps and is updated
+    in place.
     """
-    if guess is None or hi - lo > 0.5 * widths[0]:
-        t = math.nan
-    else:
-        t = min(max(guess, lo + half_tol), hi - half_tol)
-    if not lo < t < hi:
+    t = math.nan if guess is None else min(max(guess, lo + half_tol), hi - half_tol)
+    if not (lo < t < hi and abs(t - newest) <= 0.5 * lengths[0]):
         t = 0.5 * (lo + hi)
     if not lo < t < hi:
         return None
-    widths[:] = [widths[1], hi - lo]
+    lengths[:] = [lengths[1], abs(t - newest)]
     return t
 
 
@@ -229,9 +225,10 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float):
     relative width T_TOL.  Each step takes the first guess of the newest probe
     (its Newton step on alpha, then its step to an eigenvalue crossing), then
     of the probe at the other end, that lies in the bracket, clamped at least
-    half the tolerance inside it so that a converged step closes it.  It
-    bisects when no guess lies in the bracket or when the bracket has not
-    halved over the last two steps.
+    half the tolerance inside it so that a converged step closes it.  A
+    crossing is computed only when the guesses before it miss the bracket.
+    It bisects when no guess lies in the bracket or when the step would move
+    farther from the newest probe than half the step taken two steps earlier.
 
     After every probe it yields (lower, upper) bounds on the optimal beta at
     the level: lower is the largest dual bound g(t) of the probes so far,
@@ -259,6 +256,12 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float):
     def probe(t: float) -> _Probe:
         return _threshold_probe(rho, sigma, t, level)
 
+    def guesses():
+        # The newest probe's, then the other end's, each crossing on demand.
+        for end in (newest, at_lo if newest.below else at_hi):
+            yield end.newton
+            yield _crossing(end, level)
+
     lower, upper = -math.inf, 1.0 - level
 
     def bounds(newest: _Probe) -> tuple[float, float]:
@@ -285,11 +288,10 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float):
     if at_lo is None:
         return at_lo, at_hi
 
-    widths = [math.inf, math.inf]
+    lengths = [math.inf, math.inf]
     while at_hi.t - at_lo.t > T_TOL * max(1.0, at_hi.t):
-        newest_first = (newest.guesses + at_lo.guesses) if newest.below else (newest.guesses + at_hi.guesses)
-        guess = next((g for g in newest_first if at_lo.t <= g <= at_hi.t), None)
-        t = _bracket_step(at_lo.t, at_hi.t, guess, 0.5 * T_TOL * max(1.0, at_hi.t), widths)
+        guess = next((g for g in guesses() if at_lo.t <= g <= at_hi.t), None)
+        t = _bracket_step(at_lo.t, at_hi.t, guess, 0.5 * T_TOL * max(1.0, at_hi.t), newest.t, lengths)
         if t is None:
             break
         newest = probe(t)
@@ -367,11 +369,11 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
         t, q0 = math.inf, 0.0
     else:
         dual, at_lo, at_hi = _converged(rho, sigma, alpha0)
-        plus_hi = _plus_projection(at_hi)
+        plus_hi = _span(at_hi.v[:, at_hi.k:])
         if at_lo is None:
             plus_lo, alpha_lo = one, float(np.sum(at_hi.rate))
         else:
-            plus_lo, alpha_lo = _plus_projection(at_lo), at_lo.alpha
+            plus_lo, alpha_lo = _span(at_lo.v[:, at_lo.k:]), at_lo.alpha
         t, q0 = at_hi.t, (alpha0 - at_hi.alpha) / (alpha_lo - at_hi.alpha)
     m = (1.0 - q0) * plus_hi + q0 * plus_lo
     m = (m + m.conj().T) / 2.0

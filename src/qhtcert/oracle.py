@@ -102,18 +102,30 @@ def _traceless_charpoly(entries: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
                    + 2.0 * (loop_re * re[i, k] + loop_im * im[i, k]))
     coefficients = [-0.5 * trace_sq, -e3]
     if d == 4:
-        def entry(i, j):  # (Re, Im) of A_ij: A_ii is real and A_ji = conj(A_ij)
-            return (a[i], 0.0) if i == j else (re[i, j], im[i, j]) if i < j else (re[j, i], -im[j, i])
+        def times(x, y):  # x * y of (Re, Im) pairs
+            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
-        def minor(r, i, j):  # A_ri A_(r+1)j - A_rj A_(r+1)i
-            (p, q), (s, t), (u, v), (w, x) = entry(r, i), entry(r + 1, j), entry(r, j), entry(r + 1, i)
-            return p * s - q * t - (u * w - v * x), p * t + q * s - (u * x + v * w)
+        def times_bar(x, y):  # x * conj(y)
+            return x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1]
 
-        e4 = 0.0  # Laplace over rows 0, 1: minors of columns (i, j) and their complements
-        for i, j in pairs:
-            k, l = (m for m in range(4) if m not in (i, j))
-            (p, q), (r, t) = minor(0, i, j), minor(2, k, l)  # sign (-1)^(1 + i + j)
-            e4 = e4 + (-1) ** (1 + i + j) * (p * r - q * t)
+        def less(c, x, y):  # c * x - y for a real row c
+            return c * x[0] - y[0], c * x[1] - y[1]
+
+        h01, h02, h03, h12, h13, h23 = ((re[ij], im[ij]) for ij in pairs)
+        # Laplace over rows 0, 1.  Columns (0, 1) give (a0 a1 - |h01|^2) *
+        # (a2 a3 - |h23|^2), columns (2, 3) |h02 h13 - h03 h12|^2, and each
+        # other column pair -Re(p * conj(q)): p its minor and q the conjugate
+        # of its complement's, both up to sign.
+        x_re = h02[0] * h13[0] - h02[1] * h13[1] - (h03[0] * h12[0] - h03[1] * h12[1])
+        x_im = h02[0] * h13[1] + h02[1] * h13[0] - (h03[0] * h12[1] + h03[1] * h12[0])
+        e4 = (a[0] * a[1] - sq[0, 1]) * (a[2] * a[3] - sq[2, 3]) + (x_re * x_re + x_im * x_im)
+        for p, q in (
+            (less(a[0], h12, times_bar(h02, h01)), less(a[3], h12, times_bar(h13, h23))),
+            (less(a[0], h13, times_bar(h03, h01)), less(a[2], h13, times(h12, h23))),
+            (less(a[1], h02, times(h01, h12)), less(a[3], h02, times_bar(h03, h23))),
+            (less(a[1], h03, times(h01, h13)), less(a[2], h03, times(h02, h23))),
+        ):
+            e4 = e4 - (p[0] * q[0] + p[1] * q[1])
         coefficients.append(e4)
     return c, coefficients
 
@@ -292,7 +304,9 @@ def _plane_boundary_radius(
     margins g_A + g_B - 1 at the two ends, each from level searches run to
     convergence plus one dual step (at theta = 0, where the states coincide,
     the margin is 1 - level_A - level_B without a solve), safeguarded by
-    bisection as in the threshold search.  The search stops at bracket width
+    bisection as in the threshold search: it bisects when the step would move
+    farther from the newest angle than half the step taken two steps
+    earlier.  The search stops at bracket width
     pi * 2**-steps, which bisection would reach after ``steps`` steps, when
     no float lies strictly inside the bracket, or at an angle whose margin
     is exactly 0, which is the boundary.
@@ -314,14 +328,14 @@ def _plane_boundary_radius(
     if at_hi > 0.0:
         return 1.0
     tol = math.ldexp(math.pi, -steps)
-    widths = [math.inf, math.inf]
-    kept = None
+    lengths = [math.inf, math.inf]
+    kept, newest = None, hi
     while hi - lo > tol:
         guess = lo + (hi - lo) * at_lo / (at_lo - at_hi) if at_lo > at_hi else None
-        theta = _bracket_step(lo, hi, guess, 0.5 * tol, widths)
+        theta = _bracket_step(lo, hi, guess, 0.5 * tol, newest, lengths)
         if theta is None:
             break
-        value = margin(theta)
+        newest, value = theta, margin(theta)
         if value == 0.0:
             return math.sin(theta / 2.0)
         # Illinois: halve the margin at an end that stays put twice in a row.

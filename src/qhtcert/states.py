@@ -303,13 +303,18 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
-    """Evolve a state, rho -> sum_i K_i rho K_i^dag."""
+    """Evolve a state, rho -> sum_i K_i rho K_i^dag.
+
+    The output is symmetrized, (A + A^dag)/2, as ``validate_density`` stores
+    it, but not re-checked: a channel checked as trace preserving maps a
+    density matrix to one.
+    """
     if ch.dim_in != rho.dim:
         raise DimMismatch(f"channel expects dim {ch.dim_in}, state has dim {rho.dim}")
     out = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
     for k in ch.kraus:
         out += k @ rho.matrix @ k.conj().T
-    return validate_density(out)
+    return DensityMatrix((out + out.conj().T) / 2.0)
 
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:

@@ -173,8 +173,9 @@ def test_threshold_search_matches_bisection(monkeypatch):
             if alpha0 > 0.0:
                 assert abs(got.t - want.t) <= 1e-9 * max(1.0, want.t), where
             assert got.beta == pytest.approx(want.beta, abs=1e-9), where
-    # Bisection needs 43-45 eigendecompositions per helstrom.
-    assert np.mean(large_d_counts) <= 15.0
+    # Bisection needs 43-45 eigendecompositions per helstrom; the search
+    # takes 5.0 here.
+    assert np.mean(large_d_counts) <= 5.2
 
 
 def test_search_bounds_bracket_the_optimal_beta():
@@ -206,6 +207,51 @@ def counting(calls, name, fn):
         calls[name] += 1
         return fn(*args, **kwargs)
     return wrapped
+
+
+def test_converged_newton_run_is_not_bisected(monkeypatch):
+    # Newton reaches the worked example's threshold from one side, so the
+    # far end of the bracket stays put; once Newton has converged, the
+    # step-length safeguard must close the bracket without bisecting.
+    calls = {"probe": 0}
+    monkeypatch.setattr(hel, "_threshold_probe", counting(calls, "probe", hel._threshold_probe))
+    helstrom(RHO, SIGMA, 0.1)
+    assert calls["probe"] <= 9
+
+
+def test_crossing_guess_is_computed_only_when_newton_misses(monkeypatch):
+    events = []
+    probe, crossing, step = hel._threshold_probe, hel._crossing, hel._bracket_step
+
+    def logged_probe(*args):
+        events.append(("probe", probe(*args)))
+        return events[-1][1]
+
+    def logged_crossing(*args):
+        events.append(("crossing",))
+        return crossing(*args)
+
+    def logged_step(lo, hi, *args):
+        events.append(("step", lo, hi))
+        return step(lo, hi, *args)
+
+    monkeypatch.setattr(hel, "_threshold_probe", logged_probe)
+    monkeypatch.setattr(hel, "_crossing", logged_crossing)
+    monkeypatch.setattr(hel, "_bracket_step", logged_step)
+    for d, kind, sigma, rho in search_cases():
+        for alpha0 in (0.05, 0.3, 0.7, 0.95):
+            helstrom(rho, sigma, alpha0)
+    newest, crossed = None, False
+    for event in events:
+        if event[0] == "probe":
+            newest, crossed = event[1], False
+        elif event[0] == "crossing":
+            crossed = True
+        elif event[1] <= newest.newton <= event[2]:
+            # The guesses for this step were taken after the newest probe.
+            assert not crossed, event
+    names = [event[0] for event in events]
+    assert names.count("crossing") < names.count("probe")
 
 
 def test_near_identical_pairs_get_the_optimal_test(monkeypatch):
