@@ -9,6 +9,8 @@ compare-depol  CSV curves of the smoothed radii over (p, pA)
 toy-example    check the worked single-qubit numbers against stored references
 oracle         brute-force verifiers (min-beta, boundary, coverage)
 
+A call builds the parser of its command alone; its usage line still lists every command.
+
 Exit codes: 0 success / certificate, 2 ABSTAIN, 1 error (a JSON error record
 is printed to stderr).  CSV output is byte-stable for fixed inputs and seed:
 fixed header, fixed column order, 12-significant-digit formatting.
@@ -34,6 +36,8 @@ from .certification import certificate_to_json, certify, certify_smoothed
 from .errors import QhtcertError
 from .helstrom import helstrom
 from .states import PureState
+
+COMMANDS = ("certify", "bounds", "compare-pure", "compare-depol", "toy-example", "oracle")
 
 CSV_BOUND_COLUMNS = [
     "pA",
@@ -175,85 +179,93 @@ def cmd_oracle_coverage(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhtcert",
         description="Certify adversarial robustness of quantum classifiers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
 
-    p = sub.add_parser("certify", help="sample a classifier and emit a certificate (exit 2 on ABSTAIN)")
-    p.add_argument("--classifier", required=True, help="classifier JSON file")
-    p.add_argument("--state", required=True, help="benign state JSON file (density or pure)")
-    p.add_argument("--shots", type=int, required=True, help="number of measurement shots N")
-    p.add_argument("--epsilon", type=float, required=True, help="confidence parameter in (0, 1)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (counter-based Philox)")
-    p.add_argument("--smooth-p", type=float, default=None, help="depolarization smoothing parameter")
-    p.add_argument("--mode", choices=("protocol", "extended"), default="protocol",
-                   help="certification mode; --smooth-p takes protocol only")
-    p.add_argument("--output", default=None, help="write certificate JSON here instead of stdout")
-    p.set_defaults(func=cmd_certify)
+    if command in (None, "certify"):
+        p = sub.add_parser("certify", help="sample a classifier and emit a certificate (exit 2 on ABSTAIN)")
+        p.add_argument("--classifier", required=True, help="classifier JSON file")
+        p.add_argument("--state", required=True, help="benign state JSON file (density or pure)")
+        p.add_argument("--shots", type=int, required=True, help="number of measurement shots N")
+        p.add_argument("--epsilon", type=float, required=True, help="confidence parameter in (0, 1)")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (counter-based Philox)")
+        p.add_argument("--smooth-p", type=float, default=None, help="depolarization smoothing parameter")
+        p.add_argument("--mode", choices=("protocol", "extended"), default="protocol",
+                       help="certification mode; --smooth-p takes protocol only")
+        p.add_argument("--output", default=None, help="write certificate JSON here instead of stdout")
+        p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("bounds", help="one CSV row of closed-form radii at (pA, pB, p)")
-    p.add_argument("--pA", type=float, required=True)
-    p.add_argument("--pB", type=float, required=True)
-    p.add_argument("--p", type=float, default=0.0, help="depolarization parameter (0 = unsmoothed)")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_bounds)
+    if command in (None, "bounds"):
+        p = sub.add_parser("bounds", help="one CSV row of closed-form radii at (pA, pB, p)")
+        p.add_argument("--pA", type=float, required=True)
+        p.add_argument("--pB", type=float, required=True)
+        p.add_argument("--p", type=float, default=0.0, help="depolarization parameter (0 = unsmoothed)")
+        p.add_argument("--output", default=None)
+        p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("compare-pure", help="CSV difference grids of the pure-state radii")
-    p.add_argument("--grid", type=int, default=100, help="grid resolution per axis")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_compare_pure)
+    if command in (None, "compare-pure"):
+        p = sub.add_parser("compare-pure", help="CSV difference grids of the pure-state radii")
+        p.add_argument("--grid", type=int, default=100, help="grid resolution per axis")
+        p.add_argument("--output", default=None)
+        p.set_defaults(func=cmd_compare_pure)
 
-    p = sub.add_parser("compare-depol", help="CSV curves of the smoothed radii over (p, pA)")
-    p.add_argument(
-        "--p",
-        default="0.05,0.15,0.25,0.35,0.45,0.55,0.65,0.75,0.85,0.95",
-        help="comma-separated depolarization parameters",
-    )
-    p.add_argument("--grid", type=int, default=99, help="number of pA points in (0.5, 1)")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_compare_depol)
+    if command in (None, "compare-depol"):
+        p = sub.add_parser("compare-depol", help="CSV curves of the smoothed radii over (p, pA)")
+        p.add_argument(
+            "--p",
+            default="0.05,0.15,0.25,0.35,0.45,0.55,0.65,0.75,0.85,0.95",
+            help="comma-separated depolarization parameters",
+        )
+        p.add_argument("--grid", type=int, default=99, help="number of pA points in (0.5, 1)")
+        p.add_argument("--output", default=None)
+        p.set_defaults(func=cmd_compare_depol)
 
-    p = sub.add_parser("toy-example", help="check the worked single-qubit numbers (PASS/FAIL)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_toy_example)
+    if command in (None, "toy-example"):
+        p = sub.add_parser("toy-example", help="check the worked single-qubit numbers (PASS/FAIL)")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=cmd_toy_example)
 
-    p = sub.add_parser("oracle", help="brute-force verifiers")
-    osub = p.add_subparsers(dest="oracle_cmd", required=True)
+    if command in (None, "oracle"):
+        p = sub.add_parser("oracle", help="brute-force verifiers")
+        osub = p.add_subparsers(dest="oracle_cmd", required=True)
 
-    q = osub.add_parser("min-beta", help="random search for the minimal type-II error")
-    q.add_argument("--null", required=True, help="null-hypothesis state JSON (benign)")
-    q.add_argument("--alt", required=True, help="alternative state JSON (adversarial)")
-    q.add_argument("--alpha0", type=float, required=True)
-    q.add_argument("--samples", type=int, default=100_000)
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=cmd_oracle_min_beta)
+        q = osub.add_parser("min-beta", help="random search for the minimal type-II error")
+        q.add_argument("--null", required=True, help="null-hypothesis state JSON (benign)")
+        q.add_argument("--alt", required=True, help="alternative state JSON (adversarial)")
+        q.add_argument("--alpha0", type=float, required=True)
+        q.add_argument("--samples", type=int, default=100_000)
+        q.add_argument("--seed", type=int, default=0)
+        q.set_defaults(func=cmd_oracle_min_beta)
 
-    q = osub.add_parser("boundary", help="angle search for the certified-radius boundary")
-    q.add_argument("--pA", type=float, required=True)
-    q.add_argument("--pB", type=float, required=True)
-    q.add_argument("--reference", default=None, help="pure reference state JSON (default |0>)")
-    q.add_argument("--samples", type=int, default=60,
-                   help="the search stops at angle bracket width pi*2^-samples")
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=cmd_oracle_boundary)
+        q = osub.add_parser("boundary", help="angle search for the certified-radius boundary")
+        q.add_argument("--pA", type=float, required=True)
+        q.add_argument("--pB", type=float, required=True)
+        q.add_argument("--reference", default=None, help="pure reference state JSON (default |0>)")
+        q.add_argument("--samples", type=int, default=60,
+                       help="the search stops at angle bracket width pi*2^-samples")
+        q.add_argument("--seed", type=int, default=0)
+        q.set_defaults(func=cmd_oracle_boundary)
 
-    q = osub.add_parser("coverage", help="empirical coverage of the confidence bound")
-    q.add_argument("--classifier", required=True)
-    q.add_argument("--state", required=True)
-    q.add_argument("--trials", type=int, default=10_000)
-    q.add_argument("--shots", type=int, default=1_000)
-    q.add_argument("--epsilon", type=float, default=0.05)
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=cmd_oracle_coverage)
+        q = osub.add_parser("coverage", help="empirical coverage of the confidence bound")
+        q.add_argument("--classifier", required=True)
+        q.add_argument("--state", required=True)
+        q.add_argument("--trials", type=int, default=10_000)
+        q.add_argument("--shots", type=int, default=1_000)
+        q.add_argument("--epsilon", type=float, default=0.05)
+        q.add_argument("--seed", type=int, default=0)
+        q.set_defaults(func=cmd_oracle_coverage)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

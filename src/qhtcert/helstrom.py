@@ -545,10 +545,11 @@ def _dual_step(rho: DensityMatrix, sigma: DensityMatrix, level: float, lower: fl
     return max(lower, 1.0 - t_star * level - float(np.sum(w[w > 0.0])))
 
 
-def _converged(rho: DensityMatrix, sigma: DensityMatrix, level: float):
+def _converged(rho: DensityMatrix, sigma: DensityMatrix, level: float, route: _Route | None = None):
     """Run the threshold search at level to its end: (the best dual bound on
-    the optimal beta, its dual step included, at_lo, at_hi)."""
-    search = _tau_search(rho, sigma, level)
+    the optimal beta, its dual step included, at_lo, at_hi).  route is passed
+    on to ``_tau_search``; levels that share one share its eigh of rho."""
+    search = _tau_search(rho, sigma, level, route)
     while True:
         try:
             lower, _ = next(search)

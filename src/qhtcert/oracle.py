@@ -31,7 +31,7 @@ import numpy as np
 from .classifier import Classifier, class_probabilities
 from .certification import hoeffding_margin
 from .errors import DimMismatch, OutOfRegime, RegimeTooLarge
-from .helstrom import _bracket_step, _condition_levels, _converged
+from .helstrom import _Route, _bracket_step, _condition_levels, _converged
 from .states import DensityMatrix, PureState, depolarize
 
 MAX_BRUTE_DIM = 4
@@ -272,9 +272,11 @@ def _dual_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: floa
     """The dual condition margin g_A + g_B - 1 (2 * g(L) - 1 on equal levels),
     each g from a level search run to convergence plus its dual step
     (``helstrom._converged``): the margin whose sign ``certify_condition``
-    decides, located to the search's tolerance, to guide the angle search."""
+    decides, located to the search's tolerance, to guide the angle search.
+    The levels share one route, so a rank-one sigma costs one eigh of rho."""
     levels = dict.fromkeys(_condition_levels(p_a, p_b))
-    return 2.0 / len(levels) * sum(_converged(rho, sigma, level)[0] for level in levels) - 1.0
+    route = _Route(sigma)
+    return 2.0 / len(levels) * sum(_converged(rho, sigma, level, route)[0] for level in levels) - 1.0
 
 
 def _plane_boundary_radius(

@@ -10,7 +10,8 @@ row-major order, so dumps are bit-stable:
 * POVM:       {"labels": [...], "elements": [matrix, ...]}
 * classifier: {"labels": [...], "channel": {...}, "povm": {...}}
 
-The loaders check the JSON type of every container they index and raise
+The loaders check that every key they read is present, the JSON type of
+every container they index and that every array leaf is a number, and raise
 ValidationError on a record of the wrong shape.
 """
 
@@ -50,17 +51,32 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _field(obj: dict, key: str, what: str):
+    """obj[key], checked to be present."""
+    if key not in obj:
+        raise ValidationError(f"{what} lacks the key {key!r}")
+    return obj[key]
+
+
 def _reals(value, what: str) -> np.ndarray:
+    """value as a float array.  Strings, nulls and booleans are refused: a
+    float conversion would read "1" and true as 1.0 and null as nan."""
     try:
-        return np.asarray(value, dtype=float)
+        reals = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a (nested) array of numbers: {exc}") from None
+    leaves = [value]
+    for _ in range(reals.ndim):
+        leaves = [x for row in leaves for x in row]
+    if reals.dtype.kind not in "iuf" or bool in map(type, leaves):
+        raise ValidationError(f"{what} must be a (nested) array of numbers, not of strings, booleans or nulls")
+    return reals.astype(float, copy=False)
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     obj = _expect(obj, dict, "matrix")
-    re = _reals(obj["re"], "matrix re")
-    im = _reals(obj["im"], "matrix im")
+    re = _reals(_field(obj, "re", "matrix"), "matrix re")
+    im = _reals(_field(obj, "im", "matrix"), "matrix im")
     if re.shape != im.shape:
         raise ValueError("re and im parts have different shapes")
     if "dim" in obj:
@@ -68,7 +84,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if re.shape != (d, d):
             raise ValueError(f"declared dim {d} does not match data shape {re.shape}")
     else:
-        if re.shape != (_expect(obj["rows"], int, "matrix rows"), _expect(obj["cols"], int, "matrix cols")):
+        rows, cols = _field(obj, "rows", "matrix"), _field(obj, "cols", "matrix")
+        if re.shape != (_expect(rows, int, "matrix rows"), _expect(cols, int, "matrix cols")):
             raise ValueError("declared rows/cols do not match data shape")
     return re + 1j * im
 
@@ -90,8 +107,10 @@ def pure_to_json(psi: PureState) -> dict:
 
 def pure_from_json(obj: dict) -> PureState:
     obj = _expect(obj, dict, "pure state")
-    re = _reals(obj["amplitudes_re"], "amplitudes_re")
-    im = _reals(obj["amplitudes_im"], "amplitudes_im")
+    re = _reals(_field(obj, "amplitudes_re", "pure state"), "amplitudes_re")
+    im = _reals(_field(obj, "amplitudes_im", "pure state"), "amplitudes_im")
+    if re.shape != im.shape:
+        raise ValidationError(f"amplitudes_re and amplitudes_im have different shapes {re.shape} and {im.shape}")
     return PureState(re + 1j * im)
 
 
@@ -107,7 +126,7 @@ def channel_to_json(ch: Channel) -> dict:
 
 
 def channel_from_json(obj: dict) -> Channel:
-    kraus = _expect(_expect(obj, dict, "channel")["kraus"], list, "channel kraus")
+    kraus = _expect(_field(_expect(obj, dict, "channel"), "kraus", "channel"), list, "channel kraus")
     return Channel(tuple(matrix_from_json(k) for k in kraus))
 
 
@@ -120,7 +139,7 @@ def povm_to_json(povm: Povm) -> dict:
 
 def povm_from_json(obj: dict) -> Povm:
     obj = _expect(obj, dict, "povm")
-    elements = tuple(matrix_from_json(e) for e in _expect(obj["elements"], list, "povm elements"))
+    elements = tuple(matrix_from_json(e) for e in _expect(_field(obj, "elements", "povm"), list, "povm elements"))
     labels = tuple(_expect(obj["labels"], list, "povm labels")) if "labels" in obj else None
     return Povm(elements, labels)
 
@@ -135,10 +154,10 @@ def classifier_to_json(cl: Classifier) -> dict:
 
 def classifier_from_json(obj: dict) -> Classifier:
     obj = _expect(obj, dict, "classifier")
-    channel = channel_from_json(obj["channel"])
-    povm_obj = _expect(obj["povm"], dict, "povm")
+    channel = channel_from_json(_field(obj, "channel", "classifier"))
+    povm_obj = _expect(_field(obj, "povm", "classifier"), dict, "povm")
     labels = tuple(_expect(obj.get("labels", povm_obj.get("labels", [])), list, "labels"))
-    elements = tuple(matrix_from_json(e) for e in _expect(povm_obj["elements"], list, "povm elements"))
+    elements = tuple(matrix_from_json(e) for e in _expect(_field(povm_obj, "elements", "povm"), list, "povm elements"))
     povm = Povm(elements, labels if labels else None)
     return Classifier(channel, povm, labels if labels else None)
 

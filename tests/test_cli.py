@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from qhtcert import Classifier, Povm, PureState, demo, identity_kraus, serialize
-from qhtcert.cli import main
+from qhtcert.cli import COMMANDS, build_parser, main
 
 
 @pytest.fixture
@@ -21,6 +23,80 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def subparser(parser, path):
+    """The parser of the command path, e.g. ("oracle", "boundary")."""
+    for name in path:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+def test_full_parser_has_every_command_in_order():
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(action.choices) == COMMANDS
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize(
+    "path",
+    [(name,) for name in COMMANDS] + [("oracle", name) for name in ("min-beta", "boundary", "coverage")],
+    ids=" ".join,
+)
+def test_one_command_parser_formats_like_the_full_parser(monkeypatch, path, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    one, full = build_parser(path[0]), build_parser()
+    assert one.format_usage() == full.format_usage()
+    assert subparser(one, path).format_help() == subparser(full, path).format_help()
+    assert subparser(one, path).format_usage() == subparser(full, path).format_usage()
+
+
+_TOP_USAGE = """usage: qhtcert [-h]
+               {certify,bounds,compare-pure,compare-depol,toy-example,oracle}
+               ...
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bounds", "--pA", "0.9", "--pB", "0.1", "extra"), "unrecognized arguments: extra"),
+    (("toy-example", "extra", "more"), "unrecognized arguments: extra more"),
+    ((), "the following arguments are required: command"),
+    (("certfy",), "argument command: invalid choice: 'certfy' (choose from 'certify', 'bounds', "
+                  "'compare-pure', 'compare-depol', 'toy-example', 'oracle')"),
+], ids=["unrecognized", "unrecognized-two", "required", "invalid-choice"])
+def test_parser_errors_print_the_top_level_usage(monkeypatch, capsys, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == _TOP_USAGE + f"qhtcert: error: {message}\n"
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["bounds", "--pA", "0.9", "--pB", "0.1"]) == 0
+    assert calls == ["bounds"]
+    # The console script passes no argv: the command comes from sys.argv.
+    monkeypatch.setattr(sys, "argv", ["qhtcert", "oracle", "boundary", "--pA", "0.9", "--pB", "0.1"])
+    calls.clear()
+    assert main() == 0
+    assert calls == ["oracle", "min-beta", "boundary", "coverage"]
+    calls.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert calls[:len(COMMANDS)] == list(COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +309,19 @@ _IDENTITY = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 
         ("classifier", {"channel": {"kraus": [_IDENTITY]}, "povm": [_IDENTITY]}),
         ("classifier", {"channel": {"kraus": [_IDENTITY]}, "povm": {"elements": _IDENTITY}}),
         ("classifier", {"labels": 5, "channel": {"kraus": [_IDENTITY]}, "povm": {"elements": [_IDENTITY]}}),
+        # Missing keys.
+        ("state", {"amplitudes_re": [1.0, 0.0]}),
+        ("state", {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]]}),
+        ("classifier", {"channel": {"kraus": [_IDENTITY]}}),
+        ("classifier", {"channel": {}, "povm": {"elements": [_IDENTITY]}}),
+        ("classifier", {"channel": {"kraus": [{"dim": 2, "re": _IDENTITY["re"]}]}, "povm": {"elements": [_IDENTITY]}}),
+        # Amplitude arrays of different lengths, which would broadcast to (0.6i, 0.8i).
+        ("state", {"amplitudes_re": [0], "amplitudes_im": [0.6, 0.8]}),
+        # Strings, booleans and nulls in place of numbers.
+        ("state", {"dim": 2, "re": [["1", 0], [0, 0]], "im": [[0, 0], [0, 0]]}),
+        ("state", {"dim": 2, "re": [[True, 0], [0, False]], "im": [[0, 0], [0, 0]]}),
+        ("state", {"amplitudes_re": [1.0, None], "amplitudes_im": [0.0, 0.0]}),
+        ("state", {"amplitudes_re": "1", "amplitudes_im": 0}),
     ],
 )
 def test_certify_rejects_malformed_json_with_error_record(tmp_path, demo_files, capsys, role, record):

@@ -114,7 +114,7 @@ def tau_bisection(rho, sigma, level, lambda_tol=DEFAULT_LAMBDA_TOL) -> tuple[flo
     return lo, hi
 
 
-def bisection_search(rho, sigma, level):
+def bisection_search(rho, sigma, level, route=None):
     """tau_bisection in the shape of helstrom's search: a generator that
     yields the dual bound of its bracket-end probes and returns them."""
     lo, hi = tau_bisection(rho, sigma, level)

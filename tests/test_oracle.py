@@ -451,6 +451,22 @@ def test_boundary_search_stops_at_float_resolution(monkeypatch):
     assert radius == pytest.approx(radius_qht_pure(0.9, 0.1), abs=1e-9)
 
 
+def test_pure_boundary_search_takes_one_eigh_per_angle(monkeypatch):
+    # The two levels of an angle share one route, so one eigh of rho serves both.
+    margins = [0]
+    margin = oracle_module._dual_margin
+
+    def counting_margin(*args):
+        margins[0] += 1
+        return margin(*args)
+
+    monkeypatch.setattr(oracle_module, "_dual_margin", counting_margin)
+    calls = counting_eigh(monkeypatch)
+    boundary_radius_search(0.8, 0.15, PureState([1.0, 0.0]), 60, 0)
+    assert margins[0] > 1
+    assert calls[0] == margins[0]
+
+
 def test_boundary_search_stops_at_a_zero_margin(monkeypatch):
     # A margin that is exactly 0 over a band of angles: the first angle the
     # search meets in the band is a boundary, and the search ends there.
