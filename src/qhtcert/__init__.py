@@ -34,10 +34,7 @@ from .certification import (
 )
 from .classifier import (
     Classifier,
-    Prediction,
     class_probabilities,
-    heisenberg_povm,
-    predict,
     worst_case_classifier,
 )
 from .helstrom import (
@@ -62,15 +59,8 @@ from .states import (
     apply_channel,
     depolarize,
     depolarizing_kraus,
-    fidelity,
     identity_kraus,
     is_rank_one,
-    maximally_mixed,
-    random_channel,
-    random_density,
-    random_povm,
-    random_pure,
-    spectral_decompose,
     trace_distance,
     validate_density,
 )

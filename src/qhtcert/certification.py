@@ -184,8 +184,9 @@ def certify(
 
     ``mode="protocol"`` follows the published procedure: pB is tied to
     1 - pA_lower and the run abstains when pA_lower <= 1/2.  The pure-state
-    radius is reported only when sigma is rank one (second eigenvalue below
-    1e-8); for mixed benign inputs only the duality radius applies.
+    radius is reported only when sigma is pure (``states.is_rank_one``:
+    ||sigma - psi psi^H||_F <= 1e-13); for mixed benign inputs only the
+    duality radius applies.
 
     ``mode="extended"`` additionally Hoeffding-bounds the runner-up class and
     feeds (pA_lower, pB_upper) to the general bounds; it abstains when

@@ -1,9 +1,9 @@
 """Quantum classifiers: a channel followed by a multi-outcome measurement.
 
 A classifier maps a state sigma to class probabilities
-y_k = Tr[Pi_k E(sigma)] and predicts the argmax class.  The Heisenberg-picture
-dual POVM F_k = E^dag(Pi_k) lets the classifier be read as a family of
-hypothesis tests, which is what connects it to the certification machinery.
+y_k = Tr[Pi_k E(sigma)] and predicts the argmax class.  The worst-case
+classifier is built from the optimal hypothesis test, which is what connects
+classifiers to the certification machinery.
 """
 
 from __future__ import annotations
@@ -47,15 +47,6 @@ class Classifier:
         return len(self.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class Prediction:
-    """Argmax prediction with the full probability vector and the runner-up."""
-
-    label: object
-    probabilities: np.ndarray
-    runner_up: object
-
-
 def class_probabilities(cl: Classifier, sigma: DensityMatrix) -> np.ndarray:
     """y_k = Tr[Pi_k E(sigma)], ordered like ``cl.labels``."""
     if cl.dim_in != sigma.dim:
@@ -69,29 +60,6 @@ def class_probabilities(cl: Classifier, sigma: DensityMatrix) -> np.ndarray:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"class probabilities sum to {total}, not 1")
     return probs
-
-
-def predict(cl: Classifier, sigma: DensityMatrix) -> Prediction:
-    """Most likely class; exact ties go to the lowest label index."""
-    probs = class_probabilities(cl, sigma)
-    order = np.lexsort((np.arange(len(probs)), -probs))
-    return Prediction(
-        label=cl.labels[order[0]],
-        probabilities=probs,
-        runner_up=cl.labels[order[1]],
-    )
-
-
-def heisenberg_povm(cl: Classifier) -> Povm:
-    """Dual measurement F_k = sum_i K_i^dag Pi_k K_i acting on input states.
-
-    Satisfies Tr[F_k sigma] = y_k(sigma) and sum_k F_k = 1.
-    """
-    duals = []
-    for e in cl.povm.elements:
-        f = sum(k.conj().T @ e @ k for k in cl.channel.kraus)
-        duals.append((f + f.conj().T) / 2.0)
-    return Povm(tuple(duals), cl.labels)
 
 
 def worst_case_classifier(

@@ -72,7 +72,7 @@ def _write_json(record: dict, path: str | None = None) -> None:
     if path:
         serialize.save_json(record, path)
     else:
-        sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(serialize.pretty_dumps(record))
 
 
 def cmd_certify(args) -> int:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .bounds import _check_order
 from .errors import DimMismatch, InvalidTestOperator, NegativeT, SandwichViolated
-from .states import TOL_PSD, DensityMatrix, hermitian_residual
+from .states import TOL_PSD, DensityMatrix, _rank_one_factor, hermitian_residual
 
 # Relative zero-classification threshold for eigenvalues of rho - t*sigma.
 DEFAULT_LAMBDA_TOL = 1e-8
@@ -267,23 +267,16 @@ class _Pencil:
 
 class _Route:
     """How the level searches of one call run, decided once in O(d^2) and
-    without an eigh of sigma: psi = sigma[:, j] / sqrt(sigma_jj), j the
-    largest diagonal entry, when ||sigma - psi psi^H||_F <= EIG_FLOOR (the
-    secular search on ``pencil(rho)``), else None (threshold probes).
+    without an eigh of sigma: the unnormalized psi of the purity rule
+    (``states._rank_one_factor``) when sigma is pure (the secular search on
+    ``pencil(rho)``), else None (threshold probes).
     slack = sqrt(d) * ||sigma - psi psi^H||_F bounds the residual's trace
     norm, so the dual of (rho, psi psi^H) at t exceeds that of (rho, sigma)
     by at most t * slack."""
 
     def __init__(self, sigma: DensityMatrix):
-        mat = sigma.matrix
-        j = int(np.argmax(mat.diagonal().real))
-        self.psi, self.slack, self._pencil = None, math.inf, None
-        if mat[j, j].real > 0.0:
-            psi = mat[:, j] / math.sqrt(mat[j, j].real)
-            diff = mat - np.outer(psi, psi.conj())
-            residual = math.sqrt(np.vdot(diff, diff).real)
-            if residual <= EIG_FLOOR:
-                self.psi, self.slack = psi, math.sqrt(sigma.dim) * residual
+        self.psi, residual = _rank_one_factor(sigma) or (None, math.inf)
+        self.slack, self._pencil = math.sqrt(sigma.dim) * residual, None
 
     def kernel(self) -> np.ndarray:
         """Pi_ker = 1 - psi psi^H / |psi|^2, the kernel projection of sigma = psi psi^H."""
@@ -446,7 +439,7 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float, route: _
     t = 0; at_hi.t is the threshold.  ``_converged`` runs it to the end.
 
     route (``_Route``, made here when None) decides in O(d^2) whether
-    sigma = psi psi^H up to ||sigma - psi psi^H||_F <= EIG_FLOOR, once for
+    sigma = psi psi^H up to ||sigma - psi psi^H||_F <= RANK_ONE_TOL, once for
     all searches of a call.  Then the search takes no probes: one eigh of rho
     (the route's pencil) gives every point in O(d) (``_secular_point``).  It
     first takes y -> 0.  When alpha there is at most the level, the level

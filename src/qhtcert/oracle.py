@@ -8,15 +8,13 @@ the library's closed forms and optimal tests on small instances:
                              the constructed optimal test.  It scores each
                              random test from two traces and two extreme
                              eigenvalues of its Hermitian draw, computed from
-                             the draw's real entries without building it;
-                             ``sample_test_operators`` builds the same tests.
+                             the draw's real entries without building it.
 * ``boundary_radius_search`` angle search for the largest certified trace
                              distance around a pure qubit reference, using
                              only the generic robustness condition and its
                              dual margin g_A + g_B - 1 from converged level
-                             searches (``_plane_boundary_radius``); the
-                             reference for ``radius_depol_qht`` runs it at
-                             any dimension.
+                             searches (``_plane_boundary_radius``), which
+                             also runs at any dimension on depolarized pairs.
 * ``hoeffding_coverage``     empirical coverage of the confidence lower bound.
 """
 
@@ -30,7 +28,7 @@ import numpy as np
 
 from .classifier import Classifier, class_probabilities
 from .certification import hoeffding_margin
-from .errors import DimMismatch, OutOfRegime, RegimeTooLarge
+from .errors import DimMismatch, RegimeTooLarge
 from .helstrom import _Route, _bracket_step, _condition_levels, _converged
 from .states import DensityMatrix, PureState, depolarize
 
@@ -186,34 +184,6 @@ def _adjust(m: np.ndarray, unit: np.ndarray, alpha: np.ndarray, alpha_target: fl
     return (1.0 - s) * (m * factor) + s * unit
 
 
-def sample_test_operators(
-    dim: int, n: int, alpha_target: float, sigma: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Random operators 0 <= M <= 1 with Tr[sigma M] = alpha_target.
-
-    Assembles Ginibre-style Hermitian matrices h from ``_draw_entries``, maps
-    the spectrum affinely onto [0, 1] as M = (h - lo*1)/(hi - lo), then makes
-    one scalar adjustment: scale down, or mix toward the identity, until the
-    type-I error hits the target.  Covers extreme and interior operators
-    without favoring projectors.  ``brute_force_min_beta`` searches the same
-    tests without building them.  Raises ``ValueError`` for dim < 1, n < 1 or
-    a target outside [0, 1] (NaN included) and ``DimMismatch`` when sigma is
-    not dim x dim.
-    """
-    if not 0.0 <= alpha_target <= 1.0:
-        raise ValueError(f"alpha_target must lie in [0, 1], got {alpha_target}")
-    if dim < 1 or n < 1:
-        raise ValueError(f"need dim >= 1 and n >= 1, got dim={dim}, n={n}")
-    if np.shape(sigma) != (dim, dim):
-        raise DimMismatch(f"sigma must be {dim}x{dim}, got shape {np.shape(sigma)}")
-    h = _hermitian_stack(_draw_entries(dim, n, rng))
-    w = np.linalg.eigvalsh(h)[:, :, None]
-    lo, span = w[:, :1], w[:, -1:] - w[:, :1]
-    eye = np.eye(dim)
-    m = (h - lo * eye) / np.where(span < 1e-12, 1.0, span)
-    return _adjust(m, eye, np.real(np.einsum("ij,nji->n", sigma, m))[:, None, None], alpha_target)
-
-
 def brute_force_min_beta(
     sigma: DensityMatrix,
     rho: DensityMatrix,
@@ -224,11 +194,11 @@ def brute_force_min_beta(
 ) -> SearchReport:
     """Smallest type-II error found among random feasible tests.
 
-    Searches the tests of ``sample_test_operators`` (same draws from the same
-    Philox stream, same batches, same mapping), aimed at alpha(M) in
-    [alpha0 - 1e-3, alpha0], so the result upper-bounds the true infimum and,
-    by optimality, can never fall below the constructed test's beta (up to
-    roundoff).
+    Searches the tests M = (h - lo*1)/(hi - lo), h the Hermitian part of a
+    Ginibre draw with extreme eigenvalues lo, hi, each scaled down or mixed
+    toward the identity (``_adjust``) to alpha(M) in [alpha0 - 1e-3, alpha0],
+    so the result upper-bounds the true infimum and, by optimality, can never
+    fall below the constructed test's beta (up to roundoff).
 
     alpha(M) and Tr[rho M] are affine in M = c*h + e*1, with scalars c, e
     fixed by the extreme eigenvalues lo, hi of the draw h, so the scale and
@@ -382,26 +352,6 @@ def boundary_radius_search(
     ref = reference.amplitudes
     perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])
     return _plane_boundary_radius(reference.density(), ref, perp, p_a, p_b, samples, rng=rng)
-
-
-def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps: int = 40) -> float:
-    """Reference search for ``bounds.radius_depol_qht`` at sigma's dimension.
-
-    Searches the angle between the pure state sigma and a pure state in a
-    fixed 2-plane, both depolarized with parameter p, by margin-guided steps
-    of the generic condition (``_plane_boundary_radius``) down to
-    bracket width pi * 2**-steps; for pure pairs the condition depends only
-    on the overlap, so the result is the trace distance (between unsmoothed
-    states) below which certification holds.  ``OutOfRegime`` below d = 2.
-    """
-    d = sigma.dim
-    if d < 2:
-        raise OutOfRegime(f"requires dimension d >= 2, got {d}")
-    psi = PureState.from_density(sigma).amplitudes
-    # Orthonormal partner spanning the 2-plane: the basis vector psi overlaps least, minus its psi part.
-    k = int(np.argmin(np.abs(psi)))
-    partner = np.eye(d)[k] - np.conj(psi[k]) * psi
-    return _plane_boundary_radius(sigma, psi, partner / np.linalg.norm(partner), p_a, 1.0 - p_a, steps, p)
 
 
 def hoeffding_coverage(

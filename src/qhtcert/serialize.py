@@ -78,15 +78,15 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     re = _reals(_field(obj, "re", "matrix"), "matrix re")
     im = _reals(_field(obj, "im", "matrix"), "matrix im")
     if re.shape != im.shape:
-        raise ValueError("re and im parts have different shapes")
+        raise ValidationError("re and im parts have different shapes")
     if "dim" in obj:
         d = _expect(obj["dim"], int, "matrix dim")
         if re.shape != (d, d):
-            raise ValueError(f"declared dim {d} does not match data shape {re.shape}")
+            raise ValidationError(f"declared dim {d} does not match data shape {re.shape}")
     else:
         rows, cols = _field(obj, "rows", "matrix"), _field(obj, "cols", "matrix")
         if re.shape != (_expect(rows, int, "matrix rows"), _expect(cols, int, "matrix cols")):
-            raise ValueError("declared rows/cols do not match data shape")
+            raise ValidationError("declared rows/cols do not match data shape")
     return re + 1j * im
 
 
@@ -166,6 +166,11 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def pretty_dumps(obj) -> str:
+    """The text of every JSON file and record the package writes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def content_hash(obj) -> str:
     """sha256 of the canonical JSON encoding; used to fingerprint inputs."""
     return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
@@ -176,4 +181,4 @@ def load_json(path) -> dict:
 
 
 def save_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(pretty_dumps(obj))

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for finite-dimensional quantum states.
 
 Density matrices, pure states, Kraus channels and POVMs, together with the
-basic distance measures (trace distance, Uhlmann fidelity) and the
-depolarizing channel used for input smoothing.
+trace distance, the one test of whether a density matrix is pure
+(``is_rank_one``), and the depolarizing channel used for input smoothing.
 
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -31,8 +31,9 @@ TOL_TP = 1e-9
 TOL_PSD = 1e-9
 TOL_NORM = 1e-9
 
-# Second-largest eigenvalue below which a density matrix counts as rank one.
-RANK_ONE_TOL = 1e-8
+# Frobenius distance ||sigma - psi psi^H||_F up to which a density matrix
+# counts as rank one (``_rank_one_factor``).
+RANK_ONE_TOL = 1e-13
 
 
 def _as_complex_matrix(value) -> np.ndarray:
@@ -104,23 +105,32 @@ class PureState:
 
     @classmethod
     def from_density(cls, dm: DensityMatrix) -> "PureState":
-        """Extract the amplitude vector of a rank-one density matrix.
+        """The unit amplitude vector of a rank-one density matrix (``is_rank_one``),
+        with its largest entry real and positive.  Raises ValueError otherwise."""
+        factor = _rank_one_factor(dm)
+        if factor is None:
+            raise ValueError(f"density matrix is not rank one (||sigma - psi psi^H||_F > {RANK_ONE_TOL:g})")
+        return cls(factor[0] / np.linalg.norm(factor[0]))
 
-        Raises ValueError when the second-largest eigenvalue is >= RANK_ONE_TOL.
-        """
-        w, v = np.linalg.eigh(dm.matrix)
-        if dm.dim > 1 and w[-2] >= RANK_ONE_TOL:
-            raise ValueError(f"density matrix is not rank one (second eigenvalue {w[-2]:.3e})")
-        vec = v[:, -1]
-        # Fix the global phase so round-trips are stable.
-        k = int(np.argmax(np.abs(vec)))
-        vec = vec * np.exp(-1j * np.angle(vec[k]))
-        return cls(vec / np.linalg.norm(vec))
+
+def _rank_one_factor(dm: DensityMatrix):
+    """(psi, ||sigma - psi psi^H||_F) when that residual is at most
+    RANK_ONE_TOL, else None.  psi = sigma[:, j] / sqrt(sigma_jj), j the
+    largest diagonal entry, is found in O(d^2) without an eigh; it is not
+    normalized."""
+    mat = dm.matrix
+    j = int(np.argmax(mat.diagonal().real))
+    if mat[j, j].real <= 0.0:
+        return None
+    psi = mat[:, j] / math.sqrt(mat[j, j].real)
+    diff = mat - np.outer(psi, psi.conj())
+    residual = math.sqrt(np.vdot(diff, diff).real)
+    return (psi, residual) if residual <= RANK_ONE_TOL else None
 
 
 def is_rank_one(dm: DensityMatrix) -> bool:
-    w = np.linalg.eigvalsh(dm.matrix)
-    return dm.dim == 1 or bool(w[-2] < RANK_ONE_TOL)
+    """Whether dm is pure: the package's one purity rule (``_rank_one_factor``)."""
+    return _rank_one_factor(dm) is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +230,6 @@ def validate_density(raw) -> DensityMatrix:
     return DensityMatrix(h)
 
 
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim) / dim)
-
-
 def identity_kraus(dim: int) -> Channel:
     return Channel((np.eye(dim),))
 
@@ -254,17 +260,6 @@ def depolarizing_kraus(p: float, dim: int = 2) -> Channel:
 # Operations
 
 
-def spectral_decompose(a):
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a
-    Hermitian matrix."""
-    m = np.asarray(a, dtype=np.complex128)
-    res = hermitian_residual(m)
-    if res > TOL_HERM:
-        raise NotHermitian("matrix is not Hermitian", residual=res)
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """T(rho, sigma) = (1/2) ||rho - sigma||_1 via the eigenvalues of the
     Hermitian difference."""
@@ -272,34 +267,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
     w = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
     return float(np.clip(0.5 * np.sum(np.abs(w)), 0.0, 1.0))
-
-
-def _sqrtm_psd(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-    Reduces to the squared overlap |<psi|phi>|^2 for pure states.  Rank-one
-    inputs take the exact expectation-value path F = w1 <v1|other|v1>, which
-    avoids the sqrt-of-roundoff noise of the generic route; otherwise negative
-    eigenvalues within tolerance are clipped to zero before the square roots.
-    """
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    for a, b in ((rho, sigma), (sigma, rho)):
-        w, v = np.linalg.eigh(a.matrix)
-        if a.dim == 1 or w[-2] < 1e-12:
-            top = v[:, -1]
-            f = w[-1] * np.real(np.vdot(top, b.matrix @ top))
-            return float(np.clip(f, 0.0, 1.0))
-    s = _sqrtm_psd(rho.matrix)
-    w = np.linalg.eigvalsh(s @ sigma.matrix @ s)
-    w = np.clip(w, 0.0, None)
-    return float(np.clip(np.sum(np.sqrt(w)) ** 2, 0.0, 1.0))
 
 
 def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
@@ -324,40 +291,3 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     d = rho.dim
     return DensityMatrix((1.0 - p) * rho.matrix + (p / d) * np.eye(d))
 
-
-# ---------------------------------------------------------------------------
-# Random instances (used by the search oracles and the test suite)
-
-
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-
-
-def random_pure(dim: int, rng: np.random.Generator) -> PureState:
-    v = _ginibre(rng, dim, 1)[:, 0]
-    return PureState(v / np.linalg.norm(v))
-
-
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    g = _ginibre(rng, dim, rank or dim)
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.real(np.trace(m)))
-
-
-def random_channel(dim_in: int, dim_out: int, n_kraus: int, rng: np.random.Generator) -> Channel:
-    """Haar-ish random CPTP map via a QR-orthonormalized Stinespring isometry."""
-    a = _ginibre(rng, dim_out * n_kraus, dim_in)
-    q, _ = np.linalg.qr(a)
-    return Channel(tuple(q[i * dim_out : (i + 1) * dim_out, :] for i in range(n_kraus)))
-
-
-def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
-    """Random POVM from normalized positive Ginibre blocks."""
-    blocks = []
-    for _ in range(n_outcomes):
-        g = _ginibre(rng, dim, dim)
-        blocks.append(g @ g.conj().T)
-    total = sum(blocks)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return Povm(tuple(inv_sqrt @ b @ inv_sqrt for b in blocks))

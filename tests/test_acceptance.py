@@ -21,18 +21,15 @@ from qhtcert import (
     radius_hoelder,
     radius_qht_pure,
     radius_qht_pure_mixed,
-    random_density,
-    random_pure,
     signed_projections,
     trace_distance,
     worst_case_classifier,
 )
 from qhtcert import demo
 from qhtcert.cli import main
-from qhtcert.oracle import _smoothed_boundary_generic
 from qhtcert.states import PureState
 
-from conftest import _alpha_plus, philox
+from conftest import _alpha_plus, _smoothed_boundary_generic, philox, random_density, random_pure
 
 
 def _report(name: str, elapsed: float, budget: float) -> None:

@@ -17,15 +17,13 @@ from qhtcert import (
     radius_hoelder,
     radius_qht_pure,
     radius_qht_pure_mixed,
-    random_pure,
     smoothing_covers_everything,
 )
 from qhtcert.bounds import _depol_case_thresholds
 from qhtcert.errors import InvalidProbabilityOrder, OutOfRegime
-from qhtcert.oracle import _smoothed_boundary_generic
 from qhtcert.states import PureState
 
-from conftest import philox
+from conftest import _smoothed_boundary_generic, philox, random_pure
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,14 @@ from qhtcert import (
     identity_kraus,
     radius_qht_pure,
     radius_depol_qht,
-    random_pure,
     sample_outcomes,
     trace_distance,
 )
 import qhtcert
 from qhtcert import demo, serialize
 from qhtcert.errors import OutOfRegime
-from qhtcert.oracle import _smoothed_boundary_generic
 
-from conftest import philox
+from conftest import _smoothed_boundary_generic, philox, random_pure
 
 SIGMA = demo.benign_state().density()
 DEMO = demo.hemisphere_classifier()
@@ -77,6 +75,13 @@ def test_hoeffding_frozen_example():
     assert est.pA_lower == pytest.approx(0.891230299988, abs=1e-9)
     assert est.k_a == 0 and est.k_b == 1
     assert est.pB_upper == pytest.approx(0.05 + 0.05877, abs=1e-4)
+
+
+def test_hoeffding_bounds_break_ties_toward_lowest_index():
+    est = hoeffding_bounds([5, 5, 0], 10, 0.1)
+    assert (est.k_a, est.k_b) == (0, 1)
+    est = hoeffding_bounds([0, 7, 7], 14, 0.1)
+    assert (est.k_a, est.k_b) == (1, 2)
 
 
 def test_hoeffding_margin_limits():

@@ -5,25 +5,19 @@ import pytest
 
 from qhtcert import (
     Classifier,
+    DensityMatrix,
     Povm,
     PureState,
-    apply_channel,
     certify_condition,
     class_probabilities,
-    depolarizing_kraus,
-    heisenberg_povm,
     identity_kraus,
-    maximally_mixed,
-    predict,
     radius_qht_pure,
-    random_density,
-    random_pure,
     worst_case_classifier,
 )
 from qhtcert import demo
 from qhtcert.errors import DimMismatch, OutOfRegime
 
-from conftest import philox
+from conftest import philox, random_pure
 
 SIGMA = demo.benign_state().density()
 RHO = demo.adversarial_state().density()
@@ -34,14 +28,19 @@ def computational_classifier() -> Classifier:
     return Classifier(identity_kraus(2), povm)
 
 
+def top_label(cl: Classifier, state):
+    """The label of the largest class probability."""
+    return cl.labels[np.argmax(class_probabilities(cl, state))]
+
+
 # ---------------------------------------------------------------------------
-# probabilities and prediction
+# probabilities
 
 
 def test_computational_probabilities():
     cl = computational_classifier()
     assert np.allclose(class_probabilities(cl, SIGMA), [1.0, 0.0])
-    assert np.allclose(class_probabilities(cl, maximally_mixed(2)), [0.5, 0.5])
+    assert np.allclose(class_probabilities(cl, DensityMatrix(np.eye(2) / 2)), [0.5, 0.5])
 
 
 def test_demo_classifier_confidence():
@@ -51,65 +50,17 @@ def test_demo_classifier_confidence():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_predict_label_and_runner_up():
-    cl = computational_classifier()
-    pred = predict(cl, SIGMA)
-    assert pred.label == 0 and pred.runner_up == 1
-
-
-def test_predict_breaks_ties_toward_lowest_index():
-    cl = computational_classifier()
-    pred = predict(cl, maximally_mixed(2))
-    assert pred.label == 0
-
-
 def test_demo_classifier_misclassifies_the_adversarial_state():
     cl = demo.hemisphere_classifier()
-    pred = predict(cl, RHO)
-    assert pred.label == 1
+    assert top_label(cl, RHO) == 1
+    probs = class_probabilities(cl, RHO)
     # Its class-0 probability on rho equals the optimal test's type-II error.
-    assert pred.probabilities[0] == pytest.approx(0.4401923789, abs=1e-9)
+    assert probs[0] == pytest.approx(0.4401923789, abs=1e-9)
 
 
 def test_class_probabilities_dim_mismatch():
     with pytest.raises(DimMismatch):
-        class_probabilities(computational_classifier(), maximally_mixed(3))
-
-
-# ---------------------------------------------------------------------------
-# Heisenberg picture
-
-
-def test_dual_povm_identity_channel():
-    cl = demo.hemisphere_classifier()
-    dual = heisenberg_povm(cl)
-    for d, e in zip(dual.elements, cl.povm.elements):
-        assert np.allclose(d, e, atol=1e-12)
-
-
-def test_dual_povm_depolarizing_channel(rng):
-    # E^dag(Pi) = (1-p) Pi + (p/d) Tr[Pi] 1 for the depolarizing channel.
-    p, d = 0.3, 2
-    proj = demo.hemisphere_classifier().povm
-    cl = Classifier(depolarizing_kraus(p, d), proj)
-    dual = heisenberg_povm(cl)
-    for f, e in zip(dual.elements, proj.elements):
-        expected = (1 - p) * e + (p / d) * np.trace(e) * np.eye(d)
-        assert np.allclose(f, expected, atol=1e-10)
-
-
-def test_duality_identity_on_random_classifiers(rng):
-    from qhtcert.states import random_channel, random_povm
-
-    for _ in range(5):
-        d = int(rng.integers(2, 4))
-        cl = Classifier(random_channel(d, d, 2, rng), random_povm(d, 3, rng))
-        dual = heisenberg_povm(cl)
-        state = random_density(d, rng)
-        probs = class_probabilities(cl, state)
-        for k, f in enumerate(dual.elements):
-            assert np.trace(f @ state.matrix).real == pytest.approx(probs[k], abs=1e-10)
-        assert np.allclose(sum(dual.elements), np.eye(d), atol=1e-9)
+        class_probabilities(computational_classifier(), DensityMatrix(np.eye(3) / 3))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +72,7 @@ def test_worst_case_reproduces_confidence_and_flips():
     probs = class_probabilities(wc, SIGMA)
     assert probs[0] == pytest.approx(0.9, abs=1e-9)
     assert probs[1] == pytest.approx(0.1, abs=1e-9)
-    assert predict(wc, RHO).label == 1
+    assert top_label(wc, RHO) == 1
 
 
 def test_worst_case_with_extra_classes():
@@ -129,7 +80,7 @@ def test_worst_case_with_extra_classes():
     probs = class_probabilities(wc, SIGMA)
     assert probs[0] == pytest.approx(0.9, abs=1e-9)
     assert probs[1] == 0.0
-    assert predict(wc, RHO).label == 2
+    assert top_label(wc, RHO) == 2
 
 
 def test_worst_case_cannot_flip_inside_certified_ball():
@@ -138,7 +89,7 @@ def test_worst_case_cannot_flip_inside_certified_ball():
     nearby = PureState.bloch(theta, 1.1).density()
     assert certify_condition(SIGMA, nearby, 0.9, 0.1)
     wc = worst_case_classifier(SIGMA, nearby, 0.9, 0, 1)
-    assert predict(wc, nearby).label == 0
+    assert top_label(wc, nearby) == 0
 
 
 def test_worst_case_tightness_on_random_violating_pairs():
@@ -158,7 +109,7 @@ def test_worst_case_tightness_on_random_violating_pairs():
         wc = worst_case_classifier(sigma.density(), rho, p_a, 0, 1)
         probs = class_probabilities(wc, sigma.density())
         assert probs[0] == pytest.approx(p_a, abs=1e-9)
-        assert predict(wc, rho).label == 1
+        assert top_label(wc, rho) == 1
 
 
 def test_worst_case_input_validation():

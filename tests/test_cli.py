@@ -291,6 +291,11 @@ def test_certify_missing_file_is_error(capsys, tmp_path):
 
 
 _IDENTITY = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+_WRONG_SHAPES = (
+    {"dim": 3, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0]]},
+    {"rows": 2, "cols": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]},
+)
 
 
 @pytest.mark.parametrize(
@@ -322,6 +327,8 @@ _IDENTITY = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 
         ("state", {"dim": 2, "re": [[True, 0], [0, False]], "im": [[0, 0], [0, 0]]}),
         ("state", {"amplitudes_re": [1.0, None], "amplitudes_im": [0.0, 0.0]}),
         ("state", {"amplitudes_re": "1", "amplitudes_im": 0}),
+        # Data of another shape than declared.
+        *(("state", record) for record in _WRONG_SHAPES),
     ],
 )
 def test_certify_rejects_malformed_json_with_error_record(tmp_path, demo_files, capsys, role, record):
@@ -335,6 +342,20 @@ def test_certify_rejects_malformed_json_with_error_record(tmp_path, demo_files, 
     )
     assert rc == 1
     assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [(record, "ValidationError") for record in _WRONG_SHAPES]
+    # Mixed, though within 1e-10 of a pure state.
+    + [({"dim": 2, "re": [[1.0 - 1e-10, 0.0], [0.0, 1e-10]], "im": [[0.0, 0.0], [0.0, 0.0]]}, "ValueError")],
+)
+def test_oracle_boundary_rejects_bad_reference_with_error_record(tmp_path, capsys, record, error):
+    reference = tmp_path / "ref.json"
+    reference.write_text(json.dumps(record))
+    rc, out, err = run(capsys, "oracle", "boundary", "--pA", "0.9", "--pB", "0.1", "--reference", str(reference))
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == error
 
 
 def test_certificates_identical_across_runs(tmp_path, demo_files):

@@ -14,8 +14,6 @@ from qhtcert import (
     error_probabilities,
     helstrom,
     pure_beta_closed_form,
-    random_density,
-    random_pure,
     signed_projections,
     trace_distance,
 )
@@ -27,11 +25,11 @@ from qhtcert.errors import (
     SandwichViolated,
 )
 from qhtcert.helstrom import DEFAULT_LAMBDA_TOL, T_TOL, _condition_levels, _condition_margin
-from qhtcert.oracle import _dual_margin, sample_test_operators
+from qhtcert.oracle import _dual_margin
 from qhtcert import bounds, demo
 from qhtcert.states import is_rank_one
 
-from conftest import _alpha_plus, philox
+from conftest import _alpha_plus, philox, random_density, random_pure, sample_test_operators
 
 hel = importlib.import_module("qhtcert.helstrom")
 

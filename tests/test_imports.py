@@ -20,3 +20,30 @@ def test_runtime_imports_only_stdlib_and_numpy():
                 continue
             foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # A private top-level function or class that no other place in the package
+    # names is dead code, or a test helper that belongs under tests/.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    used = [name for tree in trees for name in names(tree)]
+    unused = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and used.count(node.name) == list(names(node)).count(node.name)
+    ]
+    assert unused == []

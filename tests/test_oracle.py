@@ -14,15 +14,12 @@ from qhtcert import (
     helstrom,
     hoeffding_coverage,
     radius_qht_pure,
-    random_density,
-    random_pure,
 )
 from qhtcert import demo
 from qhtcert.errors import DimMismatch, InvalidProbabilityOrder, OutOfRegime, RegimeTooLarge
 from qhtcert.helstrom import _condition_margin
-from qhtcert.oracle import _smoothed_boundary_generic, sample_test_operators
 
-from conftest import philox
+from conftest import _smoothed_boundary_generic, philox, random_density, random_pure, sample_test_operators
 
 oracle_module = importlib.import_module("qhtcert.oracle")
 

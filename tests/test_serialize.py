@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhtcert import Channel, Povm, PureState, maximally_mixed, random_density
+from qhtcert import Channel, DensityMatrix, Povm, PureState
 from qhtcert import demo, serialize
-from qhtcert.errors import QhtcertError
+from qhtcert.errors import QhtcertError, ValidationError
+
+from conftest import random_density
 
 
 def test_matrix_round_trip(rng):
@@ -25,9 +27,14 @@ def test_rectangular_matrix_round_trip():
 
 
 def test_matrix_shape_validation():
-    obj = {"dim": 3, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
-    with pytest.raises(ValueError):
-        serialize.matrix_from_json(obj)
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    for obj in (
+        {"dim": 3, "re": [[1.0, 0.0], [0.0, 0.0]], "im": zero},
+        {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0]]},
+        {"rows": 2, "cols": 3, "re": [[1.0, 0.0], [0.0, 0.0]], "im": zero},
+    ):
+        with pytest.raises(ValidationError):
+            serialize.matrix_from_json(obj)
 
 
 def test_density_round_trip(rng):
@@ -44,7 +51,7 @@ def test_pure_state_round_trip():
 
 def test_state_dispatch():
     as_pure = serialize.state_from_json(serialize.pure_to_json(demo.benign_state()))
-    as_density = serialize.state_from_json(serialize.density_to_json(maximally_mixed(2)))
+    as_density = serialize.state_from_json(serialize.density_to_json(DensityMatrix(np.eye(2) / 2)))
     assert as_pure.dim == as_density.dim == 2
 
 

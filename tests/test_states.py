@@ -7,24 +7,19 @@ from hypothesis import strategies as st
 
 from qhtcert import (
     Channel,
+    DensityMatrix,
     Povm,
     PureState,
     apply_channel,
+    certify,
     depolarize,
     depolarizing_kraus,
-    fidelity,
     identity_kraus,
     is_rank_one,
-    maximally_mixed,
-    random_channel,
-    random_density,
-    random_povm,
-    random_pure,
-    spectral_decompose,
     trace_distance,
     validate_density,
 )
-from qhtcert import serialize
+from qhtcert import demo, serialize
 from qhtcert.errors import (
     DimMismatch,
     NotHermitian,
@@ -32,10 +27,9 @@ from qhtcert.errors import (
     NotTracePreserving,
     TraceNotOne,
 )
+from qhtcert.helstrom import _Route
 
-from conftest import philox
-
-PAULI_Z = np.diag([1.0, -1.0])
+from conftest import philox, random_channel, random_density, random_povm, random_pure
 
 
 # ---------------------------------------------------------------------------
@@ -76,48 +70,7 @@ def test_non_square_rejected():
 
 
 # ---------------------------------------------------------------------------
-# spectral_decompose
-
-
-def test_spectral_pauli_z():
-    w, v = spectral_decompose(PAULI_Z)
-    assert np.allclose(w, [1.0, -1.0])
-    assert np.allclose(v.conj().T @ v, np.eye(2))
-
-
-def test_spectral_zero_matrix():
-    w, _ = spectral_decompose(np.zeros((3, 3)))
-    assert np.allclose(w, 0.0)
-
-
-def test_spectral_difference_of_demo_states():
-    # rho - sigma for the worked pair has eigenvalues +-sqrt(1 - |gamma|^2)
-    # with |gamma|^2 = cos^2(pi/6) = 3/4, i.e. +-0.5.
-    from qhtcert import demo
-
-    diff = demo.adversarial_state().density().matrix - demo.benign_state().density().matrix
-    w, _ = spectral_decompose(diff)
-    assert np.allclose(w, [0.5, -0.5], atol=1e-12)
-
-
-def test_spectral_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]))
-@settings(max_examples=40, deadline=None)
-def test_spectral_reconstructs(seed, d):
-    rng = philox(seed)
-    dm = random_density(d, rng)
-    w, v = spectral_decompose(dm.matrix)
-    assert np.all(np.diff(w) <= 1e-12)
-    assert np.allclose((v * w) @ v.conj().T, dm.matrix, atol=1e-10)
-    assert np.allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# trace distance and fidelity
+# trace distance
 
 
 def test_trace_distance_trivials():
@@ -136,15 +89,7 @@ def test_trace_distance_pure_pair_angle():
 
 def test_trace_distance_dim_mismatch():
     with pytest.raises(DimMismatch):
-        trace_distance(maximally_mixed(2), maximally_mixed(3))
-
-
-def test_fidelity_trivials():
-    zero = PureState([1.0, 0.0]).density()
-    one = PureState([0.0, 1.0]).density()
-    assert fidelity(zero, zero) == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
-    assert fidelity(zero, maximally_mixed(2)) == pytest.approx(0.5, abs=1e-12)
+        trace_distance(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3))
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]))
@@ -155,9 +100,6 @@ def test_distance_measures_ranges_and_symmetry(seed, d):
     t_ab, t_ba = trace_distance(a, b), trace_distance(b, a)
     assert 0.0 <= t_ab <= 1.0
     assert t_ab == pytest.approx(t_ba, abs=1e-12)
-    f = fidelity(a, b)
-    assert 0.0 <= f <= 1.0
-    assert f == pytest.approx(fidelity(b, a), abs=1e-10)
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]))
@@ -166,9 +108,8 @@ def test_fuchs_van_de_graaf_equality_for_pure_states(seed, d):
     rng = philox(seed)
     a, b = random_pure(d, rng), random_pure(d, rng)
     t = trace_distance(a.density(), b.density())
-    f = fidelity(a.density(), b.density())
+    f = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
     assert t == pytest.approx(np.sqrt(1.0 - f), abs=1e-10)
-    assert f == pytest.approx(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +162,7 @@ def test_channel_rejects_non_trace_preserving():
 
 def test_channel_dim_mismatch():
     with pytest.raises(DimMismatch):
-        apply_channel(identity_kraus(2), maximally_mixed(3))
+        apply_channel(identity_kraus(2), DensityMatrix(np.eye(3) / 3))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +190,54 @@ def test_pure_state_round_trip(rng):
 
 def test_from_density_rejects_mixed():
     with pytest.raises(ValueError):
-        PureState.from_density(maximally_mixed(2))
+        PureState.from_density(DensityMatrix(np.eye(2) / 2))
 
 
 def test_rank_one_detection(rng):
     assert is_rank_one(random_pure(4, rng).density()) is True
-    assert is_rank_one(maximally_mixed(2)) is False
+    assert is_rank_one(DensityMatrix(np.eye(2) / 2)) is False
+
+
+def test_near_pure_sigma_is_mixed_for_every_caller():
+    # Second eigenvalue 1e-10: ||sigma - psi psi^H||_F = 1e-10 is above RANK_ONE_TOL,
+    # so no radius that needs a pure benign state may be reported.
+    sigma = validate_density(np.diag([1.0 - 1e-10, 1e-10]))
+    assert is_rank_one(sigma) is False
+    with pytest.raises(ValueError, match="not rank one"):
+        PureState.from_density(sigma)
+    assert _Route(sigma).psi is None
+    radii = certify(demo.hemisphere_classifier(), sigma, 100_000, 1e-3, 0).radii
+    assert radii.r_qht_pure is None
+    assert radii.r_hoelder == pytest.approx(0.3946130299988, abs=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 4, 16, 64]),
+    log_eps=st.one_of(st.none(), st.floats(-16.0, -6.0)),
+)
+@settings(max_examples=80, deadline=None)
+def test_purity_rule_is_shared(seed, d, log_eps):
+    # Exact pure states (log_eps None) and mixtures (1 - eps) psi psi^H + eps tau.
+    rng = philox(seed)
+    psi = random_pure(d, rng)
+    sigma = psi.density()
+    if log_eps is not None:
+        eps = 10.0**log_eps
+        sigma = DensityMatrix((1.0 - eps) * sigma.matrix + eps * random_density(d, rng).matrix)
+    pure = is_rank_one(sigma)
+    assert type(pure) is bool
+    assert (_Route(sigma).psi is not None) is pure
+    try:
+        back = PureState.from_density(sigma)
+    except ValueError:
+        assert not pure
+        return
+    assert pure
+    assert np.max(np.abs(back.density().matrix - sigma.matrix)) <= 1e-12
+    if log_eps is None:
+        phase = np.vdot(psi.amplitudes, back.amplitudes)
+        assert np.max(np.abs(back.amplitudes - phase * psi.amplitudes)) <= 1e-12
 
 
 def test_povm_requires_completeness():
