@@ -223,6 +223,5 @@ def certificate_to_json(cert: Certificate) -> dict:
     """JSON record of a certificate, including tool version and input hashes."""
     obj = dataclasses.asdict(cert)
     obj["counts"] = list(cert.counts)
-    obj["radii"] = None if cert.radii is None else dataclasses.asdict(cert.radii)
     obj["version"] = TOOL_VERSION
     return obj

@@ -13,8 +13,8 @@ the library's closed forms and optimal tests on small instances:
                              distance around a pure qubit reference, using
                              only the generic robustness condition and its
                              dual margin g_A + g_B - 1 from converged level
-                             searches (``_plane_boundary_radius``), which
-                             also runs at any dimension on depolarized pairs.
+                             searches; ``_plane_boundary_radius`` steps on
+                             any such margin its caller supplies.
 * ``hoeffding_coverage``     empirical coverage of the confidence lower bound.
 """
 
@@ -30,9 +30,12 @@ from .classifier import Classifier, class_probabilities
 from .certification import hoeffding_margin
 from .errors import DimMismatch, RegimeTooLarge
 from .helstrom import _Route, _bracket_step, _condition_levels, _converged
-from .states import DensityMatrix, PureState, depolarize
+from .states import DensityMatrix, PureState
 
 MAX_BRUTE_DIM = 4
+# Draws per batch of ``brute_force_min_beta``: the Philox stream is read in
+# batches of this size, so the value fixes which tests a seed searches.
+BATCH = 20_000
 # Guard of the root solve in ``_spectrum_ends``: the rows it keeps stay within
 # 6e-15 * max(1, |lambda|max) of eigvalsh on nearly repeated, shifted and scaled
 # spectra (1.3e-14 at _ILL_SLOPE = 0.01); about 10 draws in 20 000 at d = 4 fail it.
@@ -190,7 +193,6 @@ def brute_force_min_beta(
     alpha0: float,
     samples: int = 100_000,
     seed: int = 0,
-    batch: int = 20_000,
 ) -> SearchReport:
     """Smallest type-II error found among random feasible tests.
 
@@ -212,8 +214,6 @@ def brute_force_min_beta(
         raise RegimeTooLarge(f"brute force limited to d <= {MAX_BRUTE_DIM}, got {sigma.dim}")
     if samples < 1_000:
         raise ValueError(f"need at least 10^3 samples, got samples={samples}")
-    if batch < 1:
-        raise ValueError(f"need batch >= 1, got batch={batch}")
     if not 0.0 <= alpha0 <= 1.0:
         raise ValueError("alpha0 must lie in [0, 1]")
     target = max(alpha0 - 1e-6, alpha0 * (1.0 - 1e-3))
@@ -223,8 +223,8 @@ def brute_force_min_beta(
     # Tr[X h] = sum_m e_m Tr[X B_m] over the basis B of ``_draw_entries``.
     weights = np.real(np.einsum("kij,mji->km", pair, _hermitian_stack(np.eye(sigma.dim**2))))
     found = []
-    for start in range(0, samples, batch):
-        entries = _draw_entries(sigma.dim, min(batch, samples - start), rng)
+    for start in range(0, samples, BATCH):
+        entries = _draw_entries(sigma.dim, min(BATCH, samples - start), rng)
         lo, hi = _spectrum_ends(entries)
         span = np.where(hi - lo < 1e-12, 1.0, hi - lo)
         # Rows Tr[sigma M], Tr[rho M] for M = (h - lo*1)/span, then adjusted.
@@ -249,52 +249,25 @@ def _dual_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: floa
     return 2.0 / len(levels) * sum(_converged(rho, sigma, level, route)[0] for level in levels) - 1.0
 
 
-def _plane_boundary_radius(
-    sigma: DensityMatrix,
-    psi: np.ndarray,
-    partner: np.ndarray,
-    p_a: float,
-    p_b: float,
-    steps: int,
-    p: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Largest trace distance from the pure state psi that ``certify_condition`` certifies.
+def _plane_boundary_radius(margin, p_a: float, p_b: float, steps: int) -> float:
+    """Largest trace distance from the benign state that ``certify_condition`` certifies.
 
-    Searches the angle theta over [0, pi] for the pure states
-    cos(theta/2) psi + sin(theta/2) e^{i phi} partner, where sigma is the
-    density of psi and partner is a unit vector orthogonal to psi, and returns
-    the boundary trace distance sin(theta*/2), or 1.0 when even the orthogonal
-    state is certified.  For pure pairs the condition depends only on the
-    overlap, so the boundary is the same in every plane and at every phase:
-    phi is 0 without ``rng``, and a fresh draw from it at every evaluation
-    otherwise.  With p > 0 both states are depolarized before the test (the
-    benign one once), and the radius stays a distance between unsmoothed states.
+    ``margin(theta)`` is the caller's dual condition margin g_A + g_B - 1 at
+    the pure adversarial state at angle theta from the pure benign one, at
+    trace distance sin(theta/2).  Returns the boundary sin(theta*/2) for
+    theta* in [0, pi], or 1.0 when even the orthogonal state is certified.
 
     The bracket [lo, hi] keeps the condition holding at lo and failing at hi.
-    Each step is an Illinois regula-falsi guess from the dual condition
-    margins g_A + g_B - 1 at the two ends, each from level searches run to
-    convergence plus one dual step (at theta = 0, where the states coincide,
-    the margin is 1 - level_A - level_B without a solve), safeguarded by
-    bisection as in the threshold search: it bisects when the step would move
-    farther from the newest angle than half the step taken two steps
-    earlier.  The search stops at bracket width
-    pi * 2**-steps, which bisection would reach after ``steps`` steps, when
-    no float lies strictly inside the bracket, or at an angle whose margin
-    is exactly 0, which is the boundary.
+    Each step is an Illinois regula-falsi guess from the margins at the two
+    ends (at theta = 0, where the states coincide, the margin is
+    1 - level_A - level_B without a solve), safeguarded by bisection as in
+    the threshold search: it bisects when the step would move farther from
+    the newest angle than half the step taken two steps earlier.  The search
+    stops at bracket width pi * 2**-steps, which bisection would reach after
+    ``steps`` steps, when no float lies strictly inside the bracket, or at
+    an angle whose margin is exactly 0, which is the boundary.
     """
-    null = depolarize(sigma, p) if p > 0.0 else sigma
     level_a, level_b = _condition_levels(p_a, p_b)
-
-    def margin(theta: float) -> float:
-        tilt = np.sin(theta / 2.0)
-        if rng is not None:
-            tilt = tilt * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        rho = PureState(np.cos(theta / 2.0) * psi + tilt * partner).density()
-        if p > 0.0:
-            rho = depolarize(rho, p)
-        return _dual_margin(null, rho, p_a, p_b)
-
     lo, hi = 0.0, math.pi
     at_lo, at_hi = 1.0 - level_a - level_b, margin(hi)
     if at_hi > 0.0:
@@ -349,9 +322,14 @@ def boundary_radius_search(
     if samples < 1:
         raise ValueError(f"need samples >= 1, got samples={samples}")
     rng = np.random.Generator(np.random.Philox(seed))
-    ref = reference.amplitudes
+    sigma, ref = reference.density(), reference.amplitudes
     perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])
-    return _plane_boundary_radius(reference.density(), ref, perp, p_a, p_b, samples, rng=rng)
+
+    def margin(theta: float) -> float:
+        tilt = np.sin(theta / 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        return _dual_margin(sigma, PureState(np.cos(theta / 2.0) * ref + tilt * perp).density(), p_a, p_b)
+
+    return _plane_boundary_radius(margin, p_a, p_b, samples)
 
 
 def hoeffding_coverage(

@@ -1,4 +1,4 @@
-"""JSON file formats for states, channels, POVMs and classifiers.
+"""JSON file formats for states, channels and classifiers.
 
 Complex matrices are stored as separate real/imaginary double arrays in
 row-major order, so dumps are bit-stable:
@@ -7,8 +7,8 @@ row-major order, so dumps are bit-stable:
               (rectangular matrices use {"rows": r, "cols": c, ...})
 * pure state: {"amplitudes_re": [...], "amplitudes_im": [...]}
 * channel:    {"kraus": [matrix, ...]}
-* POVM:       {"labels": [...], "elements": [matrix, ...]}
-* classifier: {"labels": [...], "channel": {...}, "povm": {...}}
+* classifier: {"labels": [...], "channel": {...}, "povm": {"elements": [matrix, ...]}}
+              (the labels may sit in the "povm" object instead)
 
 The loaders check that every key they read is present, the JSON type of
 every container they index and that every array leaf is a number, and raise
@@ -128,20 +128,6 @@ def channel_to_json(ch: Channel) -> dict:
 def channel_from_json(obj: dict) -> Channel:
     kraus = _expect(_field(_expect(obj, dict, "channel"), "kraus", "channel"), list, "channel kraus")
     return Channel(tuple(matrix_from_json(k) for k in kraus))
-
-
-def povm_to_json(povm: Povm) -> dict:
-    return {
-        "labels": list(povm.labels),
-        "elements": [matrix_to_json(e) for e in povm.elements],
-    }
-
-
-def povm_from_json(obj: dict) -> Povm:
-    obj = _expect(obj, dict, "povm")
-    elements = tuple(matrix_from_json(e) for e in _expect(_field(obj, "elements", "povm"), list, "povm elements"))
-    labels = tuple(_expect(obj["labels"], list, "povm labels")) if "labels" in obj else None
-    return Povm(elements, labels)
 
 
 def classifier_to_json(cl: Classifier) -> dict:

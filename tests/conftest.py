@@ -4,7 +4,7 @@ import pytest
 from qhtcert import oracle
 from qhtcert.errors import DimMismatch, OutOfRegime
 from qhtcert.helstrom import EIG_FLOOR
-from qhtcert.states import Channel, DensityMatrix, Povm, PureState
+from qhtcert.states import Channel, DensityMatrix, Povm, PureState, depolarize
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -96,11 +96,12 @@ def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps
     """Reference search for ``bounds.radius_depol_qht`` at sigma's dimension.
 
     Searches the angle between the pure state sigma and a pure state in a
-    fixed 2-plane, both depolarized with parameter p, by margin-guided steps
-    of the generic condition (``oracle._plane_boundary_radius``) down to
-    bracket width pi * 2**-steps; for pure pairs the condition depends only
-    on the overlap, so the result is the trace distance (between unsmoothed
-    states) below which certification holds.  ``OutOfRegime`` below d = 2.
+    fixed 2-plane at phase 0, both depolarized with parameter p, by the
+    margin-guided steps of ``oracle._plane_boundary_radius`` on the generic
+    condition's dual margin, down to bracket width pi * 2**-steps; for pure
+    pairs the condition depends only on the overlap, so the result is the
+    trace distance (between unsmoothed states) below which certification
+    holds.  ``OutOfRegime`` below d = 2.
     """
     d = sigma.dim
     if d < 2:
@@ -109,7 +110,14 @@ def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps
     # Orthonormal partner spanning the 2-plane: the basis vector psi overlaps least, minus its psi part.
     k = int(np.argmin(np.abs(psi)))
     partner = np.eye(d)[k] - np.conj(psi[k]) * psi
-    return oracle._plane_boundary_radius(sigma, psi, partner / np.linalg.norm(partner), p_a, 1.0 - p_a, steps, p)
+    partner = partner / np.linalg.norm(partner)
+    null = depolarize(sigma, p)
+
+    def margin(theta: float) -> float:
+        rho = PureState(np.cos(theta / 2.0) * psi + np.sin(theta / 2.0) * partner).density()
+        return oracle._dual_margin(null, depolarize(rho, p), p_a, 1.0 - p_a)
+
+    return oracle._plane_boundary_radius(margin, p_a, 1.0 - p_a, steps)
 
 
 @pytest.fixture

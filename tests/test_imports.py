@@ -47,3 +47,34 @@ def test_every_private_helper_is_used_in_the_package():
         and used.count(node.name) == list(names(node)).count(node.name)
     ]
     assert unused == []
+
+
+
+def test_every_default_of_a_private_helper_is_set_in_the_package():
+    # A default that no call in the package overrides is a knob only tests
+    # turn: its value belongs in the function, or its variant under tests/.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def callee(call):
+        return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+    def passes(call, index, name):
+        # A starred or double-starred argument may pass anything.
+        by_position = index is not None and (
+            len(call.args) > index or any(isinstance(arg, ast.Starred) for arg in call.args)
+        )
+        return by_position or any(keyword.arg in (name, None) for keyword in call.keywords)
+
+    unset = []
+    for node in (node for tree in trees for node in tree.body):
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        defaults = [(index, arg.arg) for index, arg in enumerate(positional) if index >= first]
+        defaults += [(None, arg.arg) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
+        sites = [call for call in calls if callee(call) == node.name]
+        unset += [f"{node.name}({name}=...)" for index, name in defaults
+                  if not any(passes(call, index, name) for call in sites)]
+    assert unset == []

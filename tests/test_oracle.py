@@ -1,11 +1,13 @@
 import hashlib
 import importlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from qhtcert import (
+    DensityMatrix,
     PureState,
     boundary_radius_search,
     brute_force_min_beta,
@@ -114,13 +116,14 @@ def brute_force_pair(d, kind, rng):
 
 @pytest.mark.parametrize("d", (2, 3, 4))
 @pytest.mark.parametrize("kind", ("pure", "mixed", "equal", "orthogonal"))
-def test_brute_force_matches_operator_search(d, kind):
+def test_brute_force_matches_operator_search(monkeypatch, d, kind):
+    # 5 000 samples in batches of 1 500: the last batch is partial.
+    monkeypatch.setattr(oracle_module, "BATCH", 1_500)
     rng = philox(700 + d)
     for alpha0 in (0.0, 0.05, 0.5, 1.0):
         sigma, rho = brute_force_pair(d, kind, rng)
         seed = int(rng.integers(1 << 30))
-        # 5 000 samples in batches of 1 500: the last batch is partial.
-        report = brute_force_min_beta(sigma, rho, alpha0, samples=5_000, seed=seed, batch=1_500)
+        report = brute_force_min_beta(sigma, rho, alpha0, samples=5_000, seed=seed)
         best, best_alpha = operator_min_beta(sigma, rho, alpha0, 5_000, seed, 1_500)
         assert report.best_value == pytest.approx(best, abs=1e-12)
         assert report.argmin_description["alpha"] == pytest.approx(best_alpha, abs=1e-12)
@@ -285,8 +288,9 @@ def test_brute_force_on_scalar_draws_matches_operator_search(monkeypatch, d):
         oracle_module, "_draw_entries",
         lambda dim, n, rng: entries_of(np.einsum("n,ij->nij", rng.standard_normal(n), np.eye(dim)).astype(complex)),
     )
+    monkeypatch.setattr(oracle_module, "BATCH", 700)
     sigma, rho = random_density(d, philox(8)), random_density(d, philox(9))
-    report = brute_force_min_beta(sigma, rho, 0.3, samples=2_000, seed=4, batch=700)
+    report = brute_force_min_beta(sigma, rho, 0.3, samples=2_000, seed=4)
     best, best_alpha = operator_min_beta(sigma, rho, 0.3, 2_000, 4, 700)
     assert report.best_value == pytest.approx(best, abs=1e-12)
     assert report.argmin_description["alpha"] == pytest.approx(best_alpha, abs=1e-12)
@@ -296,12 +300,6 @@ def test_brute_force_on_scalar_draws_matches_operator_search(monkeypatch, d):
 def test_brute_force_rejects_mismatched_dimensions(rng):
     with pytest.raises(DimMismatch):
         brute_force_min_beta(SIGMA, random_density(3, rng), 0.1, samples=2_000)
-
-
-@pytest.mark.parametrize("batch", (0, -5))
-def test_brute_force_rejects_nonpositive_batch(batch):
-    with pytest.raises(ValueError, match=f"batch={batch}"):
-        brute_force_min_beta(SIGMA, RHO, 0.1, samples=2_000, batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +497,41 @@ def test_condition_is_the_sign_of_its_margin():
         pairs += [(sigma, rho, float(p_a), 1.0 - float(p_a)) for p_a in np.linspace(0.52, 0.98, 20)]
     for sigma, rho, p_a, p_b in pairs:
         assert certify_condition(sigma, rho, p_a, p_b) == (_condition_margin(sigma, rho, p_a, p_b) > 0.0)
+
+
+def solver_pairs(d, rng):
+    sigma = random_density(d, rng)
+    yield random_pure(d, rng).density(), random_pure(d, rng).density()
+    yield sigma, random_density(d, rng)
+    yield random_density(d, rng, rank=max(1, d // 2)), random_density(d, rng, rank=max(1, d - 1))
+    yield sigma, DensityMatrix((1.0 - 1e-4) * sigma.matrix + 1e-4 * random_density(d, rng).matrix)
+    yield sigma, sigma
+
+
+def test_solver_bits_are_pinned():
+    # sha256 over the optimal tests, both condition margins and the angle
+    # searches on pure, mixed, rank-deficient, near-identical and equal pairs;
+    # the same with one or two BLAS threads.
+    digest = hashlib.sha256()
+
+    def put(*values):
+        digest.update(struct.pack(f"<{len(values)}d", *values))
+
+    for d in (2, 3, 4, 16):
+        rng = philox(1900 + d)
+        for sigma, rho in solver_pairs(d, rng):
+            for alpha0 in (0.0, 0.05, 0.3, 0.9, 1.0):
+                test = helstrom(rho, sigma, alpha0)
+                digest.update(test.m.tobytes())
+                put(test.t, test.q0, test.alpha, test.beta)
+            for p_a, p_b in ((0.8, 0.2), (0.7, 0.1), (1.0, 0.3)):
+                put(_condition_margin(sigma, rho, p_a, p_b), oracle_module._dual_margin(sigma, rho, p_a, p_b))
+    rng = philox(1999)
+    for p_a, p_b in ((0.8, 0.2), (0.7, 0.1)):
+        put(boundary_radius_search(p_a, p_b, random_pure(2, rng), 60, int(rng.integers(1 << 30))))
+    for d in (2, 4):
+        put(_smoothed_boundary_generic(random_pure(d, rng).density(), 0.3, 0.8))
+    assert digest.hexdigest() == "7b1231ba9ca1306a6075a51a65be4db387090dcbe17dd6d602a97d2a96d14f5c"
 
 
 # ---------------------------------------------------------------------------

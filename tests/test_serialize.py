@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhtcert import Channel, DensityMatrix, Povm, PureState
+from qhtcert import Channel, DensityMatrix, PureState
 from qhtcert import demo, serialize
 from qhtcert.errors import QhtcertError, ValidationError
 
@@ -60,14 +60,6 @@ def test_channel_round_trip():
     back = serialize.channel_from_json(serialize.channel_to_json(ch))
     assert all(np.array_equal(a, b) for a, b in zip(back.kraus, ch.kraus))
     assert isinstance(back, Channel)
-
-
-def test_povm_round_trip():
-    povm = demo.hemisphere_classifier().povm
-    back = serialize.povm_from_json(serialize.povm_to_json(povm))
-    assert back.labels == povm.labels
-    assert all(np.array_equal(a, b) for a, b in zip(back.elements, povm.elements))
-    assert isinstance(back, Povm)
 
 
 def test_classifier_round_trip():
