@@ -42,10 +42,6 @@ class Classifier:
     def dim_in(self) -> int:
         return self.channel.dim_in
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.labels)
-
 
 def class_probabilities(cl: Classifier, sigma: DensityMatrix) -> np.ndarray:
     """y_k = Tr[Pi_k E(sigma)], ordered like ``cl.labels``."""

@@ -64,8 +64,7 @@ class SandwichViolated(QhtcertError):
     ``helstrom`` raises it when the beta of the test it built exceeds the
     Lagrange dual lower bound by more than 1e-9, and the threshold search when
     no t <= 2^100 reaches the level.  It reports a numerical failure of the
-    solver, such as a type-I level too small for its zero band, rather than a
-    setting to adjust.
+    solver rather than a setting to adjust.
     """
 
 

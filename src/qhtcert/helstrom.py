@@ -37,13 +37,10 @@ from .bounds import _check_order
 from .errors import DimMismatch, InvalidTestOperator, NegativeT, SandwichViolated
 from .states import TOL_PSD, DensityMatrix, _rank_one_factor, hermitian_residual
 
-# Relative zero-classification threshold for eigenvalues of rho - t*sigma.
-DEFAULT_LAMBDA_TOL = 1e-8
-
-# Absolute eigenvalue floor, scaled by (1 + t): when rho - t*sigma itself
-# vanishes (e.g. rho = sigma at t = 1) its operator norm no longer provides a
-# usable scale, so roundoff-sized eigenvalues must still count as zero.  The
-# eigenvalues of sigma up to it span its kernel.
+# Eigenvalue floor.  An eigenvalue w of rho - t*sigma counts as zero when
+# |w| <= EIG_FLOOR * (1 + t); 1 + t bounds ||rho - t*sigma||_op for density
+# matrices.  The eigenvalues of sigma up to EIG_FLOOR span its kernel, and
+# those of rho up to it are set to 0 (``_Pencil``).
 EIG_FLOOR = 1e-13
 
 # Relative bracket width at which the search for t stops.
@@ -88,11 +85,10 @@ class _Probe(NamedTuple):
     w: np.ndarray
     v: np.ndarray
     rate: np.ndarray
-    thr: float
     k: int
 
     def plus(self) -> np.ndarray:
-        """P_plus(t), the span of the eigenvectors above the zero band."""
+        """P_plus(t), the span of the eigenvectors above EIG_FLOOR * (1 + t)."""
         return _span(self.v[:, self.k:])
 
 
@@ -106,11 +102,6 @@ class HelstromTest:
     alpha: float
     beta: float
     projections: SignedProjections
-
-
-def _zero_threshold(w: np.ndarray, t: float) -> float:
-    op_norm = float(max(-w[0], w[-1])) if w.size else 0.0  # max |w| of ascending w
-    return max(DEFAULT_LAMBDA_TOL * op_norm, EIG_FLOOR * (1.0 + t))
 
 
 def _span(cols: np.ndarray) -> np.ndarray:
@@ -128,16 +119,14 @@ def _kernel(sigma: DensityMatrix) -> np.ndarray:
 def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> SignedProjections:
     """Classify the spectrum of rho - t*sigma into +/0/- eigenspaces.
 
-    Eigenvalues with |lambda| <= DEFAULT_LAMBDA_TOL * ||rho - t*sigma||_op
-    are assigned to the zero space, with the absolute floor
-    EIG_FLOOR * (1 + t) guarding the vanishing-difference case.
+    Eigenvalues with |lambda| <= EIG_FLOOR * (1 + t) form the zero space.
     """
     if rho.dim != sigma.dim:
         raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
     if t < 0:
         raise NegativeT(f"t must be non-negative, got {t}")
     w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
-    thr = _zero_threshold(w, t)
+    thr = EIG_FLOOR * (1.0 + t)
     plus = _span(v[:, w > thr])
     minus = _span(v[:, w < -thr])
     zero = np.eye(len(w)) - plus - minus
@@ -167,7 +156,7 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     """One eigendecomposition of rho - t*sigma: whether alpha(P_plus(t)) <= level,
     a Newton guess for the threshold (NaN where there is none), the error
     rates of the test P_plus(t), the dual bound at t, and the eigenpairs with
-    the rates S_kk, the zero threshold and the plus-set start.
+    the rates S_kk and the plus-set start.
 
     With S = V^H sigma V in the eigenbasis of rho - t*sigma, alpha(P_plus) is
     the sum of S_kk over the plus set, each eigenvalue moves at
@@ -182,8 +171,7 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     of every test with alpha <= level from below (weak duality).
     """
     w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
-    thr = _zero_threshold(w, t)
-    k = int(np.searchsorted(w, thr, side="right"))  # P_plus(t) spans the eigenvectors of w[k:]
+    k = int(np.searchsorted(w, EIG_FLOOR * (1.0 + t), side="right"))  # P_plus(t) spans the eigenvectors of w[k:]
     s = v.conj().T @ sigma.matrix @ v
     rate = s.diagonal().real
     # ndarray.sum is the reduction np.sum calls, without its dispatch.
@@ -193,22 +181,23 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     gap = w[k:, None] - w[None, :k]
     slope = -2.0 * float((np.abs(s[k:, :k]) ** 2 / gap).sum())
     newton = t - (alpha - level) / slope if slope < 0.0 else math.nan
-    return _Probe(t, alpha <= level, newton, alpha, beta, dual, w, v, rate, thr, k)
+    return _Probe(t, alpha <= level, newton, alpha, beta, dual, w, v, rate, k)
 
 
 def _crossing(probe: _Probe, level: float) -> float:
     """The probe's guess for a threshold on a jump of alpha (NaN where there
     is none): move every eigenvalue at its rate toward the level and return
-    the first crossing of the zero threshold after which the plus set's
-    weight has passed the level.
+    the first crossing of the zero threshold thr = EIG_FLOOR * (1 + t) after
+    which the plus set's weight has passed the level.
 
     Below the level the threshold lies to the left, where eigenvalues
     outside P_plus rise through thr and add their weight; above it, to the
     right, where eigenvalues in P_plus fall through thr and take theirs away.
     """
+    thr = EIG_FLOOR * (1.0 + probe.t)
     sign, side = (1.0, slice(None, probe.k)) if probe.below else (-1.0, slice(probe.k, None))
     moving = probe.rate[side] > 0.0
-    times = probe.t + (probe.w[side][moving] - probe.thr) / probe.rate[side][moving]
+    times = probe.t + (probe.w[side][moving] - thr) / probe.rate[side][moving]
     order = np.argsort(-sign * times)
     weight = probe.alpha + sign * np.cumsum(probe.rate[side][moving][order])
     passed = (weight > level) == probe.below
@@ -219,6 +208,9 @@ def _bracket_step(
     lo: float, hi: float, guess: float | None, half_tol: float, newest: float, lengths: list[float]
 ) -> float | None:
     """Next probe strictly inside the bracket (lo, hi), or None when no float lies there.
+
+    Only the angle search, run to float resolution, gets None; the threshold
+    searches stop at a width far above the float spacing.
 
     Takes the guess clamped at least half_tol inside the bracket, so that a
     converged guess closes it, and the midpoint when there is no guess or when
@@ -409,8 +401,6 @@ def _secular_search(p: _Pencil, level: float):
             break
         guesses = (newton(newest), newton(at_lo if newest.below else at_hi))
         s = _bracket_step(lo, hi, next((g for g in guesses if lo <= g <= hi), None), 0.5 * T_TOL, newest.s, lengths)
-        if s is None:
-            break
         newest = _secular_point(p, s, level)
     if at_hi is None:
         raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
@@ -505,10 +495,7 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float, route: _
     lengths = [math.inf, math.inf]
     while at_hi.t - at_lo.t > T_TOL * max(1.0, at_hi.t):
         guess = next((g for g in guesses() if at_lo.t <= g <= at_hi.t), None)
-        t = _bracket_step(at_lo.t, at_hi.t, guess, 0.5 * T_TOL * max(1.0, at_hi.t), newest.t, lengths)
-        if t is None:
-            break
-        newest = probe(t)
+        newest = probe(_bracket_step(at_lo.t, at_hi.t, guess, 0.5 * T_TOL * max(1.0, at_hi.t), newest.t, lengths))
         if newest.below:
             at_hi = newest
         else:
@@ -526,8 +513,10 @@ def _dual_step(rho: DensityMatrix, sigma: DensityMatrix, level: float, lower: fl
     the secular search, whose lower is the dual at its root).
 
     The search stops where alpha(P_plus) passes the level with the plus set
-    w > thr, about thr / S_kk past the maximiser of g, where the eigenvalue
-    that carries the jump crosses zero; one eigvalsh at t* recovers g there.
+    w > EIG_FLOOR * (1 + t), about EIG_FLOOR * (1 + t) / S_kk from the
+    maximiser of g, where the eigenvalue that carries the jump crosses zero,
+    and g there can fall short by up to EIG_FLOOR * (1 + t): past GAP_TOL
+    from t ~ 1e4 on, which tiny levels reach.  One eigvalsh at t* recovers g.
     """
     if not isinstance(end, _Probe):
         return lower
@@ -568,10 +557,11 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
 
     beta(M) within GAP_TOL of the best dual bound of the search and of one
     dual step (``_converged``) proves M optimal; a wider gap raises
-    SandwichViolated.  For a mixed sigma that happens at levels so small that
-    the relative zero band swallows a positive eigenvalue; the secular search
-    of a rank-one sigma has no zero band and answers the worked example at
-    1e-20.  A solve costs one eigh per probe and one eigvalsh, or one eigh of
+    SandwichViolated.  An eigenvalue of rho - t*sigma counts as zero only
+    within EIG_FLOOR * (1 + t), so tiny levels get the optimum too: a mixed
+    sigma = diag(1 - 1e-10, 1e-10) against the worked example's rho at 1e-20,
+    and a rank-one sigma, whose secular search has no zero rule, at any
+    level.  A solve costs one eigh per probe and one eigvalsh, or one eigh of
     rho for a rank-one sigma.
 
     alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).

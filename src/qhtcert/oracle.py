@@ -81,7 +81,7 @@ def _draw_entries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
 def _traceless_charpoly(entries: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Shift c = Tr h / d and the coefficients [e2, -e3] (d = 3) or
     [e2, -e3, e4] (d = 4) of det(x*1 - A) = x^d + e2 x^(d-2) - e3 x^(d-3)
-    (+ e4) for the traceless part A = h - c*1, in real arithmetic on the
+    (+ e4) for the traceless part A = h - c*1, in complex arithmetic on the
     ``_draw_entries`` rows: e2 = -Tr A^2 / 2, e3 the principal 3x3 minors'
     sum, e4 = det A.  A's last diagonal entry is minus the sum of the
     others, so rounding c moves every eigenvalue alike, by about one ulp of
@@ -89,45 +89,35 @@ def _traceless_charpoly(entries: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     """
     d = math.isqrt(len(entries))
     pairs = list(itertools.combinations(range(d), 2))
-    re, im = dict(zip(pairs, entries[d:d + len(pairs)])), dict(zip(pairs, entries[d + len(pairs):]))
+    off = entries[d:d + len(pairs)].astype(complex)
+    off.imag = entries[d + len(pairs):]
+    h = dict(zip(pairs, off))
     c = entries[:d].sum(axis=0) / d
     a = entries[:d] - c
     a[-1] = -a[:-1].sum(axis=0)
-    sq = {ij: re[ij] ** 2 + im[ij] ** 2 for ij in pairs}
+    sq = {ij: x.real**2 + x.imag**2 for ij, x in h.items()}
     trace_sq = np.einsum("in,in->n", a, a) + 2.0 * sum(sq.values())
     e3 = 0.0
     for i, j, k in itertools.combinations(range(d), 3):
-        # Re(h_ij h_jk conj(h_ik)) is the minor's cyclic term.
-        loop_re, loop_im = re[i, j] * re[j, k] - im[i, j] * im[j, k], re[i, j] * im[j, k] + im[i, j] * re[j, k]
+        # 2 Re(h_ij h_jk conj(h_ik)) is the minor's cyclic term.
         e3 = e3 + (a[i] * (a[j] * a[k] - sq[j, k]) - a[j] * sq[i, k] - a[k] * sq[i, j]
-                   + 2.0 * (loop_re * re[i, k] + loop_im * im[i, k]))
+                   + 2.0 * (h[i, j] * h[j, k] * h[i, k].conj()).real)
     coefficients = [-0.5 * trace_sq, -e3]
     if d == 4:
-        def times(x, y):  # x * y of (Re, Im) pairs
-            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-        def times_bar(x, y):  # x * conj(y)
-            return x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1]
-
-        def less(c, x, y):  # c * x - y for a real row c
-            return c * x[0] - y[0], c * x[1] - y[1]
-
-        h01, h02, h03, h12, h13, h23 = ((re[ij], im[ij]) for ij in pairs)
+        h01, h02, h03, h12, h13, h23 = h.values()
         # Laplace over rows 0, 1.  Columns (0, 1) give (a0 a1 - |h01|^2) *
         # (a2 a3 - |h23|^2), columns (2, 3) |h02 h13 - h03 h12|^2, and each
         # other column pair -Re(p * conj(q)): p its minor and q the conjugate
-        # of its complement's, both up to sign.
-        x_re = h02[0] * h13[0] - h02[1] * h13[1] - (h03[0] * h12[0] - h03[1] * h12[1])
-        x_im = h02[0] * h13[1] + h02[1] * h13[0] - (h03[0] * h12[1] + h03[1] * h12[0])
-        e4 = (a[0] * a[1] - sq[0, 1]) * (a[2] * a[3] - sq[2, 3]) + (x_re * x_re + x_im * x_im)
-        for p, q in (
-            (less(a[0], h12, times_bar(h02, h01)), less(a[3], h12, times_bar(h13, h23))),
-            (less(a[0], h13, times_bar(h03, h01)), less(a[2], h13, times(h12, h23))),
-            (less(a[1], h02, times(h01, h12)), less(a[3], h02, times_bar(h03, h23))),
-            (less(a[1], h03, times(h01, h13)), less(a[2], h03, times(h02, h23))),
-        ):
-            e4 = e4 - (p[0] * q[0] + p[1] * q[1])
-        coefficients.append(e4)
+        # of its complement's, both up to sign.  One sum, term by term, keeps
+        # one (p, q) pair of complex rows alive at a time, not all four.
+        x = h02 * h13 - h03 * h12
+        coefficients.append(
+            (a[0] * a[1] - sq[0, 1]) * (a[2] * a[3] - sq[2, 3]) + (x.real**2 + x.imag**2)
+            - ((a[0] * h12 - h02 * h01.conj()) * (a[3] * h12 - h13 * h23.conj()).conj()).real
+            - ((a[0] * h13 - h03 * h01.conj()) * (a[2] * h13 - h12 * h23).conj()).real
+            - ((a[1] * h02 - h01 * h12) * (a[3] * h02 - h03 * h23.conj()).conj()).real
+            - ((a[1] * h03 - h01 * h13) * (a[2] * h03 - h02 * h23).conj()).real
+        )
     return c, coefficients
 
 

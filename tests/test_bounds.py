@@ -115,6 +115,20 @@ def test_radius_depol_hoelder_values():
     assert radius_depol_hoelder(1.0, 0.8) == 1.0
 
 
+@pytest.mark.parametrize("radius", [radius_depol_hoelder, radius_depol_dp])
+@pytest.mark.parametrize(
+    ("p_a", "p", "error", "fragment"),
+    [
+        (0.9, 0.0, ValueError, r"p must lie in \(0, 1\)"),
+        (0.9, 1.0, ValueError, r"p must lie in \(0, 1\)"),
+        (0.4, 0.2, OutOfRegime, "requires pA >= 1/2"),
+    ],
+)
+def test_smoothed_radii_reject_inputs_outside_their_regime(radius, p_a, p, error, fragment):
+    with pytest.raises(error, match=fragment):
+        radius(p_a, p)
+
+
 def test_radius_depol_dp_values():
     assert radius_depol_dp(0.9, 0.2) == pytest.approx(0.25, abs=1e-12)
     assert radius_depol_dp(0.5, 0.3) == 0.0

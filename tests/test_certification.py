@@ -303,6 +303,20 @@ def test_smoothed_one_dimensional_input_is_out_of_regime():
         certify_smoothed(cl, PureState([1.0]).density(), 0.2, 1000, 0.01, seed=0)
 
 
+@pytest.mark.parametrize(
+    ("call", "fragment"),
+    [
+        pytest.param(lambda: sample_outcomes(DEMO, SIGMA, 0, seed=1), "n_shots must be >= 1", id="sample-outcomes-no-shots"),
+        pytest.param(lambda: certify(DEMO, SIGMA, 1000, 0.01, seed=1, mode="strict"), "mode must be", id="certify-unknown-mode"),
+        pytest.param(lambda: certify_smoothed(DEMO, SIGMA, 0.0, 1000, 0.01, seed=1), r"p must lie in \(0, 1\)", id="smoothed-p-0"),
+        pytest.param(lambda: certify_smoothed(DEMO, SIGMA, 1.0, 1000, 0.01, seed=1), r"p must lie in \(0, 1\)", id="smoothed-p-1"),
+    ],
+)
+def test_certification_input_raises_a_typed_error(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 def test_smoothed_d4_runs_no_condition_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("certify_smoothed ran a threshold search")

@@ -112,6 +112,22 @@ def test_worst_case_tightness_on_random_violating_pairs():
         assert top_label(wc, rho) == 1
 
 
+@pytest.mark.parametrize(
+    ("build", "fragment"),
+    [
+        pytest.param(
+            lambda: Classifier(identity_kraus(2), Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))), (0, 1, 2)),
+            "one label per POVM element",
+            id="classifier-label-count",
+        ),
+        pytest.param(lambda: worst_case_classifier(SIGMA, RHO, 0.9, 0, 1, labels=(0, 2)), "both k_a and k_b", id="worst-case-labels"),
+    ],
+)
+def test_classifier_input_raises_a_typed_error(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
 def test_worst_case_input_validation():
     with pytest.raises(OutOfRegime):
         worst_case_classifier(SIGMA, RHO, 0.5, 0, 1)

@@ -1,5 +1,6 @@
 import importlib
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qhtcert.errors import (
     NegativeT,
     SandwichViolated,
 )
-from qhtcert.helstrom import DEFAULT_LAMBDA_TOL, T_TOL, _condition_levels, _condition_margin
+from qhtcert.helstrom import T_TOL, _condition_levels, _condition_margin
 from qhtcert.oracle import _dual_margin
 from qhtcert import bounds, demo
 from qhtcert.states import is_rank_one
@@ -89,7 +90,7 @@ def tau_grid_scan(rho, sigma, alpha0, t_max=8.0, steps=4000) -> float:
     return math.inf
 
 
-def tau_bisection(rho, sigma, level, lambda_tol=DEFAULT_LAMBDA_TOL) -> tuple[float | None, float]:
+def tau_bisection(rho, sigma, level, lambda_tol=0.0) -> tuple[float | None, float]:
     """Reference threshold search: doubling, then plain bisection on _alpha_plus.
     Returns the bracket (lo, hi), lo None when the threshold is t = 0."""
 
@@ -166,12 +167,10 @@ def test_threshold_search_matches_bisection(monkeypatch):
             got = helstrom(rho, sigma, alpha0)
             where = f"d={d} {kind} alpha0={alpha0}"
             if pure:
-                # The secular search takes one eigh of rho, none at level 0.
-                # It has no zero band: on a jump of alpha its threshold is
-                # exact, so the reference bisects with the floor
-                # EIG_FLOOR * (1 + t) alone, and beta comes from the dual.
+                # The secular search takes one eigh of rho, none at level 0,
+                # and beta comes from the dual.
                 assert eigh_calls[0] == (alpha0 > 0.0), where
-                want_t = tau_bisection(rho, sigma, alpha0, 0.0)[1] if alpha0 > 0.0 else math.inf
+                want_t = tau_bisection(rho, sigma, alpha0)[1] if alpha0 > 0.0 else math.inf
                 want_beta = dual_beta(rho, sigma, alpha0) if alpha0 > 0.0 else got.beta
             else:
                 if d >= 16:
@@ -320,19 +319,61 @@ def test_zero_level_is_the_kernel_of_sigma(monkeypatch):
         assert calls["eigh"] == (kind == "low-rank"), kind
 
 
-def test_tiny_levels_raise_instead_of_returning_a_wrong_test():
-    # The worked example's sigma is pure: the secular search has no zero
-    # band and finds the optimum at any level down to 1e-20.
+def decimal_dual_beta(rho, sigma, level) -> Decimal:
+    """Optimal beta of a 2x2 pair to 60 digits: the Lagrange dual
+    g(t) = 1 - t * level - Tr[(rho - t*sigma)_+], maximised over t >= 0 by
+    golden-section search on the concave g, from the float entries exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r, s = rho.matrix, sigma.matrix
+        r00, r11, s00, s11, re_r, im_r, re_s, im_s = (
+            Decimal(float(x))
+            for x in (r[0, 0].real, r[1, 1].real, s[0, 0].real, s[1, 1].real, r[0, 1].real, r[0, 1].imag, s[0, 1].real, s[0, 1].imag)
+        )
+        level = Decimal(level)
+
+        def g(t: Decimal) -> Decimal:
+            mid = (r00 + r11 - t * (s00 + s11)) / 2
+            rad = (((r00 - r11 - t * (s00 - s11)) / 2) ** 2 + (re_r - t * re_s) ** 2 + (im_r - t * im_s) ** 2).sqrt()
+            return 1 - t * level - max(mid + rad, 0) - max(mid - rad, 0)
+
+        golden = (Decimal(5).sqrt() - 1) / 2
+        lo, hi = Decimal(0), Decimal(1)
+        while g(2 * hi) > g(hi):
+            hi *= 2
+        hi *= 2
+        while hi - lo > Decimal("1e-30") * (1 + hi):
+            x, y = hi - golden * (hi - lo), lo + golden * (hi - lo)
+            if g(x) >= g(y):
+                hi = y
+            else:
+                lo = x
+        return g(lo)
+
+
+def test_tiny_levels_reach_the_optimum():
+    # The worked example's sigma is pure: the secular search finds the
+    # optimum at any level down to 1e-20.
     for alpha0 in (1e-13, 1e-16, 1e-20):
         beta_closed, _ = pure_beta_closed_form(OVERLAP_SQ, 1.0 - alpha0, 0.0)
         assert helstrom(RHO, SIGMA, alpha0).beta == pytest.approx(beta_closed, abs=1e-9), alpha0
-    # On a mixed sigma, below about 1e-15 the relative zero band at
-    # t ~ 2.5e7 swallows the positive eigenvalue (about 0.25) of
-    # rho - t*sigma; the dual gap shows it.
+    # A mixed sigma takes threshold probes.  The threshold sits on a jump of
+    # alpha at t ~ 2.5e9, where the positive eigenvalue of rho - t*sigma
+    # falls through the zero rule EIG_FLOOR * (1 + t) ~ 2.5e-4; the mixed
+    # test attains the level and the dual step proves it optimal.
     sigma = DensityMatrix(np.diag([1.0 - 1e-10, 1e-10]))
-    for alpha0 in (1e-16, 1e-20):
-        with pytest.raises(SandwichViolated):
-            helstrom(RHO, sigma, alpha0)
+    for alpha0 in (1e-12, 1e-16, 1e-20):
+        test = helstrom(RHO, sigma, alpha0)
+        assert abs(test.beta - float(decimal_dual_beta(RHO, sigma, alpha0))) <= 1e-12, alpha0
+        assert abs(test.alpha - alpha0) <= 1e-15, alpha0
+
+
+def test_a_dual_gap_above_gap_tol_raises(monkeypatch):
+    # Every solve proves its test optimal; with a negative tolerance no proof
+    # can pass, so the construction must raise instead of returning the test.
+    monkeypatch.setattr(hel, "GAP_TOL", -1.0)
+    with pytest.raises(SandwichViolated, match="exceeds the dual bound"):
+        helstrom(RHO, DensityMatrix(np.diag([0.6, 0.4])), 0.3)
 
 
 def pure_edge_cases():
@@ -479,6 +520,20 @@ def test_error_probabilities_of_optimal_demo_test():
     alpha, beta = error_probabilities(test.m, SIGMA, RHO)
     assert alpha == pytest.approx(0.1, abs=1e-9)
     assert beta == pytest.approx(0.44019237886467, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    ("call", "error", "fragment"),
+    [
+        pytest.param(lambda: helstrom(RHO, DensityMatrix(np.eye(3) / 3.0), 0.3), DimMismatch, "dimensions differ", id="helstrom-dims"),
+        pytest.param(lambda: helstrom(RHO, SIGMA, -0.1), ValueError, r"alpha0 must lie in \[0, 1\]", id="helstrom-alpha0-below-0"),
+        pytest.param(lambda: helstrom(RHO, SIGMA, 1.5), ValueError, r"alpha0 must lie in \[0, 1\]", id="helstrom-alpha0-above-1"),
+        pytest.param(lambda: error_probabilities(np.eye(3), SIGMA, RHO), DimMismatch, "one dimension", id="error-probabilities-dims"),
+    ],
+)
+def test_solver_input_raises_a_typed_error(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 def test_error_probabilities_rejects_bad_operator():

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -78,3 +79,22 @@ def test_every_default_of_a_private_helper_is_set_in_the_package():
         unset += [f"{node.name}({name}=...)" for index, name in defaults
                   if not any(passes(call, index, name) for call in sites)]
     assert unset == []
+
+
+def test_every_method_of_a_package_class_is_named():
+    # A method or property that neither the package, the benchmark harness
+    # nor the README names as ``.name`` is API that nothing uses.
+    root = SRC.parents[1]
+    package = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    harness = [ast.parse(path.read_text(), filename=str(path)) for path in sorted((root / "perfbench").glob("*.py"))]
+    named = {node.attr for tree in package + harness for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= set(re.findall(r"\.(\w+)", (root / "README.md").read_text()))
+    unnamed = [
+        f"{cls.name}.{node.name}"
+        for tree in package
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") and node.name not in named
+    ]
+    assert unnamed == []

@@ -230,6 +230,12 @@ def test_sample_test_operators_rejects_empty_requests(dim, n, named):
         sample_test_operators(dim, n, 0.3, np.eye(max(dim, 1)) / max(dim, 1), philox(1))
 
 
+@pytest.mark.parametrize("alpha0", (-0.1, 1.5))
+def test_brute_force_rejects_alpha0_outside_unit_interval(alpha0):
+    with pytest.raises(ValueError, match=r"alpha0 must lie in \[0, 1\]"):
+        brute_force_min_beta(SIGMA, RHO, alpha0, samples=1_000)
+
+
 def test_brute_force_names_too_few_samples():
     with pytest.raises(ValueError, match="samples=999"):
         brute_force_min_beta(SIGMA, RHO, 0.1, samples=999)
@@ -531,7 +537,7 @@ def test_solver_bits_are_pinned():
         put(boundary_radius_search(p_a, p_b, random_pure(2, rng), 60, int(rng.integers(1 << 30))))
     for d in (2, 4):
         put(_smoothed_boundary_generic(random_pure(d, rng).density(), 0.3, 0.8))
-    assert digest.hexdigest() == "7b1231ba9ca1306a6075a51a65be4db387090dcbe17dd6d602a97d2a96d14f5c"
+    assert digest.hexdigest() == "9f4c97fc2a51f871ad0bca3268e03a2ee404686090f10764722830b9e6b9d61c"
 
 
 # ---------------------------------------------------------------------------

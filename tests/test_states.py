@@ -250,6 +250,37 @@ def test_povm_rejects_element_above_one():
         Povm((np.eye(2) * 1.5, np.eye(2) * -0.5))
 
 
+@pytest.mark.parametrize(
+    ("build", "error", "fragment"),
+    [
+        pytest.param(lambda: DensityMatrix(np.zeros(4)), ValueError, "2-d array", id="matrix-not-2d"),
+        pytest.param(lambda: DensityMatrix([[np.inf, 0.0], [0.0, 0.0]]), ValueError, "finite", id="matrix-not-finite"),
+        pytest.param(lambda: PureState(np.eye(2)), ValueError, "1-d vector", id="amplitudes-not-1d"),
+        pytest.param(lambda: Channel(()), ValueError, "at least one Kraus", id="kraus-empty"),
+        pytest.param(lambda: Channel((np.eye(2), np.eye(3))), DimMismatch, "one shape", id="kraus-mixed-shapes"),
+        pytest.param(lambda: Povm(()), ValueError, "at least one element", id="povm-empty"),
+        pytest.param(lambda: Povm((np.ones((2, 3)) / 3.0,)), DimMismatch, "square", id="povm-not-square"),
+        pytest.param(
+            lambda: Povm((np.array([[0.5, 0.1], [0.0, 0.5]]), np.array([[0.5, -0.1], [0.0, 0.5]]))),
+            NotHermitian,
+            "not Hermitian",
+            id="povm-not-hermitian",
+        ),
+        pytest.param(
+            lambda: Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), (0, 1, 2)),
+            ValueError,
+            "one label per POVM element",
+            id="povm-label-count",
+        ),
+        pytest.param(lambda: depolarizing_kraus(-0.1), ValueError, r"\[0, 1\]", id="depolarizing-kraus-p-below-0"),
+        pytest.param(lambda: depolarizing_kraus(1.5), ValueError, r"\[0, 1\]", id="depolarizing-kraus-p-above-1"),
+    ],
+)
+def test_malformed_input_raises_a_typed_error(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_random_povm_is_complete(seed):
