@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimMismatch, OutOfRegime
 from .helstrom import helstrom
-from .states import Channel, DensityMatrix, Povm, apply_channel, identity_kraus
+from .states import TOL, Channel, DensityMatrix, Povm, apply_channel, identity_kraus
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,18 +44,24 @@ class Classifier:
 
 
 def class_probabilities(cl: Classifier, sigma: DensityMatrix) -> np.ndarray:
-    """y_k = Tr[Pi_k E(sigma)], ordered like ``cl.labels``."""
+    """y_k = Tr[Pi_k E(sigma)], ordered like ``cl.labels``, clipped to [0, 1].
+
+    Before the clip they sum to Tr[(sum_k Pi_k) E(sigma)], within (1 + d_in +
+    d_out) * TOL of 1 to first order: Tr sigma is 1 within TOL, and sum
+    K^dag K and sum_k Pi_k, 1 within TOL entrywise, are 1 within d_in * TOL
+    and d_out * TOL in operator norm.  A sum off by more than twice that
+    (room for second-order terms and roundoff) raises ValueError.
+    """
     if cl.dim_in != sigma.dim:
         raise DimMismatch(f"classifier expects dim {cl.dim_in}, state has dim {sigma.dim}")
     evolved = apply_channel(cl.channel, sigma)
     probs = np.array(
         [np.real(np.trace(e @ evolved.matrix)) for e in cl.povm.elements], dtype=float
     )
-    probs = np.clip(probs, 0.0, 1.0)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > 2.0 * (1 + cl.dim_in + cl.povm.dim) * TOL:
         raise ValueError(f"class probabilities sum to {total}, not 1")
-    return probs
+    return np.clip(probs, 0.0, 1.0)
 
 
 def worst_case_classifier(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .bounds import _check_order
 from .errors import DimMismatch, InvalidTestOperator, NegativeT, SandwichViolated
-from .states import TOL_PSD, DensityMatrix, _rank_one_factor, hermitian_residual
+from .states import TOL, DensityMatrix, _rank_one_factor, hermitian_residual
 
 # Eigenvalue floor.  An eigenvalue w of rho - t*sigma counts as zero when
 # |w| <= EIG_FLOOR * (1 + t); 1 + t bounds ||rho - t*sigma||_op for density
@@ -77,11 +77,10 @@ class _Probe(NamedTuple):
     """One probe of the threshold search at t; see ``_threshold_probe``."""
 
     t: float
-    below: bool
-    newton: float
     alpha: float
     beta: float
-    dual: float
+    slope: float
+    plus_trace: float
     w: np.ndarray
     v: np.ndarray
     rate: np.ndarray
@@ -107,13 +106,6 @@ class HelstromTest:
 def _span(cols: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the span of orthonormal columns."""
     return cols @ cols.conj().T
-
-
-def _kernel(sigma: DensityMatrix) -> np.ndarray:
-    """Orthonormal columns spanning ker sigma: the eigenvectors of sigma whose
-    eigenvalues are at most EIG_FLOOR, from one eigh."""
-    w, v = np.linalg.eigh(sigma.matrix)
-    return v[:, w <= EIG_FLOOR]
 
 
 def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> SignedProjections:
@@ -142,7 +134,7 @@ def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
     if res > 1e-8:
         raise InvalidTestOperator("test operator is not Hermitian", residual=res)
     w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    if w[0] < -TOL_PSD or w[-1] > 1.0 + TOL_PSD:
+    if w[0] < -TOL or w[-1] > 1.0 + TOL:
         raise InvalidTestOperator(
             "test operator eigenvalues outside [0, 1]",
             residual=float(max(-w[0], w[-1] - 1.0)),
@@ -152,19 +144,18 @@ def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
     return alpha, beta
 
 
-def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: float):
-    """One eigendecomposition of rho - t*sigma: whether alpha(P_plus(t)) <= level,
-    a Newton guess for the threshold (NaN where there is none), the error
-    rates of the test P_plus(t), the dual bound at t, and the eigenpairs with
-    the rates S_kk and the plus-set start.
+def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float):
+    """One eigh of rho - t*sigma and all that no level enters: alpha and beta
+    of the test P_plus(t), the slope of alpha, Tr[(rho - t*sigma)_+], and the
+    eigenpairs with the rates S_kk and the plus-set start.
 
     With S = V^H sigma V in the eigenbasis of rho - t*sigma, alpha(P_plus) is
     the sum of S_kk over the plus set, each eigenvalue moves at
     d(lambda_k)/dt = -S_kk (Hellmann-Feynman), and first-order perturbation
     theory gives the slope alpha'(t) = -2 sum_{i in +, j not in +}
-    |S_ij|^2 / (lambda_i - lambda_j).  The guess is a Newton step on
-    alpha - level.  The second guess, for levels that sit on a jump of
-    alpha, is computed on demand from the probe by ``_crossing``.
+    |S_ij|^2 / (lambda_i - lambda_j), from which the search takes a Newton
+    step on alpha - level.  The second guess, for levels that sit on a jump
+    of alpha, is computed on demand from the probe by ``_crossing``.
 
     beta(P_plus) = 1 - Tr[(rho - t*sigma) P_plus] - t * alpha(P_plus), and the
     Lagrange dual g(t) = 1 - t * level - Tr[(rho - t*sigma)_+] bounds the beta
@@ -177,11 +168,9 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, level: 
     # ndarray.sum is the reduction np.sum calls, without its dispatch.
     alpha = float(rate[k:].sum())
     beta = 1.0 - float(w[k:].sum()) - t * alpha
-    dual = 1.0 - t * level - float(w[w > 0.0].sum())
     gap = w[k:, None] - w[None, :k]
     slope = -2.0 * float((np.abs(s[k:, :k]) ** 2 / gap).sum())
-    newton = t - (alpha - level) / slope if slope < 0.0 else math.nan
-    return _Probe(t, alpha <= level, newton, alpha, beta, dual, w, v, rate, k)
+    return _Probe(t, alpha, beta, slope, float(w[w > 0.0].sum()), w, v, rate, k)
 
 
 def _crossing(probe: _Probe, level: float) -> float:
@@ -195,12 +184,13 @@ def _crossing(probe: _Probe, level: float) -> float:
     right, where eigenvalues in P_plus fall through thr and take theirs away.
     """
     thr = EIG_FLOOR * (1.0 + probe.t)
-    sign, side = (1.0, slice(None, probe.k)) if probe.below else (-1.0, slice(probe.k, None))
+    below = probe.alpha <= level
+    sign, side = (1.0, slice(None, probe.k)) if below else (-1.0, slice(probe.k, None))
     moving = probe.rate[side] > 0.0
     times = probe.t + (probe.w[side][moving] - thr) / probe.rate[side][moving]
     order = np.argsort(-sign * times)
     weight = probe.alpha + sign * np.cumsum(probe.rate[side][moving][order])
-    passed = (weight > level) == probe.below
+    passed = (weight > level) == below
     return float(times[order][np.argmax(passed)]) if np.any(passed) else math.nan
 
 
@@ -258,26 +248,45 @@ class _Pencil:
 
 
 class _Route:
-    """How the level searches of one call run, decided once in O(d^2) and
-    without an eigh of sigma: the unnormalized psi of the purity rule
-    (``states._rank_one_factor``) when sigma is pure (the secular search on
-    ``pencil(rho)``), else None (threshold probes).
-    slack = sqrt(d) * ||sigma - psi psi^H||_F bounds the residual's trace
-    norm, so the dual of (rho, psi psi^H) at t exceeds that of (rho, sigma)
-    by at most t * slack."""
+    """One call's pair (rho, sigma) and all of its work that no level enters;
+    the call's level searches only read from it.  It checks the dimensions
+    and decides once, in O(d^2) and without an eigh of sigma, how the
+    searches run: psi is the unnormalized factor of the purity rule
+    (``states._rank_one_factor``) for a pure sigma (the secular search on
+    ``pencil()``), else None (threshold probes, ``probe``).  slack =
+    sqrt(d) * ||sigma - psi psi^H||_F bounds the residual's trace norm, so
+    the dual of (rho, psi psi^H) at t exceeds that of (rho, sigma) by at
+    most t * slack; a mixed sigma has slack 0."""
 
-    def __init__(self, sigma: DensityMatrix):
-        self.psi, residual = _rank_one_factor(sigma) or (None, math.inf)
-        self.slack, self._pencil = math.sqrt(sigma.dim) * residual, None
+    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix):
+        if rho.dim != sigma.dim:
+            raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
+        self.rho, self.sigma = rho, sigma
+        self.psi, residual = _rank_one_factor(sigma) or (None, 0.0)
+        self.slack = math.sqrt(sigma.dim) * residual
+        self._pencil, self._newest = None, None
 
     def kernel(self) -> np.ndarray:
-        """Pi_ker = 1 - psi psi^H / |psi|^2, the kernel projection of sigma = psi psi^H."""
-        return np.eye(self.psi.size) - np.outer(self.psi, self.psi.conj()) / np.vdot(self.psi, self.psi).real
+        """Pi_ker, the projection onto ker sigma: 1 - psi psi^H / |psi|^2 for a
+        pure sigma, with no eigh; else the span of the eigenvectors of sigma
+        whose eigenvalues are at most EIG_FLOOR, from one eigh."""
+        if self.psi is not None:
+            return np.eye(self.psi.size) - np.outer(self.psi, self.psi.conj()) / np.vdot(self.psi, self.psi).real
+        w, v = np.linalg.eigh(self.sigma.matrix)
+        return _span(v[:, w <= EIG_FLOOR])
 
-    def pencil(self, rho: DensityMatrix) -> _Pencil:
+    def pencil(self) -> _Pencil:
         if self._pencil is None:
-            self._pencil = _Pencil(rho, self.psi, self.slack)
+            self._pencil = _Pencil(self.rho, self.psi, self.slack)
         return self._pencil
+
+    def probe(self, t: float) -> _Probe:
+        """The threshold probe at t: the newest one when it was taken at t,
+        else a new one.  The levels of a condition step in lockstep and
+        double t alike, so the newest probe catches every repeat."""
+        if self._newest is None or self._newest.t != t:
+            self._newest = _threshold_probe(self.rho, self.sigma, t)
+        return self._newest
 
 
 class _Root(NamedTuple):
@@ -344,12 +353,12 @@ def _secular_point(p: _Pencil, s: float, level: float) -> _Root:
     return _Root(t, s, alpha <= level, alpha, slope, beta, dual, r, r2, p)
 
 
-def _tighter(bounds: tuple[float, float], newest, at_lo, at_hi, level: float) -> tuple[float, float]:
+def _tighter(bounds: tuple[float, float], dual: float, at_lo, at_hi, level: float) -> tuple[float, float]:
     """The (lower, upper) bounds on the optimal beta tightened by a search's
     newest point: its dual, and the beta of the mixture of the bracket-end
     tests P_plus(lo), P_plus(hi) that attains alpha = level (P_plus(hi)
     itself when lo is None)."""
-    lower, upper = max(bounds[0], newest.dual), bounds[1]
+    lower, upper = max(bounds[0], dual), bounds[1]
     if at_hi is not None:
         mix = at_hi.beta
         if at_lo is not None:
@@ -365,7 +374,7 @@ def _secular_search(p: _Pencil, level: float):
     whole = _Root(0.0, -math.inf, False, p.s0, math.nan, 1.0 - p.trace, -math.inf, 0.0 * p.lam, 1.0, p)
     newest = _secular_point(p, -math.inf, level)
     at_lo, at_hi = (whole, newest) if newest.below else (newest, None)
-    bounds = _tighter((-math.inf, 1.0 - level), newest, at_lo, at_hi, level)
+    bounds = _tighter((-math.inf, 1.0 - level), newest.dual, at_lo, at_hi, level)
     yield bounds
     if at_hi is not None:
         return at_lo, at_hi
@@ -394,7 +403,7 @@ def _secular_search(p: _Pencil, level: float):
             at_hi = newest
         else:
             at_lo = newest
-        bounds = _tighter(bounds, newest, at_lo, at_hi, level)
+        bounds = _tighter(bounds, newest.dual, at_lo, at_hi, level)
         yield bounds
         lo, hi = max(at_lo.s, s_lo), s_hi if at_hi is None else at_hi.s
         if hi - lo <= T_TOL:
@@ -407,8 +416,9 @@ def _secular_search(p: _Pencil, level: float):
     return at_lo, at_hi
 
 
-def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float, route: _Route | None = None):
-    """Smallest t >= 0 with alpha(P_plus(t)) <= level, as a generator.
+def _tau_search(route: _Route, level: float):
+    """Smallest t >= 0 with alpha(P_plus(t)) <= level for the route's pair, as
+    a generator.
 
     A doubling search brackets t with alpha(P_plus(lo)) > level >=
     alpha(P_plus(hi)); safeguarded Newton steps then shrink the bracket to a
@@ -419,6 +429,9 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float, route: _
     crossing is computed only when the guesses before it miss the bracket.
     It bisects when no guess lies in the bracket or when the step would move
     farther from the newest probe than half the step taken two steps earlier.
+    The probes hold no level (``_Route.probe``): the search reads
+    alpha <= level, the Newton step and g(t) from them, so levels stepped in
+    lockstep share the probes of their common doubling.
 
     After every probe it yields (lower, upper) bounds on the optimal beta at
     the level: lower is the largest dual bound g(t) of the probes so far,
@@ -428,84 +441,62 @@ def _tau_search(rho: DensityMatrix, sigma: DensityMatrix, level: float, route: _
     bracket-end probes (at_lo, at_hi), at_lo None when the threshold is
     t = 0; at_hi.t is the threshold.  ``_converged`` runs it to the end.
 
-    route (``_Route``, made here when None) decides in O(d^2) whether
-    sigma = psi psi^H up to ||sigma - psi psi^H||_F <= RANK_ONE_TOL, once for
-    all searches of a call.  Then the search takes no probes: one eigh of rho
-    (the route's pencil) gives every point in O(d) (``_secular_point``).  It
-    first takes y -> 0.  When alpha there is at most the level, the level
-    sits on the jump of alpha at t(0), and the ends are the test 1 - Pi_N
-    and P_plus(t(0)).  Otherwise it takes safeguarded Newton steps in
-    s = log y (see ``_secular_search``) with the same bracket step, to width
-    T_TOL in s, and yields the same bounds; its lower bound is the dual at
-    the root itself, so no dual step follows.  The cost is one eigh and a
-    few O(d) vector passes per level, against 5-12 eigh of rho - t*sigma.
-    The bounds hold for (rho, sigma): the dual is lowered by t times the
-    route's residual bound and by the eigenvalues set to zero (``_Pencil``).
+    A pure sigma (the route's psi) takes no probes: one eigh of rho (the
+    route's pencil, shared by the levels of the call) gives every point in
+    O(d) (``_secular_point``).  It first takes y -> 0.  When alpha there is
+    at most the level, the level sits on the jump of alpha at t(0), and the
+    ends are the test 1 - Pi_N and P_plus(t(0)).  Otherwise it takes
+    safeguarded Newton steps in s = log y (``_secular_search``) with the
+    same bracket step, to width T_TOL in s, and yields the same bounds,
+    lowered by t times the route's slack and by the eigenvalues of rho set
+    to zero (``_Pencil``), so they hold for (rho, sigma).  Its lower bound
+    is the dual at the root itself, so no dual step follows.
 
     Level 0 has no threshold: the dual g(t) = 1 - Tr[(rho - t*sigma)_+] does
     not decrease in t, and its limit is the beta of the optimal test, the
-    projection onto ker sigma.  One eigh of sigma (``_kernel``) yields the
-    bounds (b0, b0), b0 = 1 - Tr[rho Pi_ker], and the search returns
-    (None, None).  Roundoff can only add near-kernel vectors (eigenvalues up
-    to EIG_FLOOR) to Pi_ker, and they can only lower b0: as a lower bound b0
+    projection onto ker sigma (``_Route.kernel``).  The search yields
+    (b0 - 2 * slack, b0), b0 = 1 - Tr[rho Pi_ker], and returns (None, None).
+    Roundoff can only add near-kernel vectors (eigenvalues up to EIG_FLOOR)
+    to an eigh's Pi_ker, and they can only lower b0: as a lower bound b0
     never overclaims, and as an upper bound it can only stop a search at
-    "not certified".  For a rank-one sigma, Pi_ker = 1 - psi psi^H / |psi|^2
-    with no eigh; it is within twice the route's slack of the eigh's, which
-    the lower bound gives up.
+    "not certified".  A pure sigma's 1 - psi psi^H / |psi|^2 is within twice
+    the slack of the eigh's, which the lower bound gives up.
     """
-    if route is None:
-        route = _Route(sigma)
     if level == 0.0:
-        if route.psi is None:
-            cols = _kernel(sigma)
-            b0 = 1.0 - float(np.real(np.sum(cols.conj() * (rho.matrix @ cols))))
-            yield b0, b0
-        else:
-            b0 = 1.0 - float(np.sum(rho.matrix.T * route.kernel()).real)
-            yield b0 - 2.0 * route.slack, b0
+        b0 = 1.0 - float(np.sum(route.rho.matrix.T * route.kernel()).real)
+        yield b0 - 2.0 * route.slack, b0
         return None, None
     if route.psi is not None:
-        return (yield from _secular_search(route.pencil(rho), level))
-
-    def probe(t: float) -> _Probe:
-        return _threshold_probe(rho, sigma, t, level)
+        return (yield from _secular_search(route.pencil(), level))
 
     def guesses():
         # The newest probe's, then the other end's, each crossing on demand.
-        for end in (newest, at_lo if newest.below else at_hi):
-            yield end.newton
+        for end in (newest, at_lo if newest.alpha <= level else at_hi):
+            yield end.t - (end.alpha - level) / end.slope if end.slope < 0.0 else math.nan
             yield _crossing(end, level)
 
-    bounds = (-math.inf, 1.0 - level)
-    at_lo, at_hi = None, None
-    newest = probe(0.0)
-    while not newest.below:
-        if newest.t > 2.0**100:
-            raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
-        at_lo = newest
-        bounds = _tighter(bounds, newest, at_lo, at_hi, level)
-        yield bounds
-        newest = probe(max(1.0, 2.0 * newest.t))
-    at_hi = newest
-    bounds = _tighter(bounds, newest, at_lo, at_hi, level)
-    yield bounds
-    if at_lo is None:
-        return at_lo, at_hi
-
-    lengths = [math.inf, math.inf]
-    while at_hi.t - at_lo.t > T_TOL * max(1.0, at_hi.t):
-        guess = next((g for g in guesses() if at_lo.t <= g <= at_hi.t), None)
-        newest = probe(_bracket_step(at_lo.t, at_hi.t, guess, 0.5 * T_TOL * max(1.0, at_hi.t), newest.t, lengths))
-        if newest.below:
+    bounds, at_lo, at_hi, lengths = (-math.inf, 1.0 - level), None, None, [math.inf, math.inf]
+    newest = route.probe(0.0)
+    while True:
+        if newest.alpha <= level:
             at_hi = newest
+        elif at_hi is None and newest.t > 2.0**100:
+            raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
         else:
             at_lo = newest
-        bounds = _tighter(bounds, newest, at_lo, at_hi, level)
+        bounds = _tighter(bounds, 1.0 - newest.t * level - newest.plus_trace, at_lo, at_hi, level)
         yield bounds
-    return at_lo, at_hi
+        if at_hi is None:
+            t = max(1.0, 2.0 * newest.t)
+        elif at_lo is None or at_hi.t - at_lo.t <= T_TOL * max(1.0, at_hi.t):
+            return at_lo, at_hi
+        else:
+            guess = next((g for g in guesses() if at_lo.t <= g <= at_hi.t), None)
+            t = _bracket_step(at_lo.t, at_hi.t, guess, 0.5 * T_TOL * max(1.0, at_hi.t), newest.t, lengths)
+        newest = route.probe(t)
 
 
-def _dual_step(rho: DensityMatrix, sigma: DensityMatrix, level: float, lower: float, end) -> float:
+def _dual_step(route: _Route, level: float, lower: float, end) -> float:
     """The larger of a search's best dual bound lower and the dual bound g at
     t* = t + w_k / S_kk, the first-order zero crossing of the eigenvalue of
     the search's final probe nearest to zero in t; lower itself when the
@@ -523,21 +514,21 @@ def _dual_step(rho: DensityMatrix, sigma: DensityMatrix, level: float, lower: fl
     moving = end.rate > 0.0
     steps = end.w[moving] / end.rate[moving]
     t_star = max(end.t + float(steps[np.argmin(np.abs(steps))]), 0.0)
-    w = np.linalg.eigvalsh(rho.matrix - t_star * sigma.matrix)
+    w = np.linalg.eigvalsh(route.rho.matrix - t_star * route.sigma.matrix)
     return max(lower, 1.0 - t_star * level - float(np.sum(w[w > 0.0])))
 
 
-def _converged(rho: DensityMatrix, sigma: DensityMatrix, level: float, route: _Route | None = None):
-    """Run the threshold search at level to its end: (the best dual bound on
-    the optimal beta, its dual step included, at_lo, at_hi).  route is passed
-    on to ``_tau_search``; levels that share one share its eigh of rho."""
-    search = _tau_search(rho, sigma, level, route)
+def _converged(route: _Route, level: float):
+    """Run the threshold search at level on the route's pair to its end: (the
+    best dual bound on the optimal beta, its dual step included, at_lo,
+    at_hi).  The levels of a call that share the route share its pencil."""
+    search = _tau_search(route, level)
     while True:
         try:
             lower, _ = next(search)
         except StopIteration as stop:
             at_lo, at_hi = stop.value
-            return _dual_step(rho, sigma, level, lower, at_hi), at_lo, at_hi
+            return _dual_step(route, level, lower, at_hi), at_lo, at_hi
 
 
 def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> HelstromTest:
@@ -566,11 +557,9 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
 
     alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).
     alpha0 = 0 returns the exact optimum, the projection onto the kernel of
-    sigma (``_kernel``, or 1 - psi psi^H / |psi|^2 for a rank-one sigma with
-    no eigh), with p_zero = 0, q0 = 0 and t = inf (see ``_tau_search``).
+    sigma (``_Route.kernel``), with p_zero = 0, q0 = 0 and t = inf.
     """
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
+    route = _Route(rho, sigma)
     if not 0.0 <= alpha0 <= 1.0:
         raise ValueError("alpha0 must lie in [0, 1]")
 
@@ -579,11 +568,10 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
         plus_hi = plus_lo = one
         t, q0 = 0.0, 1.0
     elif alpha0 == 0.0:
-        route = _Route(sigma)
-        plus_hi = plus_lo = _span(_kernel(sigma)) if route.psi is None else route.kernel()
+        plus_hi = plus_lo = route.kernel()
         t, q0 = math.inf, 0.0
     else:
-        dual, at_lo, at_hi = _converged(rho, sigma, alpha0)
+        dual, at_lo, at_hi = _converged(route, alpha0)
         plus_hi = at_hi.plus()
         if at_lo is None:
             plus_lo, alpha_lo = one, float(np.sum(at_hi.rate))
@@ -624,14 +612,14 @@ def _condition_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     at most 1 (not certified).  When the searches converge first, each level
     adds a dual step (``_dual_step``) and the margin is the dual one,
     g_A + g_B - 1 at the best t found.  The searches share one route
-    (``_Route``), so a rank-one sigma costs one eigh of rho for both levels.
+    (``_Route``): a rank-one sigma costs one eigh of rho for both levels,
+    and a mixed sigma's levels, which double t alike, share the probes of
+    their common doubling.
     """
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
+    route = _Route(rho, sigma)
     levels = list(dict.fromkeys(_condition_levels(p_a, p_b)))
     weight = 2.0 / len(levels)
-    route = _Route(sigma)
-    searches = [_tau_search(rho, sigma, level, route) for level in levels]
+    searches = [_tau_search(route, level) for level in levels]
     bounds = [(-math.inf, 1.0)] * len(levels)
     ends: list[tuple | None] = [None] * len(levels)
     while any(end is None for end in ends):
@@ -644,7 +632,7 @@ def _condition_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
         lower = weight * sum(lo for lo, _ in bounds) - 1.0
         if lower > 0.0 or weight * sum(up for _, up in bounds) <= 1.0:
             return lower
-    duals = [_dual_step(rho, sigma, level, lo, at_hi) for (lo, _), level, (_, at_hi) in zip(bounds, levels, ends)]
+    duals = [_dual_step(route, level, lo, at_hi) for (lo, _), level, (_, at_hi) in zip(bounds, levels, ends)]
     return weight * sum(duals) - 1.0
 
 
@@ -662,10 +650,13 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     above by the beta of a feasible test; the searches stop once the bounds
     fix the sign.  Certification rests on the dual bounds alone, so it never
     overclaims.  When the searches converge undecided, one dual step per
-    level (``_dual_step``) decides on g_A + g_B - 1.  At p_a = 1 the level-0
-    search yields the exact beta of the kernel projection of sigma from one
-    eigh (see ``_tau_search``).  A rank-one sigma takes one eigh of rho in
-    all, at any levels, and no eigvalsh.
+    level (``_dual_step``) decides on g_A + g_B - 1.  The two levels share
+    the level-free work of one route (``_Route``): a mixed sigma's searches
+    step in lockstep and take each probe of their common doubling once, and
+    a rank-one sigma takes one eigh of rho in all, at any levels, and no
+    eigvalsh.  At p_a = 1 the level-0 search yields the exact beta of the
+    kernel projection of sigma, from one eigh of sigma or, for a rank-one
+    sigma, from none (see ``_tau_search``).
 
     When p_b equals 1 - p_a up to rounding (typed pairs such as (0.8, 0.2)),
     one test at the larger level L = max(1 - p_a, p_b) decides: beta does not

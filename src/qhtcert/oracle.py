@@ -234,9 +234,9 @@ def _dual_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: floa
     (``helstrom._converged``): the margin whose sign ``certify_condition``
     decides, located to the search's tolerance, to guide the angle search.
     The levels share one route, so a rank-one sigma costs one eigh of rho."""
+    route = _Route(rho, sigma)
     levels = dict.fromkeys(_condition_levels(p_a, p_b))
-    route = _Route(sigma)
-    return 2.0 / len(levels) * sum(_converged(rho, sigma, level, route)[0] for level in levels) - 1.0
+    return 2.0 / len(levels) * sum(_converged(route, level)[0] for level in levels) - 1.0
 
 
 def _plane_boundary_radius(margin, p_a: float, p_b: float, steps: int) -> float:

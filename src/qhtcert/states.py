@@ -23,13 +23,11 @@ from .errors import (
     TraceNotOne,
 )
 
-# Absolute tolerances for invariant checks on trace-one-scale operators.
-# Double precision at d <= ~64 leaves several orders of magnitude headroom.
-TOL_HERM = 1e-9
-TOL_TRACE = 1e-9
-TOL_TP = 1e-9
-TOL_PSD = 1e-9
-TOL_NORM = 1e-9
+# The one absolute tolerance of the invariant checks on trace-one-scale
+# operators: Hermiticity, unit trace, trace preservation and completeness,
+# positivity and unit norm.  Double precision at d <= ~64 leaves several
+# orders of magnitude headroom.
+TOL = 1e-9
 
 # Frobenius distance ||sigma - psi psi^H||_F up to which a density matrix
 # counts as rank one (``_rank_one_factor``).
@@ -85,8 +83,8 @@ class PureState:
         # A NaN norm passes the tolerance test below, so check it first.
         if not math.isfinite(norm):
             raise ValueError("matrix entries must be finite")
-        if abs(norm - 1.0) > TOL_NORM:
-            raise ValueError(f"state vector norm {norm} differs from 1 beyond {TOL_NORM}")
+        if abs(norm - 1.0) > TOL:
+            raise ValueError(f"state vector norm {norm} differs from 1 beyond {TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -151,7 +149,7 @@ class Channel:
             raise DimMismatch("all Kraus operators must share one shape")
         acc = sum(k.conj().T @ k for k in mats)
         res = float(np.max(np.abs(acc - np.eye(shape[1]))))
-        if res > TOL_TP:
+        if res > TOL:
             raise NotTracePreserving("sum K^dag K != 1", residual=res)
         object.__setattr__(self, "kraus", mats)
 
@@ -180,17 +178,17 @@ class Povm:
             if e.shape != (d, d):
                 raise DimMismatch("POVM elements must be square and equal-dimensional")
             res = hermitian_residual(e)
-            if res > TOL_HERM:
+            if res > TOL:
                 raise NotHermitian("POVM element not Hermitian", residual=res)
             w = np.linalg.eigvalsh((e + e.conj().T) / 2.0)
-            if w[0] < -TOL_PSD or w[-1] > 1.0 + TOL_PSD:
+            if w[0] < -TOL or w[-1] > 1.0 + TOL:
                 raise NotPSD(
                     "POVM element eigenvalues outside [0, 1]",
                     residual=float(max(-w[0], w[-1] - 1.0)),
                 )
         acc = sum(mats)
         res = float(np.max(np.abs(acc - np.eye(d))))
-        if res > TOL_TP:
+        if res > TOL:
             raise NotTracePreserving("POVM elements do not sum to 1", residual=res)
         labels = self.labels
         labels = tuple(range(len(mats))) if labels is None else tuple(labels)
@@ -213,19 +211,19 @@ def validate_density(raw) -> DensityMatrix:
 
     The stored matrix is symmetrized, (A + A^dag)/2, so downstream
     eigendecompositions see an exactly Hermitian operand.  Eigenvalues in
-    [-TOL_PSD, 0) are accepted (clipped conceptually at zero), anything lower
+    [-TOL, 0) are accepted (clipped conceptually at zero), anything lower
     raises :class:`NotPSD`.
     """
     a = DensityMatrix(raw).matrix
     res = hermitian_residual(a)
-    if res > TOL_HERM:
+    if res > TOL:
         raise NotHermitian("matrix is not Hermitian", residual=res)
     h = (a + a.conj().T) / 2.0
     tr = float(np.real(np.trace(h)))
-    if abs(tr - 1.0) > TOL_TRACE:
+    if abs(tr - 1.0) > TOL:
         raise TraceNotOne("trace differs from 1", residual=abs(tr - 1.0))
     w = np.linalg.eigvalsh(h)
-    if w[0] < -TOL_PSD:
+    if w[0] < -TOL:
         raise NotPSD("matrix has a negative eigenvalue", residual=float(-w[0]))
     return DensityMatrix(h)
 

@@ -12,6 +12,7 @@ from qhtcert import (
     class_probabilities,
     identity_kraus,
     radius_qht_pure,
+    validate_density,
     worst_case_classifier,
 )
 from qhtcert import demo
@@ -56,6 +57,20 @@ def test_demo_classifier_misclassifies_the_adversarial_state():
     probs = class_probabilities(cl, RHO)
     # Its class-0 probability on rho equals the optimal test's type-II error.
     assert probs[0] == pytest.approx(0.4401923789, abs=1e-9)
+
+
+def test_class_probabilities_allow_the_validation_tolerances():
+    # Trace and completeness each 0.9e-9 from 1, within the validation
+    # tolerance: the probabilities sum to 1 + 1.8e-9, inside the bound the
+    # tolerances imply, and are returned as computed.
+    scale = 1.0 + 0.9e-9
+    sigma = validate_density(scale * np.eye(4) / 4)
+    povm = Povm((scale * np.eye(4) / 2, scale * np.eye(4) / 2), ("a", "b"))
+    probs = class_probabilities(Classifier(identity_kraus(4), povm), sigma)
+    assert probs.tolist() == [scale * scale / 2] * 2
+    # A bare matrix of trace 2 passes no validator and still raises.
+    with pytest.raises(ValueError, match="sum to 2"):
+        class_probabilities(computational_classifier(), DensityMatrix(np.eye(2)))
 
 
 def test_class_probabilities_dim_mismatch():
@@ -126,6 +141,12 @@ def test_worst_case_tightness_on_random_violating_pairs():
 def test_classifier_input_raises_a_typed_error(build, fragment):
     with pytest.raises(ValueError, match=fragment):
         build()
+
+
+def test_worst_case_keeps_labels_that_do_not_sort():
+    wc = worst_case_classifier(SIGMA, RHO, 0.9, 0, "b")
+    assert wc.labels == (0, "b")
+    assert class_probabilities(wc, SIGMA) == pytest.approx([0.9, 0.1], abs=1e-9)
 
 
 def test_worst_case_input_validation():

@@ -17,6 +17,7 @@ from qhtcert import (
     pure_beta_closed_form,
     signed_projections,
     trace_distance,
+    validate_density,
 )
 from qhtcert.errors import (
     DimMismatch,
@@ -113,12 +114,13 @@ def tau_bisection(rho, sigma, level, lambda_tol=0.0) -> tuple[float | None, floa
     return lo, hi
 
 
-def bisection_search(rho, sigma, level, route=None):
+def bisection_search(route, level):
     """tau_bisection in the shape of helstrom's search: a generator that
     yields the dual bound of its bracket-end probes and returns them."""
+    rho, sigma = route.rho, route.sigma
     lo, hi = tau_bisection(rho, sigma, level)
-    ends = (None if lo is None else hel._threshold_probe(rho, sigma, lo, level), hel._threshold_probe(rho, sigma, hi, level))
-    yield max(end.dual for end in ends if end is not None), 1.0 - level
+    ends = (None if lo is None else hel._threshold_probe(rho, sigma, lo), hel._threshold_probe(rho, sigma, hi))
+    yield max(1.0 - end.t * level - end.plus_trace for end in ends if end is not None), 1.0 - level
     return ends
 
 
@@ -192,7 +194,7 @@ def test_search_bounds_bracket_the_optimal_beta():
         if d > 16:
             continue
         for alpha0 in (0.05, 0.3, 0.7):
-            search = hel._tau_search(rho, sigma, alpha0)
+            search = hel._tau_search(hel._Route(rho, sigma), alpha0)
             yielded = []
             while True:
                 try:
@@ -235,8 +237,8 @@ def test_converged_newton_run_is_not_bisected(monkeypatch):
 
     monkeypatch.setattr(hel, "_threshold_probe", logged_probe)
     helstrom(rho, sigma, 0.1)
-    assert [p.below for p in probes[:2]] == [False, True]
-    assert not any(p.below for p in probes[2:-1])
+    assert [p.alpha <= 0.1 for p in probes[:2]] == [False, True]
+    assert not any(p.alpha <= 0.1 for p in probes[2:-1])
     assert len(probes) <= 8
 
 
@@ -263,14 +265,17 @@ def test_crossing_guess_is_computed_only_when_newton_misses(monkeypatch):
         if is_rank_one(sigma):  # the secular search takes no probes
             continue
         for alpha0 in (0.05, 0.3, 0.7, 0.95):
+            events.append(("level", alpha0))
             helstrom(rho, sigma, alpha0)
-    newest, crossed = None, False
+    level, newest, crossed = None, None, False
     for event in events:
-        if event[0] == "probe":
+        if event[0] == "level":
+            level = event[1]
+        elif event[0] == "probe":
             newest, crossed = event[1], False
         elif event[0] == "crossing":
             crossed = True
-        elif event[1] <= newest.newton <= event[2]:
+        elif newest.slope < 0.0 and event[1] <= newest.t - (newest.alpha - level) / newest.slope <= event[2]:
             # The guesses for this step were taken after the newest probe.
             assert not crossed, event
     names = [event[0] for event in events]
@@ -376,6 +381,17 @@ def test_a_dual_gap_above_gap_tol_raises(monkeypatch):
         helstrom(RHO, DensityMatrix(np.diag([0.6, 0.4])), 0.3)
 
 
+def test_probe_doubling_stops_at_two_to_the_100():
+    # A validated state cannot get here: the plus set of rho - t*sigma empties
+    # by t ~ 1e13, once EIG_FLOOR * (1 + t) passes lambda_max(rho).  A bare
+    # rho with an eigenvalue of 1e20 keeps alpha above 1e-40 past t = 2^100,
+    # and without the guard the doubling would never end.
+    rho = DensityMatrix(np.diag([0.0, 0.0, 1e20]))
+    sigma = validate_density(np.diag([0.5, 0.5 - 1e-20, 1e-20]))
+    with pytest.raises(SandwichViolated, match="no t <= 2\\^100"):
+        helstrom(rho, sigma, 1e-40)
+
+
 def pure_edge_cases():
     """(d, kind, sigma, rho, levels) with a pure sigma = psi psi^H at the edges
     of the secular search."""
@@ -459,8 +475,7 @@ def test_secular_sums_stay_finite_at_the_ends():
     # Runs under filterwarnings = error::RuntimeWarning, so an overflow or a
     # 0/0 in the secular sums fails here.
     for d, kind, sigma, rho, _ in pure_edge_cases():
-        route = hel._Route(sigma)
-        pencil = route.pencil(rho)
+        pencil = hel._Route(rho, sigma).pencil()
         for s in (-math.inf, math.log(hel.Y_MIN), -20.0, 0.0, 20.0, math.log(hel.Y_MAX)):
             for level in (1e-300, 1e-20, 0.3, 1.0 - 1e-16):
                 point = hel._secular_point(pencil, s, level)
@@ -751,6 +766,32 @@ def test_condition_rejects_mismatched_dimensions(rng):
         certify_condition(SIGMA, random_density(3, rng), 0.9, 0.1)
     with pytest.raises(DimMismatch):
         certify_condition(random_density(4, rng), RHO, 0.8, 0.2)
+
+
+def test_condition_levels_share_their_probes(monkeypatch):
+    # The two levels of a mixed-sigma condition step in lockstep and double t
+    # alike (t = 0, 1, 2, 4, ...); a probe holds no level, so no t is
+    # decomposed twice in one condition.
+    unequal = ((0.8, 0.1), (0.7, 0.2), (0.9, 0.05), (0.6, 0.3), (0.95, 0.02), (0.85, 0.1), (0.65, 0.25), (0.75, 0.15))
+    probed = []
+    probe = hel._threshold_probe
+
+    def logged_probe(rho, sigma, t, *args):
+        probed.append(t)
+        return probe(rho, sigma, t, *args)
+
+    monkeypatch.setattr(hel, "_threshold_probe", logged_probe)
+    rng = philox(4242)
+    conditions = repeated = 0
+    for d in (2, 4, 16):
+        for _ in range(70):
+            sigma, rho = random_density(d, rng), random_density(d, rng)
+            for p_a, p_b in unequal:
+                probed.clear()
+                _condition_margin(sigma, rho, p_a, p_b)
+                conditions += 1
+                repeated += len(probed) != len(set(probed))
+    assert conditions == 3 * 70 * len(unequal) and repeated == 0
 
 
 def test_condition_margin_never_exceeds_the_dual():

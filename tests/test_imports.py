@@ -98,3 +98,38 @@ def test_every_method_of_a_package_class_is_named():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") and node.name not in named
     ]
     assert unnamed == []
+
+
+def _scoped(tree):
+    """(dotted name of the enclosing function or class, node) for every node of a module."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            yield inner, child
+            yield from visit(child, inner)
+
+    yield from visit(tree, "")
+
+
+def test_the_route_is_the_only_way_into_the_solvers_eigendecompositions():
+    # The level searches read every eigendecomposition from their call's
+    # route: the threshold probes (memoized by ``_Route.probe``), the pencil
+    # of a pure sigma and the kernel of sigma.  Outside the route only the
+    # dual step and the public helpers decompose.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    decomposing = {
+        scope
+        for scope, node in _scoped(trees["helstrom.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("eigh", "eigvalsh")
+    }
+    allowed = {"_threshold_probe", "_Pencil.__init__", "_Route.kernel", "_dual_step", "signed_projections", "error_probabilities"}
+    assert decomposing <= allowed
+    naming = {
+        f"{name}:{scope}"
+        for name, tree in trees.items()
+        for scope, node in _scoped(tree)
+        if "_threshold_probe" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or isinstance(node, ast.alias) and node.name == "_threshold_probe"
+    }
+    assert naming == {"helstrom.py:_Route.probe"}

@@ -175,7 +175,7 @@ def test_pure_state_norm_enforced():
 
 
 def test_pure_state_rejects_nan_amplitudes():
-    # abs(nan - 1) > TOL_NORM is False, so the norm check alone lets NaN through.
+    # abs(nan - 1) > TOL is False, so the norm check alone lets NaN through.
     with pytest.raises(ValueError, match="finite"):
         PureState([np.nan, 0.0])
     with pytest.raises(ValueError, match="finite"):
@@ -196,6 +196,11 @@ def test_from_density_rejects_mixed():
 def test_rank_one_detection(rng):
     assert is_rank_one(random_pure(4, rng).density()) is True
     assert is_rank_one(DensityMatrix(np.eye(2) / 2)) is False
+    # A bare zero matrix has no positive diagonal entry to factor from.
+    zero = DensityMatrix(np.zeros((3, 3)))
+    assert is_rank_one(zero) is False
+    with pytest.raises(ValueError, match="not rank one"):
+        PureState.from_density(zero)
 
 
 def test_near_pure_sigma_is_mixed_for_every_caller():
@@ -205,7 +210,7 @@ def test_near_pure_sigma_is_mixed_for_every_caller():
     assert is_rank_one(sigma) is False
     with pytest.raises(ValueError, match="not rank one"):
         PureState.from_density(sigma)
-    assert _Route(sigma).psi is None
+    assert _Route(sigma, sigma).psi is None
     radii = certify(demo.hemisphere_classifier(), sigma, 100_000, 1e-3, 0).radii
     assert radii.r_qht_pure is None
     assert radii.r_hoelder == pytest.approx(0.3946130299988, abs=1e-12)
@@ -227,7 +232,7 @@ def test_purity_rule_is_shared(seed, d, log_eps):
         sigma = DensityMatrix((1.0 - eps) * sigma.matrix + eps * random_density(d, rng).matrix)
     pure = is_rank_one(sigma)
     assert type(pure) is bool
-    assert (_Route(sigma).psi is not None) is pure
+    assert (_Route(sigma, sigma).psi is not None) is pure
     try:
         back = PureState.from_density(sigma)
     except ValueError:
