@@ -32,6 +32,11 @@ def _check_order(p_a: float, p_b: float) -> None:
         raise InvalidProbabilityOrder(f"need 0 <= pB < pA <= 1, got pA={p_a}, pB={p_b}")
 
 
+def _complementary(p_a: float, p_b: float) -> bool:
+    """Whether p_b = 1 - p_a up to rounding, as for typed pairs such as (0.8, 0.2)."""
+    return abs(p_b - (1.0 - p_a)) <= 1e-15
+
+
 def probability_gap_factor(p_a: float, p_b: float) -> float:
     """f(pA, pB) = sqrt(1 - pB - pA(1-2pB) + 2 sqrt(pA pB (1-pA)(1-pB)))."""
     inner = 1.0 - p_b - p_a * (1.0 - 2.0 * p_b) + 2.0 * math.sqrt(
@@ -211,7 +216,7 @@ def bound_report(p_a: float, p_b: float, p: float = 0.0, *, benign_pure: bool = 
 
     p = 0 means no smoothing; p outside [0, 1) raises ValueError.  The
     smoothed radii assume p_b = 1 - p_a and are filled in only when that holds
-    (within 1e-12) and p > 0.
+    up to rounding (``_complementary``) and p > 0.
     """
     _check_order(p_a, p_b)
     if not 0.0 <= p < 1.0:
@@ -222,7 +227,7 @@ def bound_report(p_a: float, p_b: float, p: float = 0.0, *, benign_pure: bool = 
         r_mixed_main = radius_qht_pure_mixed(p_a, p_b, "main")
         r_mixed_app = radius_qht_pure_mixed(p_a, p_b, "appendix")
     r_depol_q = r_depol_h = r_depol_d = None
-    if p > 0.0 and abs(p_a + p_b - 1.0) <= 1e-12 and benign_pure and p_a > 0.5:
+    if p > 0.0 and _complementary(p_a, p_b) and benign_pure and p_a > 0.5:
         r_depol_q, r_depol_h, r_depol_d = _depol_radii(p_a, p, 2, True)
     return BoundReport(
         p_a=p_a,

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _check_order
+from .bounds import _check_order, _complementary
 from .errors import DimMismatch, InvalidTestOperator, NegativeT, SandwichViolated
 from .states import TOL, DensityMatrix, _rank_one_factor, hermitian_residual
 
@@ -131,7 +131,7 @@ def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
     if mat.shape != (sigma.dim, sigma.dim) or rho.dim != sigma.dim:
         raise DimMismatch("test operator and states must share one dimension")
     res = hermitian_residual(mat)
-    if res > 1e-8:
+    if res > TOL:
         raise InvalidTestOperator("test operator is not Hermitian", residual=res)
     w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
     if w[0] < -TOL or w[-1] > 1.0 + TOL:
@@ -283,7 +283,8 @@ class _Route:
     def probe(self, t: float) -> _Probe:
         """The threshold probe at t: the newest one when it was taken at t,
         else a new one.  The levels of a condition step in lockstep and
-        double t alike, so the newest probe catches every repeat."""
+        double t alike, so the newest probe catches every repeat of their
+        common doubling."""
         if self._newest is None or self._newest.t != t:
             self._newest = _threshold_probe(self.rho, self.sigma, t)
         return self._newest
@@ -375,9 +376,10 @@ def _secular_search(p: _Pencil, level: float):
     newest = _secular_point(p, -math.inf, level)
     at_lo, at_hi = (whole, newest) if newest.below else (newest, None)
     bounds = _tighter((-math.inf, 1.0 - level), newest.dual, at_lo, at_hi, level)
-    yield bounds
     if at_hi is not None:
-        return at_lo, at_hi
+        yield *bounds, (at_lo, at_hi)
+        return
+    yield *bounds, None
 
     # Newton steps on log(alpha / (alpha0 - alpha)), alpha0 = alpha(y -> 0),
     # close to linear in s at both ends: alpha0 - alpha ~ y as y -> 0, and
@@ -404,16 +406,16 @@ def _secular_search(p: _Pencil, level: float):
         else:
             at_lo = newest
         bounds = _tighter(bounds, newest.dual, at_lo, at_hi, level)
-        yield bounds
         lo, hi = max(at_lo.s, s_lo), s_hi if at_hi is None else at_hi.s
+        if hi - lo <= T_TOL and at_hi is not None:
+            yield *bounds, (at_lo, at_hi)
+            return
+        yield *bounds, None
         if hi - lo <= T_TOL:
-            break
+            raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
         guesses = (newton(newest), newton(at_lo if newest.below else at_hi))
         s = _bracket_step(lo, hi, next((g for g in guesses if lo <= g <= hi), None), 0.5 * T_TOL, newest.s, lengths)
         newest = _secular_point(p, s, level)
-    if at_hi is None:
-        raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
-    return at_lo, at_hi
 
 
 def _tau_search(route: _Route, level: float):
@@ -433,13 +435,13 @@ def _tau_search(route: _Route, level: float):
     alpha <= level, the Newton step and g(t) from them, so levels stepped in
     lockstep share the probes of their common doubling.
 
-    After every probe it yields (lower, upper) bounds on the optimal beta at
-    the level: lower is the largest dual bound g(t) of the probes so far,
-    upper the smallest beta of a test with alpha = level built from them,
-    the mixture of the bracket-end tests P_plus(lo) and P_plus(hi), or
-    level * 1 before any probe has reached the level.  It returns the
-    bracket-end probes (at_lo, at_hi), at_lo None when the threshold is
-    t = 0; at_hi.t is the threshold.  ``_converged`` runs it to the end.
+    After every probe it yields (lower, upper, None): lower is the largest
+    dual bound g(t) of the probes so far, upper the smallest beta of a test
+    with alpha = level built from them, the mixture of the bracket-end tests
+    P_plus(lo) and P_plus(hi), or 1 - level before any probe has reached
+    the level.  Its last yield, after convergence, adds the dual step
+    (``_dual_step``) to lower and carries the bracket-end probes (at_lo,
+    at_hi), at_lo None when the threshold is t = 0; at_hi.t is the threshold.
 
     A pure sigma (the route's psi) takes no probes: one eigh of rho (the
     route's pencil, shared by the levels of the call) gives every point in
@@ -450,12 +452,13 @@ def _tau_search(route: _Route, level: float):
     same bracket step, to width T_TOL in s, and yields the same bounds,
     lowered by t times the route's slack and by the eigenvalues of rho set
     to zero (``_Pencil``), so they hold for (rho, sigma).  Its lower bound
-    is the dual at the root itself, so no dual step follows.
+    is the dual at the root itself, so its last point ends it with no dual
+    step.
 
     Level 0 has no threshold: the dual g(t) = 1 - Tr[(rho - t*sigma)_+] does
     not decrease in t, and its limit is the beta of the optimal test, the
-    projection onto ker sigma (``_Route.kernel``).  The search yields
-    (b0 - 2 * slack, b0), b0 = 1 - Tr[rho Pi_ker], and returns (None, None).
+    projection onto ker sigma (``_Route.kernel``).  The search yields once,
+    (b0 - 2 * slack, b0, (None, None)), b0 = 1 - Tr[rho Pi_ker].
     Roundoff can only add near-kernel vectors (eigenvalues up to EIG_FLOOR)
     to an eigh's Pi_ker, and they can only lower b0: as a lower bound b0
     never overclaims, and as an upper bound it can only stop a search at
@@ -464,10 +467,11 @@ def _tau_search(route: _Route, level: float):
     """
     if level == 0.0:
         b0 = 1.0 - float(np.sum(route.rho.matrix.T * route.kernel()).real)
-        yield b0 - 2.0 * route.slack, b0
-        return None, None
+        yield b0 - 2.0 * route.slack, b0, (None, None)
+        return
     if route.psi is not None:
-        return (yield from _secular_search(route.pencil(), level))
+        yield from _secular_search(route.pencil(), level)
+        return
 
     def guesses():
         # The newest probe's, then the other end's, each crossing on demand.
@@ -485,23 +489,22 @@ def _tau_search(route: _Route, level: float):
         else:
             at_lo = newest
         bounds = _tighter(bounds, 1.0 - newest.t * level - newest.plus_trace, at_lo, at_hi, level)
-        yield bounds
+        yield *bounds, None
         if at_hi is None:
             t = max(1.0, 2.0 * newest.t)
         elif at_lo is None or at_hi.t - at_lo.t <= T_TOL * max(1.0, at_hi.t):
-            return at_lo, at_hi
+            yield _dual_step(route, level, bounds[0], at_hi), bounds[1], (at_lo, at_hi)
+            return
         else:
             guess = next((g for g in guesses() if at_lo.t <= g <= at_hi.t), None)
             t = _bracket_step(at_lo.t, at_hi.t, guess, 0.5 * T_TOL * max(1.0, at_hi.t), newest.t, lengths)
         newest = route.probe(t)
 
 
-def _dual_step(route: _Route, level: float, lower: float, end) -> float:
-    """The larger of a search's best dual bound lower and the dual bound g at
-    t* = t + w_k / S_kk, the first-order zero crossing of the eigenvalue of
-    the search's final probe nearest to zero in t; lower itself when the
-    search ended without probes (level 0, where lower is the optimum, and
-    the secular search, whose lower is the dual at its root).
+def _dual_step(route: _Route, level: float, lower: float, end: _Probe) -> float:
+    """The larger of a probe search's best dual bound lower and the dual bound
+    g at t* = t + w_k / S_kk, the first-order zero crossing of the eigenvalue
+    of its final probe end nearest to zero in t.
 
     The search stops where alpha(P_plus) passes the level with the plus set
     w > EIG_FLOOR * (1 + t), about EIG_FLOOR * (1 + t) / S_kk from the
@@ -509,26 +512,11 @@ def _dual_step(route: _Route, level: float, lower: float, end) -> float:
     and g there can fall short by up to EIG_FLOOR * (1 + t): past GAP_TOL
     from t ~ 1e4 on, which tiny levels reach.  One eigvalsh at t* recovers g.
     """
-    if not isinstance(end, _Probe):
-        return lower
     moving = end.rate > 0.0
     steps = end.w[moving] / end.rate[moving]
     t_star = max(end.t + float(steps[np.argmin(np.abs(steps))]), 0.0)
     w = np.linalg.eigvalsh(route.rho.matrix - t_star * route.sigma.matrix)
     return max(lower, 1.0 - t_star * level - float(np.sum(w[w > 0.0])))
-
-
-def _converged(route: _Route, level: float):
-    """Run the threshold search at level on the route's pair to its end: (the
-    best dual bound on the optimal beta, its dual step included, at_lo,
-    at_hi).  The levels of a call that share the route share its pencil."""
-    search = _tau_search(route, level)
-    while True:
-        try:
-            lower, _ = next(search)
-        except StopIteration as stop:
-            at_lo, at_hi = stop.value
-            return _dual_step(route, level, lower, at_hi), at_lo, at_hi
 
 
 def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> HelstromTest:
@@ -546,8 +534,9 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     p_plus = P_plus(hi), p_zero = P_plus(lo) - P_plus(hi) (in general not a
     projector) and p_minus = 1 - P_plus(lo), so that M = p_plus + q0 * p_zero.
 
-    beta(M) within GAP_TOL of the best dual bound of the search and of one
-    dual step (``_converged``) proves M optimal; a wider gap raises
+    beta(M) within GAP_TOL of the lower bound of the search's last yield,
+    the best dual bound with the dual step of a probe search, proves M
+    optimal; a wider gap raises
     SandwichViolated.  An eigenvalue of rho - t*sigma counts as zero only
     within EIG_FLOOR * (1 + t), so tiny levels get the optimum too: a mixed
     sigma = diag(1 - 1e-10, 1e-10) against the worked example's rho at 1e-20,
@@ -571,7 +560,7 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
         plus_hi = plus_lo = route.kernel()
         t, q0 = math.inf, 0.0
     else:
-        dual, at_lo, at_hi = _converged(route, alpha0)
+        *_, (dual, _, (at_lo, at_hi)) = _tau_search(route, alpha0)
         plus_hi = at_hi.plus()
         if at_lo is None:
             plus_lo, alpha_lo = one, float(np.sum(at_hi.rate))
@@ -594,46 +583,45 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
 
 def _condition_levels(p_a: float, p_b: float) -> tuple[float, float]:
     """Type-I error levels (1 - p_a, p_b) of the tests M_A and M_B, or the one
-    level L = max(1 - p_a, p_b) twice when p_b equals 1 - p_a up to rounding."""
+    level L = max(1 - p_a, p_b) twice when ``_complementary(p_a, p_b)``."""
     _check_order(p_a, p_b)
-    if abs(p_b - (1.0 - p_a)) <= 1e-15:
+    if _complementary(p_a, p_b):
         level = max(1.0 - p_a, p_b)
         return level, level
     return 1.0 - p_a, p_b
 
 
-def _condition_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> float:
-    """A lower bound on beta(M_A) + beta(M_B) - 1 (2 * beta(L) - 1 on equal
-    levels) whose sign is the verdict of ``certify_condition``.
-
-    Steps the level searches in lockstep and sums the dual bounds g they
-    yield.  It returns as soon as the sign is known: the lower bounds sum
-    past 1 (certified), or the upper bounds, betas of feasible tests, sum to
-    at most 1 (not certified).  When the searches converge first, each level
-    adds a dual step (``_dual_step``) and the margin is the dual one,
-    g_A + g_B - 1 at the best t found.  The searches share one route
-    (``_Route``): a rank-one sigma costs one eigh of rho for both levels,
-    and a mixed sigma's levels, which double t alike, share the probes of
-    their common doubling.
-    """
-    route = _Route(rho, sigma)
+def _margin_bounds(route: _Route, p_a: float, p_b: float):
+    """Bounds (lower, upper) on the condition margin beta(M_A) + beta(M_B) - 1
+    (2 * beta(L) - 1 on equal levels), as a generator: the level searches
+    step in lockstep, each keeps its last yield once it has ended, and each
+    round yields their summed bounds.  The last lower bound is the dual
+    margin g_A + g_B - 1.  The searches share the route: a rank-one sigma
+    costs one eigh of rho in all, and a mixed sigma's levels, which double t
+    alike, share the probes of their common doubling."""
     levels = list(dict.fromkeys(_condition_levels(p_a, p_b)))
     weight = 2.0 / len(levels)
     searches = [_tau_search(route, level) for level in levels]
-    bounds = [(-math.inf, 1.0)] * len(levels)
-    ends: list[tuple | None] = [None] * len(levels)
-    while any(end is None for end in ends):
-        for i, search in enumerate(searches):
-            if ends[i] is None:
-                try:
-                    bounds[i] = next(search)
-                except StopIteration as stop:
-                    ends[i] = stop.value
-        lower = weight * sum(lo for lo, _ in bounds) - 1.0
-        if lower > 0.0 or weight * sum(up for _, up in bounds) <= 1.0:
-            return lower
-    duals = [_dual_step(route, level, lo, at_hi) for (lo, _), level, (_, at_hi) in zip(bounds, levels, ends)]
-    return weight * sum(duals) - 1.0
+    steps = [(-math.inf, 1.0, None)] * len(levels)
+    while any(ends is None for _, _, ends in steps):
+        steps = [step if step[2] is not None else next(search) for step, search in zip(steps, searches)]
+        yield weight * sum(lo for lo, _, _ in steps) - 1.0, weight * sum(up for _, up, _ in steps) - 1.0
+
+
+def _condition_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> float:
+    """The verdict's margin: the first lower bound of ``_margin_bounds`` whose
+    bounds fix the sign (lower > 0, or upper <= 0), else the dual margin."""
+    for lower, upper in _margin_bounds(_Route(rho, sigma), p_a, p_b):
+        if lower > 0.0 or upper <= 0.0:
+            break
+    return lower
+
+
+def _dual_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> float:
+    """The dual margin g_A + g_B - 1 of converged searches, located to their
+    tolerance, on which ``oracle.boundary_radius_search`` steps."""
+    *_, (margin, _) = _margin_bounds(_Route(rho, sigma), p_a, p_b)
+    return margin
 
 
 def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> bool:
@@ -647,14 +635,15 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     The decision needs eigenvalues only and no test operator.  Every probe
     of the threshold searches bounds the optimal beta from below by the
     Lagrange dual g(t) = 1 - t * alpha0 - Tr[(rho - t*sigma)_+] and from
-    above by the beta of a feasible test; the searches stop once the bounds
-    fix the sign.  Certification rests on the dual bounds alone, so it never
-    overclaims.  When the searches converge undecided, one dual step per
-    level (``_dual_step``) decides on g_A + g_B - 1.  The two levels share
-    the level-free work of one route (``_Route``): a mixed sigma's searches
-    step in lockstep and take each probe of their common doubling once, and
-    a rank-one sigma takes one eigh of rho in all, at any levels, and no
-    eigvalsh.  At p_a = 1 the level-0 search yields the exact beta of the
+    above by the beta of a feasible test; the searches, stepped in lockstep
+    (``_margin_bounds``), stop once the summed bounds fix the sign, or else
+    decide on g_A + g_B - 1, a probe search's last g with its dual step.
+    Certification rests on the dual bounds alone, so it never overclaims in
+    exact arithmetic; in floating point a margin of a few ulps can, until
+    the bounds get a rounding allowance.  The two levels share the
+    level-free work of one route (``_Route``): a mixed sigma's searches take
+    each probe of their common doubling once, and a rank-one sigma takes one
+    eigh of rho in all, at any levels, and no eigvalsh.  At p_a = 1 the level-0 search yields the exact beta of the
     kernel projection of sigma, from one eigh of sigma or, for a rank-one
     sigma, from none (see ``_tau_search``).
 

@@ -13,8 +13,9 @@ the library's closed forms and optimal tests on small instances:
                              distance around a pure qubit reference, using
                              only the generic robustness condition and its
                              dual margin g_A + g_B - 1 from converged level
-                             searches; ``_plane_boundary_radius`` steps on
-                             any such margin its caller supplies.
+                             searches (``helstrom._dual_margin``);
+                             ``_plane_boundary_radius`` steps on any such
+                             margin its caller supplies.
 * ``hoeffding_coverage``     empirical coverage of the confidence lower bound.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 from .classifier import Classifier, class_probabilities
 from .certification import hoeffding_margin
 from .errors import DimMismatch, RegimeTooLarge
-from .helstrom import _Route, _bracket_step, _condition_levels, _converged
+from .helstrom import _bracket_step, _condition_levels, _dual_margin
 from .states import DensityMatrix, PureState
 
 MAX_BRUTE_DIM = 4
@@ -226,17 +227,6 @@ def brute_force_min_beta(
     best, best_alpha = min(found, key=lambda batch_best: batch_best[0])
     return SearchReport(best_value=best, samples_used=samples, seed=seed,
                         argmin_description={"alpha": best_alpha, "alpha_target": target, "family": "ginibre-mapped"})
-
-
-def _dual_margin(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b: float) -> float:
-    """The dual condition margin g_A + g_B - 1 (2 * g(L) - 1 on equal levels),
-    each g from a level search run to convergence plus its dual step
-    (``helstrom._converged``): the margin whose sign ``certify_condition``
-    decides, located to the search's tolerance, to guide the angle search.
-    The levels share one route, so a rank-one sigma costs one eigh of rho."""
-    route = _Route(rho, sigma)
-    levels = dict.fromkeys(_condition_levels(p_a, p_b))
-    return 2.0 / len(levels) * sum(_converged(route, level)[0] for level in levels) - 1.0
 
 
 def _plane_boundary_radius(margin, p_a: float, p_b: float, steps: int) -> float:

@@ -266,3 +266,5 @@ def test_bound_report_mixed_benign_keeps_only_hoelder():
 def test_bound_report_skips_depol_when_pb_not_complementary():
     rep = bound_report(0.9, 0.05, p=0.2)
     assert rep.r_depol_qht is None
+    # The one rounding rule of the robustness condition: 1e-13 is too far.
+    assert bound_report(0.9, 0.1 + 1e-13, p=0.2).r_depol_qht is None

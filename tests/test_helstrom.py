@@ -115,13 +115,14 @@ def tau_bisection(rho, sigma, level, lambda_tol=0.0) -> tuple[float | None, floa
 
 
 def bisection_search(route, level):
-    """tau_bisection in the shape of helstrom's search: a generator that
-    yields the dual bound of its bracket-end probes and returns them."""
+    """tau_bisection in the shape of helstrom's search: a generator whose one
+    yield carries the dual bound of its bracket-end probes, raised by the
+    dual step, and the probes."""
     rho, sigma = route.rho, route.sigma
     lo, hi = tau_bisection(rho, sigma, level)
     ends = (None if lo is None else hel._threshold_probe(rho, sigma, lo), hel._threshold_probe(rho, sigma, hi))
-    yield max(1.0 - end.t * level - end.plus_trace for end in ends if end is not None), 1.0 - level
-    return ends
+    lower = max(1.0 - end.t * level - end.plus_trace for end in ends if end is not None)
+    yield hel._dual_step(route, level, lower, ends[1]), 1.0 - level, ends
 
 
 def test_tau_bisection_matches_grid_scan(rng):
@@ -194,19 +195,13 @@ def test_search_bounds_bracket_the_optimal_beta():
         if d > 16:
             continue
         for alpha0 in (0.05, 0.3, 0.7):
-            search = hel._tau_search(hel._Route(rho, sigma), alpha0)
-            yielded = []
-            while True:
-                try:
-                    yielded.append(next(search))
-                except StopIteration as stop:
-                    _, end = stop.value
-                    break
+            yielded = list(hel._tau_search(hel._Route(rho, sigma), alpha0))
+            _, end = yielded[-1][2]
             where = f"d={d} {kind} alpha0={alpha0}"
             optimal = dual_beta(rho, sigma, alpha0)
-            for lower, upper in yielded:
+            for lower, upper, _ in yielded:
                 assert lower <= optimal + 1e-12 and optimal - 1e-12 <= upper, where
-            lowers, uppers = zip(*yielded)
+            lowers, uppers, _ = zip(*yielded)
             assert list(lowers) == sorted(lowers) and list(uppers) == sorted(uppers, reverse=True), where
             assert end.t == helstrom(rho, sigma, alpha0).t, where
             # The final bracket pins beta down to the search's tolerance.
@@ -556,6 +551,9 @@ def test_error_probabilities_rejects_bad_operator():
         error_probabilities(np.eye(2) * 1.5, SIGMA, RHO)
     with pytest.raises(InvalidTestOperator):
         error_probabilities(np.array([[0.5, 0.4], [0.0, 0.5]]), SIGMA, RHO)
+    # The Hermiticity check uses the package's one validation tolerance.
+    with pytest.raises(InvalidTestOperator):
+        error_probabilities(np.array([[0.5, 5e-9], [0.0, 0.5]]), SIGMA, RHO)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +769,10 @@ def test_condition_rejects_mismatched_dimensions(rng):
 def test_condition_levels_share_their_probes(monkeypatch):
     # The two levels of a mixed-sigma condition step in lockstep and double t
     # alike (t = 0, 1, 2, 4, ...); a probe holds no level, so no t is
-    # decomposed twice in one condition.
+    # decomposed twice in one verdict, and no t of the common doubling in
+    # one converged dual margin.  (Run past the verdict, the levels can take
+    # the same eigenvalue-crossing guess from a shared probe some steps
+    # apart, which the one-probe memo does not catch.)
     unequal = ((0.8, 0.1), (0.7, 0.2), (0.9, 0.05), (0.6, 0.3), (0.95, 0.02), (0.85, 0.1), (0.65, 0.25), (0.75, 0.15))
     probed = []
     probe = hel._threshold_probe
@@ -782,7 +783,7 @@ def test_condition_levels_share_their_probes(monkeypatch):
 
     monkeypatch.setattr(hel, "_threshold_probe", logged_probe)
     rng = philox(4242)
-    conditions = repeated = 0
+    conditions = repeated = doubled = 0
     for d in (2, 4, 16):
         for _ in range(70):
             sigma, rho = random_density(d, rng), random_density(d, rng)
@@ -791,7 +792,11 @@ def test_condition_levels_share_their_probes(monkeypatch):
                 _condition_margin(sigma, rho, p_a, p_b)
                 conditions += 1
                 repeated += len(probed) != len(set(probed))
-    assert conditions == 3 * 70 * len(unequal) and repeated == 0
+                probed.clear()
+                _dual_margin(sigma, rho, p_a, p_b)
+                ladder = [t for t in probed if t == 0.0 or math.frexp(t)[0] == 0.5]
+                doubled += len(ladder) != len(set(ladder))
+    assert conditions == 3 * 70 * len(unequal) and repeated == 0 and doubled == 0
 
 
 def test_condition_margin_never_exceeds_the_dual():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -133,3 +134,31 @@ def test_the_route_is_the_only_way_into_the_solvers_eigendecompositions():
         or isinstance(node, ast.alias) and node.name == "_threshold_probe"
     }
     assert naming == {"helstrom.py:_Route.probe"}
+
+
+def test_every_library_name_the_benchmark_needs_resolves():
+    # The benchmark harness wraps each (owner, attr) of ``perfbench/spans.py``
+    # SPANNED by getattr and calls lib.<module>.<name> in its workloads, so a
+    # renamed or deleted function would crash a benchmark run; it fails here.
+    harness = SRC.parents[1] / "perfbench"
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(harness.glob("*.py"))}
+    spanned = next(
+        ast.literal_eval(node.value)
+        for node in trees["spans.py"].body
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "SPANNED" for target in node.targets)
+    )
+    needed = set(spanned)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            # lib.<module>.<name>, with lib a plain name or an attribute (self.lib).
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+                base = node.value.value
+                if "lib" in (getattr(base, "id", None), getattr(base, "attr", None)):
+                    needed.add((node.value.attr, node.attr))
+    assert len(needed) > len(spanned)
+    missing = [
+        f"{owner}.{attr}"
+        for owner, attr in sorted(needed)
+        if not hasattr(importlib.import_module(owner if owner == "numpy.linalg" else f"qhtcert.{owner}"), attr)
+    ]
+    assert missing == []
