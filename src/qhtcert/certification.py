@@ -78,6 +78,13 @@ def hoeffding_margin(n_shots: int, epsilon: float) -> float:
     return math.sqrt(-math.log(epsilon) / (2.0 * n_shots))
 
 
+def _philox(seed: int) -> np.random.Generator:
+    """The counter-based Philox generator keyed by ``seed``."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def sample_outcomes(cl: Classifier, sigma: DensityMatrix, n_shots: int, seed: int) -> np.ndarray:
     """Counts of N i.i.d. measurement outcomes, ordered like ``cl.labels``.
 
@@ -87,8 +94,7 @@ def sample_outcomes(cl: Classifier, sigma: DensityMatrix, n_shots: int, seed: in
         raise ValueError("n_shots must be >= 1")
     probs = class_probabilities(cl, sigma)
     probs = probs / probs.sum()
-    rng = np.random.Generator(np.random.Philox(seed))
-    return rng.multinomial(n_shots, probs)
+    return _philox(seed).multinomial(n_shots, probs)
 
 
 def hoeffding_bounds(counts, n_shots: int, epsilon: float) -> HoeffdingEstimate:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import Classifier, class_probabilities
-from .certification import hoeffding_margin
+from .certification import _philox, hoeffding_margin
 from .errors import DimMismatch, RegimeTooLarge
 from .helstrom import _bracket_step, _condition_levels, _dual_margin
 from .states import DensityMatrix, PureState
@@ -39,7 +39,7 @@ MAX_BRUTE_DIM = 4
 BATCH = 20_000
 # Guard of the root solve in ``_spectrum_ends``: the rows it keeps stay within
 # 6e-15 * max(1, |lambda|max) of eigvalsh on nearly repeated, shifted and scaled
-# spectra (1.3e-14 at _ILL_SLOPE = 0.01); about 10 draws in 20 000 at d = 4 fail it.
+# spectra (1.3e-14 at _ILL_SLOPE = 0.01); about 8 draws in 20 000 at d = 4 fail it.
 _NEWTON_STEP = 1e-12
 _ILL_SLOPE = 0.03
 _NEWTON_ITERATIONS = 40
@@ -65,18 +65,17 @@ def _hermitian_stack(entries: np.ndarray) -> np.ndarray:
 
 
 def _draw_entries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Entries e of the Hermitian parts h of n Ginibre matrices (a + ib)/sqrt(2),
-    a then b the next 2*n*dim*dim normals of ``rng``: the rows h_ii, Re h_ij,
-    Im h_ij (i < j, ``np.triu_indices`` order) of a (dim*dim, n) array.  With
-    the basis B = ``_hermitian_stack(1)``, e_m = <B_m, h>/|B_m|^2 is a product
-    of transposed views of a, b with 0, +-1/2 or 1: one rounding of at most two
-    exact products in any summation order: the bits of (a + a^T)/2, (b - b^T)/2.
+    """Entries of n draws h distributed as the Hermitian part (g + g^H)/2 of a
+    Ginibre matrix g = (a + ib)/sqrt(2): the rows h_ii, Re h_ij, Im h_ij
+    (i < j, ``np.triu_indices`` order) of a (dim*dim, n) array.  These entries
+    are independent Gaussians, h_ii ~ N(0, 1/2) and Re h_ij, Im h_ij ~
+    N(0, 1/4) (the GUE entry law), so the rows are the next n*dim*dim normals
+    of ``rng`` scaled in place by 1/sqrt(2) (diagonal) or 1/2 (the rest).
     """
-    basis = _hermitian_stack(np.eye(dim * dim)).reshape(dim * dim, -1)
-    select, real_rows = basis / np.sum(np.abs(basis) ** 2, axis=1, keepdims=True), dim * (dim + 1) // 2
-    normals = rng.standard_normal((2, n, dim * dim))
-    a, b = np.multiply(normals, 1.0 / np.sqrt(2.0), out=normals).transpose(0, 2, 1)  # in place: no second copy
-    return np.concatenate([select.real[:real_rows] @ a, select.imag[real_rows:] @ b])
+    entries = rng.standard_normal((dim * dim, n))
+    entries[:dim] *= 1.0 / np.sqrt(2.0)
+    entries[dim:] *= 0.5
+    return entries
 
 
 def _traceless_charpoly(entries: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -187,9 +186,10 @@ def brute_force_min_beta(
 ) -> SearchReport:
     """Smallest type-II error found among random feasible tests.
 
-    Searches the tests M = (h - lo*1)/(hi - lo), h the Hermitian part of a
-    Ginibre draw with extreme eigenvalues lo, hi, each scaled down or mixed
-    toward the identity (``_adjust``) to alpha(M) in [alpha0 - 1e-3, alpha0],
+    Searches the tests M = (h - lo*1)/(hi - lo), h with the law of the
+    Hermitian part of a Ginibre matrix (its d*d real entries drawn directly
+    by ``_draw_entries``) and extreme eigenvalues lo, hi, each scaled down or
+    mixed toward the identity (``_adjust``) to alpha(M) in [alpha0 - 1e-3, alpha0],
     so the result upper-bounds the true infimum and, by optimality, can never
     fall below the constructed test's beta (up to roundoff).
 
@@ -208,7 +208,7 @@ def brute_force_min_beta(
     if not 0.0 <= alpha0 <= 1.0:
         raise ValueError("alpha0 must lie in [0, 1]")
     target = max(alpha0 - 1e-6, alpha0 * (1.0 - 1e-3))
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _philox(seed)
     pair = np.stack([sigma.matrix, rho.matrix])
     unit_traces = np.real(np.einsum("kii->k", pair))[:, None]
     # Tr[X h] = sum_m e_m Tr[X B_m] over the basis B of ``_draw_entries``.
@@ -301,7 +301,7 @@ def boundary_radius_search(
         raise ValueError("reference must be a qubit state")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got samples={samples}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _philox(seed)
     sigma, ref = reference.density(), reference.amplitudes
     perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])
 
@@ -329,8 +329,7 @@ def hoeffding_coverage(
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     probs = class_probabilities(cl, sigma)
-    rng = np.random.Generator(np.random.Philox(seed))
-    counts = rng.multinomial(n_shots, probs / probs.sum(), size=trials)
+    counts = _philox(seed).multinomial(n_shots, probs / probs.sum(), size=trials)
     k_hat = np.argmax(counts, axis=1)
     margin = hoeffding_margin(n_shots, epsilon)
     lower = counts[np.arange(trials), k_hat] / n_shots - margin

@@ -427,6 +427,27 @@ def test_oracle_coverage(tmp_path, demo_files, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("certify", "--classifier", "{classifier}", "--state", "{state}", "--shots", "100", "--epsilon", "0.01",
+         "--output", "{tmp}/cert.json"),
+        ("toy-example",),
+        ("oracle", "min-beta", "--null", "{state}", "--alt", "{state}", "--alpha0", "0.1", "--samples", "1000"),
+        ("oracle", "boundary", "--pA", "0.9", "--pB", "0.1"),
+        ("oracle", "coverage", "--classifier", "{classifier}", "--state", "{state}", "--trials", "1000"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]) if argv[0] == "oracle" else argv[0],
+)
+def test_negative_seed_error_record_names_the_seed(tmp_path, demo_files, capsys, argv):
+    cl_path, state_path = demo_files
+    filled = [a.format(classifier=cl_path, state=state_path, tmp=tmp_path) for a in argv]
+    rc, out, err = run(capsys, *filled, "--seed", "-1")
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "seed must be a non-negative integer, got -1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("oracle", "boundary", "--pA", "0.9", "--pB", "0.1", "--samples", "0"),
         ("oracle", "boundary", "--pA", "0.9", "--pB", "0.1", "--samples", "-3"),
         ("compare-depol", "--grid", "0"),
