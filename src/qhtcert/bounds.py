@@ -155,9 +155,10 @@ def _depol_radii(p_a: float, p: float, d: int, pure: bool) -> tuple[float | None
 
 
 def smoothing_covers_everything(p_a: float, p: float, d: int = 2) -> bool:
-    """True when the smoothed radius at dimension d saturates at 1 (every state certified)."""
-    _, t2 = _depol_case_thresholds(p, d)
-    return bool(p_a > t2)
+    """True when the smoothed radius at dimension d saturates at 1 and every
+    state is certified: pA > t2.  At pA = t2 the radius is 1, but the
+    orthogonal states sit on the boundary.  Raises as ``radius_depol_qht``."""
+    return radius_depol_qht(p_a, p, d) == 1.0 and bool(p_a > _depol_case_thresholds(p, d)[1])
 
 
 def pure_beta_closed_form(overlap_sq: float, p_a: float, p_b: float) -> tuple[float, float]:
@@ -216,7 +217,9 @@ def bound_report(p_a: float, p_b: float, p: float = 0.0, *, benign_pure: bool = 
 
     p = 0 means no smoothing; p outside [0, 1) raises ValueError.  The
     smoothed radii assume p_b = 1 - p_a and are filled in only when that holds
-    up to rounding (``_complementary``) and p > 0.
+    up to rounding (``_complementary``), p > 0 and pA > 1/2, each where it
+    applies to a qubit (``_depol_radii``): the duality radius for any benign
+    state, the QHT and DP radii for a pure one.
     """
     _check_order(p_a, p_b)
     if not 0.0 <= p < 1.0:
@@ -227,8 +230,8 @@ def bound_report(p_a: float, p_b: float, p: float = 0.0, *, benign_pure: bool = 
         r_mixed_main = radius_qht_pure_mixed(p_a, p_b, "main")
         r_mixed_app = radius_qht_pure_mixed(p_a, p_b, "appendix")
     r_depol_q = r_depol_h = r_depol_d = None
-    if p > 0.0 and _complementary(p_a, p_b) and benign_pure and p_a > 0.5:
-        r_depol_q, r_depol_h, r_depol_d = _depol_radii(p_a, p, 2, True)
+    if p > 0.0 and _complementary(p_a, p_b) and p_a > 0.5:
+        r_depol_q, r_depol_h, r_depol_d = _depol_radii(p_a, p, 2, benign_pure)
     return BoundReport(
         p_a=p_a,
         p_b=p_b,

@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QhtcertError, ValueError, OSError, KeyError) as exc:
+    except (QhtcertError, ValueError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 1

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .bounds import pure_beta_closed_form, radius_qht_pure
 from .classifier import Classifier
 from .states import Povm, PureState, identity_kraus
 
@@ -56,28 +57,21 @@ def balanced_classifier() -> Classifier:
 
 
 def reference_numbers() -> dict:
-    """Analytically derived values for the worked example.
+    """Analytically derived values for the worked example, with the squared
+    overlap |g|^2 = cos^2(pi/6) = 3/4 of the two states.
 
-    overlap_sq   squared overlap of the two states, cos^2(pi/6) = 3/4
     t_threshold  2|g|^2 - 1 - (2 a0 - 1) sqrt(|g|^2 (1-|g|^2) / (a0 (1-a0)))
-    beta         |g|^2 (2pA-1) + (1-pA)(1 - 2 pA sqrt(|g|^2(1-|g|^2)/(pA(1-pA))))
-    theta_max    2 arccos(sqrt(1/2 + sqrt(pA (1-pA)))), largest certified angle
-    radius       sin(theta_max / 2) = sqrt(1/2 - sqrt(pA (1-pA)))
+    beta         the closed form ``bounds.pure_beta_closed_form`` at pA = 1 - a0
+    theta_max    2 asin(``bounds.radius_qht_pure``(pA, 1 - pA)), largest certified angle
     """
     g2 = math.cos(THETA0 / 2.0) ** 2
     a0 = ALPHA0
     cross = math.sqrt(g2 * (1.0 - g2))
     t = 2.0 * g2 - 1.0 - (2.0 * a0 - 1.0) * cross / math.sqrt(a0 * (1.0 - a0))
     p_a = TOP_PROBABILITY
-    beta = g2 * (2.0 * p_a - 1.0) + (1.0 - p_a) * (
-        1.0 - 2.0 * p_a * cross / math.sqrt(p_a * (1.0 - p_a))
-    )
-    theta_max = 2.0 * math.acos(math.sqrt(0.5 + math.sqrt(p_a * (1.0 - p_a))))
     return {
-        "overlap_sq": g2,
         "t_threshold": t,
-        "beta": beta,
+        "beta": pure_beta_closed_form(g2, p_a, 1.0 - p_a)[0],
         "beta_rounded": 0.44,
-        "theta_max": theta_max,
-        "radius": math.sin(theta_max / 2.0),
+        "theta_max": 2.0 * math.asin(radius_qht_pure(p_a, 1.0 - p_a)),
     }

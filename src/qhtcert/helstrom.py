@@ -196,11 +196,9 @@ def _crossing(probe: _Probe, level: float) -> float:
 
 def _bracket_step(
     lo: float, hi: float, guess: float | None, half_tol: float, newest: float, lengths: list[float]
-) -> float | None:
-    """Next probe strictly inside the bracket (lo, hi), or None when no float lies there.
-
-    Only the angle search, run to float resolution, gets None; the threshold
-    searches stop at a width far above the float spacing.
+) -> float:
+    """Next probe inside the bracket (lo, hi), for a bracket that holds a
+    float strictly between its ends.
 
     Takes the guess clamped at least half_tol inside the bracket, so that a
     converged guess closes it, and the midpoint when there is no guess or when
@@ -212,8 +210,6 @@ def _bracket_step(
     t = math.nan if guess is None else min(max(guess, lo + half_tol), hi - half_tol)
     if not (lo < t < hi and abs(t - newest) <= 0.5 * lengths[0]):
         t = 0.5 * (lo + hi)
-    if not lo < t < hi:
-        return None
     lengths[:] = [lengths[1], abs(t - newest)]
     return t
 
@@ -389,8 +385,8 @@ def _secular_search(p: _Pencil, level: float):
     alpha0 = newest.alpha
     target = math.log(level / (alpha0 - level))
 
-    def newton(end: _Root | None) -> float:
-        if end is None or end.s == -math.inf or not (0.0 < end.alpha < alpha0 and end.slope < 0.0):
+    def newton(end: _Root) -> float:
+        if not (0.0 < end.alpha < alpha0 and end.slope < 0.0):
             return math.nan
         gap = alpha0 - end.alpha
         return end.s - (math.log(end.alpha / gap) - target) * end.alpha * gap / (end.slope * alpha0)
@@ -413,8 +409,8 @@ def _secular_search(p: _Pencil, level: float):
         yield *bounds, None
         if hi - lo <= T_TOL:
             raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
-        guesses = (newton(newest), newton(at_lo if newest.below else at_hi))
-        s = _bracket_step(lo, hi, next((g for g in guesses if lo <= g <= hi), None), 0.5 * T_TOL, newest.s, lengths)
+        guess = newton(newest)
+        s = _bracket_step(lo, hi, guess if lo <= guess <= hi else None, 0.5 * T_TOL, newest.s, lengths)
         newest = _secular_point(p, s, level)
 
 
@@ -448,12 +444,12 @@ def _tau_search(route: _Route, level: float):
     O(d) (``_secular_point``).  It first takes y -> 0.  When alpha there is
     at most the level, the level sits on the jump of alpha at t(0), and the
     ends are the test 1 - Pi_N and P_plus(t(0)).  Otherwise it takes
-    safeguarded Newton steps in s = log y (``_secular_search``) with the
-    same bracket step, to width T_TOL in s, and yields the same bounds,
-    lowered by t times the route's slack and by the eigenvalues of rho set
-    to zero (``_Pencil``), so they hold for (rho, sigma).  Its lower bound
-    is the dual at the root itself, so its last point ends it with no dual
-    step.
+    safeguarded Newton steps in s = log y (``_secular_search``), one guess
+    from the newest point, with the same bracket step, to width T_TOL in s,
+    and yields the same bounds, lowered by t times the route's slack and by
+    the eigenvalues of rho set to zero (``_Pencil``), so they hold for
+    (rho, sigma).  Its lower bound is the dual at the root itself, so its
+    last point ends it with no dual step.
 
     Level 0 has no threshold: the dual g(t) = 1 - Tr[(rho - t*sigma)_+] does
     not decrease in t, and its limit is the beta of the optimal test, the

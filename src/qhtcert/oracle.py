@@ -238,14 +238,15 @@ def _plane_boundary_radius(margin, p_a: float, p_b: float, steps: int) -> float:
     theta* in [0, pi], or 1.0 when even the orthogonal state is certified.
 
     The bracket [lo, hi] keeps the condition holding at lo and failing at hi.
-    Each step is an Illinois regula-falsi guess from the margins at the two
+    Each step is a regula-falsi (secant) guess from the margins at the two
     ends (at theta = 0, where the states coincide, the margin is
-    1 - level_A - level_B without a solve), safeguarded by bisection as in
-    the threshold search: it bisects when the step would move farther from
-    the newest angle than half the step taken two steps earlier.  The search
-    stops at bracket width pi * 2**-steps, which bisection would reach after
-    ``steps`` steps, when no float lies strictly inside the bracket, or at
-    an angle whose margin is exactly 0, which is the boundary.
+    1 - level_A - level_B without a solve), safeguarded by the threshold
+    search's bracket step (``_bracket_step``): it bisects when the step
+    would move farther from the newest angle than half the step taken two
+    steps earlier.  The search stops at bracket width pi * 2**-steps, which
+    bisection would reach after ``steps`` steps, when no float lies strictly
+    inside the bracket (its midpoint is one of its ends), or at an angle
+    whose margin is exactly 0, which is the boundary.
     """
     level_a, level_b = _condition_levels(p_a, p_b)
     lo, hi = 0.0, math.pi
@@ -253,27 +254,17 @@ def _plane_boundary_radius(margin, p_a: float, p_b: float, steps: int) -> float:
     if at_hi > 0.0:
         return 1.0
     tol = math.ldexp(math.pi, -steps)
-    lengths = [math.inf, math.inf]
-    kept, newest = None, hi
-    while hi - lo > tol:
+    lengths, newest = [math.inf, math.inf], hi
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
         guess = lo + (hi - lo) * at_lo / (at_lo - at_hi) if at_lo > at_hi else None
-        theta = _bracket_step(lo, hi, guess, 0.5 * tol, newest, lengths)
-        if theta is None:
-            break
-        newest, value = theta, margin(theta)
+        newest = _bracket_step(lo, hi, guess, 0.5 * tol, newest, lengths)
+        value = margin(newest)
         if value == 0.0:
-            return math.sin(theta / 2.0)
-        # Illinois: halve the margin at an end that stays put twice in a row.
+            return math.sin(newest / 2.0)
         if value > 0.0:
-            lo, at_lo = theta, value
-            if kept == "hi":
-                at_hi *= 0.5
-            kept = "hi"
+            lo, at_lo = newest, value
         else:
-            hi, at_hi = theta, value
-            if kept == "lo":
-                at_lo *= 0.5
-            kept = "lo"
+            hi, at_hi = newest, value
     theta = 0.5 * (lo + hi)
     return math.sin(theta / 2.0)
 
@@ -292,7 +283,8 @@ def boundary_radius_search(
     random phi at every evaluation (the boundary is phi-independent for pure
     pairs).  The generic robustness condition keeps the bracket, and its
     dual margin g_A + g_B - 1 (Lagrange-dual lower bounds g on the two
-    optimal type-II errors) guides regula-falsi steps inside it.
+    optimal type-II errors) guides plain regula-falsi steps inside it
+    (``_plane_boundary_radius``).
     The search stops at angle bracket width pi * 2**-samples, or when no
     float lies strictly inside the bracket.  Returns the boundary trace
     distance sin(theta*/2).

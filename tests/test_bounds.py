@@ -83,6 +83,13 @@ def test_radius_depol_qht_values():
         radius_depol_qht(0.9, 0.2, 1)
     with pytest.raises(OutOfRegime):
         smoothing_covers_everything(0.9, 0.2, 1)
+    # The saturation flag takes the radius's input checks.
+    with pytest.raises(ValueError):
+        smoothing_covers_everything(0.9, 1.5)
+    with pytest.raises(OutOfRegime):
+        smoothing_covers_everything(2.0, 0.2)
+    with pytest.raises(OutOfRegime):
+        smoothing_covers_everything(math.nan, 0.2)
 
 
 def test_radius_depol_qht_continuous_across_cases():
@@ -261,6 +268,12 @@ def test_bound_report_mixed_benign_keeps_only_hoelder():
     rep = bound_report(0.9, 0.1, benign_pure=False)
     assert rep.r_qht_pure is None
     assert rep.r_hoelder == pytest.approx(0.4, abs=1e-12)
+
+
+def test_bound_report_keeps_the_smoothed_duality_radius_of_a_mixed_benign_state():
+    rep = bound_report(0.9, 0.1, 0.2, benign_pure=False)
+    assert rep.r_depol_hoelder == radius_depol_hoelder(0.9, 0.2)
+    assert rep.r_depol_qht is None and rep.r_depol_dp is None
 
 
 def test_bound_report_skips_depol_when_pb_not_complementary():

@@ -494,6 +494,26 @@ def test_pure_boundary_search_takes_one_eigh_per_angle(monkeypatch):
     assert calls[0] == margins[0]
 
 
+def test_boundary_steps_are_plain_regula_falsi(monkeypatch):
+    # One safeguard, the bracket step's: a second one, such as Illinois
+    # halving of the end margins, takes 379 margins here.
+    calls = [0]
+    margin = oracle_module._dual_margin
+
+    def counting_margin(*args):
+        calls[0] += 1
+        return margin(*args)
+
+    monkeypatch.setattr(oracle_module, "_dual_margin", counting_margin)
+    rng = philox(2401)
+    for p_a, p_b in ((0.9, 0.1), (0.8, 0.1), (0.65, 0.25)):
+        for _ in range(10):
+            boundary_radius_search(p_a, p_b, random_pure(2, rng), 60, int(rng.integers(1 << 30)))
+    for seed in range(10):
+        boundary_radius_search(0.9, 0.1, demo.benign_state(), seed=seed)
+    assert calls[0] <= 359
+
+
 def test_boundary_search_stops_at_a_zero_margin(monkeypatch):
     # A margin that is exactly 0 over a band of angles: the first angle the
     # search meets in the band is a boundary, and the search ends there.
@@ -563,7 +583,7 @@ def test_solver_bits_are_pinned():
         put(boundary_radius_search(p_a, p_b, random_pure(2, rng), 60, int(rng.integers(1 << 30))))
     for d in (2, 4):
         put(_smoothed_boundary_generic(random_pure(d, rng).density(), 0.3, 0.8))
-    assert digest.hexdigest() == "9f4c97fc2a51f871ad0bca3268e03a2ee404686090f10764722830b9e6b9d61c"
+    assert digest.hexdigest() == "fbe52200fd6e8dd69e0bedfa01ca1734c91a86a32e7e98eebc7b767257f76b3b"
 
 
 # ---------------------------------------------------------------------------
