@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +79,16 @@ def hoeffding_margin(n_shots: int, epsilon: float) -> float:
     return math.sqrt(-math.log(epsilon) / (2.0 * n_shots))
 
 
+def _check_count(value, least: int, message: str) -> None:
+    """Raise ValueError(message.format(value)) unless value is an integer
+    (a numpy one too, but not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(message.format(value))
+
+
 def _philox(seed: int) -> np.random.Generator:
     """The counter-based Philox generator keyed by ``seed``."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_count(seed, 0, "seed must be a non-negative integer, got {}")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -90,8 +97,7 @@ def sample_outcomes(cl: Classifier, sigma: DensityMatrix, n_shots: int, seed: in
 
     Identical (classifier, state, N, seed) always reproduce identical counts.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    _check_count(n_shots, 1, "n_shots must be >= 1, got {}")
     probs = class_probabilities(cl, sigma)
     probs = probs / probs.sum()
     return _philox(seed).multinomial(n_shots, probs)
@@ -99,8 +105,11 @@ def sample_outcomes(cl: Classifier, sigma: DensityMatrix, n_shots: int, seed: in
 
 def hoeffding_bounds(counts, n_shots: int, epsilon: float) -> HoeffdingEstimate:
     """Lower/upper confidence bounds for the top two empirical classes."""
+    _check_count(n_shots, 1, "n_shots must be >= 1, got {}")
     counts = np.asarray(counts)
-    if int(counts.sum()) != int(n_shots):
+    if counts.ndim != 1 or counts.size < 2 or counts.dtype.kind not in "iu" or np.any(counts < 0):
+        raise ValueError(f"counts must be a vector of at least two non-negative integers, got {counts}")
+    if int(counts.sum()) != n_shots:
         raise ValueError("counts must sum to n_shots")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")

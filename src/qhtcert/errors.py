@@ -47,7 +47,7 @@ class DimMismatch(QhtcertError):
 
 
 class NegativeT(QhtcertError):
-    """The scalar t in the signed decomposition of rho - t*sigma must be >= 0."""
+    """The scalar t in the signed decomposition of rho - t*sigma must be finite and >= 0."""
 
 
 class InvalidTestOperator(ValidationError):

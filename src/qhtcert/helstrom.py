@@ -109,19 +109,16 @@ def _span(cols: np.ndarray) -> np.ndarray:
 
 
 def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> SignedProjections:
-    """Classify the spectrum of rho - t*sigma into +/0/- eigenspaces.
+    """Classify the spectrum of rho - t*sigma into +/0/- eigenspaces (``_Route.probe``).
 
     Eigenvalues with |lambda| <= EIG_FLOOR * (1 + t) form the zero space.
     """
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    if t < 0:
-        raise NegativeT(f"t must be non-negative, got {t}")
-    w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
-    thr = EIG_FLOOR * (1.0 + t)
-    plus = _span(v[:, w > thr])
-    minus = _span(v[:, w < -thr])
-    zero = np.eye(len(w)) - plus - minus
+    if not 0.0 <= t < math.inf:
+        raise NegativeT(f"t must be finite and non-negative, got {t}")
+    probe = _Route(rho, sigma).probe(t)
+    plus = probe.plus()
+    minus = _span(probe.v[:, probe.w < -EIG_FLOOR * (1.0 + t)])
+    zero = np.eye(len(probe.w)) - plus - minus
     return SignedProjections(t=float(t), p_plus=plus, p_zero=zero, p_minus=minus)
 
 
@@ -291,7 +288,6 @@ class _Root(NamedTuple):
 
     t: float
     s: float
-    below: bool
     alpha: float
     slope: float
     beta: float
@@ -347,61 +343,57 @@ def _secular_point(p: _Pencil, s: float, level: float) -> _Root:
     slope = -2.0 * float((wr * rate) @ rate)
     beta = 1.0 - p.trace + float(wr2 @ p.lam) / r2
     dual = 1.0 - p.trace + t * (big_b - level) - p.slack - t * p.slack_t
-    return _Root(t, s, alpha <= level, alpha, slope, beta, dual, r, r2, p)
+    return _Root(t, s, alpha, slope, beta, dual, r, r2, p)
 
 
-def _tighter(bounds: tuple[float, float], dual: float, at_lo, at_hi, level: float) -> tuple[float, float]:
-    """The (lower, upper) bounds on the optimal beta tightened by a search's
-    newest point: its dual, and the beta of the mixture of the bracket-end
-    tests P_plus(lo), P_plus(hi) that attains alpha = level (P_plus(hi)
-    itself when lo is None)."""
+def _share(level: float, at_lo, at_hi) -> float:
+    """The weight q0 of P_plus(lo) in the mixture (1 - q0) * P_plus(hi) + q0 *
+    P_plus(lo) with alpha = level, clamped at 1 for a level >= alpha(P_plus(lo))."""
+    gap = at_lo.alpha - at_hi.alpha
+    return min(1.0, (level - at_hi.alpha) / gap) if gap > 0.0 else 1.0
+
+
+def _place(bounds: tuple[float, float], dual: float, newest, at_lo, at_hi, level: float):
+    """(bounds, at_lo, at_hi) with a search's newest point at the bracket end
+    on its side of the level, and the (lower, upper) bounds on the optimal
+    beta tightened by its dual and by the beta of the bracket-end mixture."""
+    if newest.alpha <= level:
+        at_hi = newest
+    else:
+        at_lo = newest
     lower, upper = max(bounds[0], dual), bounds[1]
     if at_hi is not None:
-        mix = at_hi.beta
-        if at_lo is not None:
-            share = (level - at_hi.alpha) / (at_lo.alpha - at_hi.alpha)
-            mix += share * (at_lo.beta - at_hi.beta)
-        upper = min(upper, mix)
-    return lower, upper
+        upper = min(upper, at_hi.beta + _share(level, at_lo, at_hi) * (at_lo.beta - at_hi.beta))
+    return (lower, upper), at_lo, at_hi
 
 
 def _secular_search(p: _Pencil, level: float):
-    """The threshold search of a rank-one sigma; see ``_tau_search``."""
-    # 1 - Pi_N, the plus projection below t(y -> 0).
-    whole = _Root(0.0, -math.inf, False, p.s0, math.nan, 1.0 - p.trace, -math.inf, 0.0 * p.lam, 1.0, p)
-    newest = _secular_point(p, -math.inf, level)
-    at_lo, at_hi = (whole, newest) if newest.below else (newest, None)
-    bounds = _tighter((-math.inf, 1.0 - level), newest.dual, at_lo, at_hi, level)
-    if at_hi is not None:
-        yield *bounds, (at_lo, at_hi)
-        return
-    yield *bounds, None
-
+    """The threshold search of a rank-one sigma, from y -> 0; see ``_tau_search``."""
     # Newton steps on log(alpha / (alpha0 - alpha)), alpha0 = alpha(y -> 0),
     # close to linear in s at both ends: alpha0 - alpha ~ y as y -> 0, and
-    # alpha ~ Var / y^2 as y -> inf, Var = sum w (lam - mean)^2.  The first
-    # point solves that two-ended model; every y with
+    # alpha ~ Var / y^2 as y -> inf, Var = sum w (lam - mean)^2.  The step
+    # from y -> 0 solves that two-ended model; every y with
     # |psi|^2 lam_max^2 / y^2 <= level lies above the threshold.
-    alpha0 = newest.alpha
-    target = math.log(level / (alpha0 - level))
+    spread = float(p.w @ (p.lam - float(p.w @ p.lam) / p.s0) ** 2)
+    s_lo, s_hi = math.log(Y_MIN), math.log(min(Y_MAX, float(p.lam[-1]) * math.sqrt(p.s0 / level)))
 
     def newton(end: _Root) -> float:
+        if end.s == -math.inf:
+            model = spread * (alpha0 - level) / (alpha0 * level)
+            return min(max(0.5 * math.log(model), s_lo), s_hi) if model > 0.0 else s_hi
         if not (0.0 < end.alpha < alpha0 and end.slope < 0.0):
             return math.nan
         gap = alpha0 - end.alpha
+        target = math.log(level / (alpha0 - level))
         return end.s - (math.log(end.alpha / gap) - target) * end.alpha * gap / (end.slope * alpha0)
 
-    spread = float(p.w @ (p.lam - float(p.w @ p.lam) / p.s0) ** 2)
-    s_lo, s_hi = math.log(Y_MIN), math.log(min(Y_MAX, float(p.lam[-1]) * math.sqrt(p.s0 / level)))
-    guess = spread * (alpha0 - level) / (alpha0 * level)
-    newest = _secular_point(p, min(max(0.5 * math.log(guess), s_lo), s_hi) if guess > 0.0 else s_hi, level)
-    lengths = [math.inf, math.inf]
+    # The lower end starts at 1 - Pi_N, the plus projection below t(y -> 0).
+    at_lo = _Root(0.0, -math.inf, p.s0, math.nan, 1.0 - p.trace, -math.inf, 0.0 * p.lam, 1.0, p)
+    bounds, at_hi, lengths = (-math.inf, 1.0 - level), None, [math.inf, math.inf]
+    newest = _secular_point(p, -math.inf, level)
+    alpha0 = newest.alpha
     while True:
-        if newest.below:
-            at_hi = newest
-        else:
-            at_lo = newest
-        bounds = _tighter(bounds, newest.dual, at_lo, at_hi, level)
+        bounds, at_lo, at_hi = _place(bounds, newest.dual, newest, at_lo, at_hi, level)
         lo, hi = max(at_lo.s, s_lo), s_hi if at_hi is None else at_hi.s
         if hi - lo <= T_TOL and at_hi is not None:
             yield *bounds, (at_lo, at_hi)
@@ -431,13 +423,14 @@ def _tau_search(route: _Route, level: float):
     alpha <= level, the Newton step and g(t) from them, so levels stepped in
     lockstep share the probes of their common doubling.
 
-    After every probe it yields (lower, upper, None): lower is the largest
-    dual bound g(t) of the probes so far, upper the smallest beta of a test
-    with alpha = level built from them, the mixture of the bracket-end tests
-    P_plus(lo) and P_plus(hi), or 1 - level before any probe has reached
-    the level.  Its last yield, after convergence, adds the dual step
-    (``_dual_step``) to lower and carries the bracket-end probes (at_lo,
-    at_hi), at_lo None when the threshold is t = 0; at_hi.t is the threshold.
+    After every point, placed at its bracket end (``_place``), it yields
+    (lower, upper, None): lower is the largest dual bound g(t) of the probes
+    so far, upper the smallest beta of a test with alpha = level built from
+    them, the mixture of the bracket-end tests P_plus(lo) and P_plus(hi), or
+    1 - level before any probe has reached the level.  Its last yield, after
+    convergence, adds the dual step (``_dual_step``) to lower and carries
+    the two bracket-end tests (at_lo, at_hi); at_hi.t is the threshold, and
+    at t = 0 at_lo is the test 1 with P_plus(0)'s beta.
 
     A pure sigma (the route's psi) takes no probes: one eigh of rho (the
     route's pencil, shared by the levels of the call) gives every point in
@@ -475,20 +468,19 @@ def _tau_search(route: _Route, level: float):
             yield end.t - (end.alpha - level) / end.slope if end.slope < 0.0 else math.nan
             yield _crossing(end, level)
 
-    bounds, at_lo, at_hi, lengths = (-math.inf, 1.0 - level), None, None, [math.inf, math.inf]
+    bounds, at_hi, lengths = (-math.inf, 1.0 - level), None, [math.inf, math.inf]
     newest = route.probe(0.0)
+    # At or below the level at t = 0, the lower end is the test 1, with P_plus(0)'s beta.
+    at_lo = newest if newest.alpha > level else newest._replace(
+        alpha=float(np.sum(newest.rate)), v=np.eye(newest.w.size), k=0)
     while True:
-        if newest.alpha <= level:
-            at_hi = newest
-        elif at_hi is None and newest.t > 2.0**100:
+        bounds, at_lo, at_hi = _place(bounds, 1.0 - newest.t * level - newest.plus_trace, newest, at_lo, at_hi, level)
+        if at_hi is None and newest.t > 2.0**100:
             raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
-        else:
-            at_lo = newest
-        bounds = _tighter(bounds, 1.0 - newest.t * level - newest.plus_trace, at_lo, at_hi, level)
         yield *bounds, None
         if at_hi is None:
             t = max(1.0, 2.0 * newest.t)
-        elif at_lo is None or at_hi.t - at_lo.t <= T_TOL * max(1.0, at_hi.t):
+        elif at_hi.t - at_lo.t <= T_TOL * max(1.0, at_hi.t):
             yield _dual_step(route, level, bounds[0], at_hi), bounds[1], (at_lo, at_hi)
             return
         else:
@@ -520,25 +512,26 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
 
     The threshold search ends on a bracket [lo, hi] with alpha(P_plus(lo)) >
     alpha0 >= alpha(P_plus(hi)).  M = (1 - q0) * P_plus(hi) + q0 * P_plus(lo),
-    q0 = (alpha0 - alpha(P_plus(hi))) / (alpha(P_plus(lo)) - alpha(P_plus(hi))),
-    attains alpha0 exactly and is built from the search's own eigenpairs, with
-    P_plus(lo) = 1 when the threshold is t = 0.  For a rank-one sigma
-    P_plus = 1 - Pi_N - u u^H at either end (see ``_tau_search``), and on a
-    jump of alpha the lower end is 1 - Pi_N, so M mixes in u u^H.  This
-    covers a full-rank rho above level 1 - S_1(0)^2 / S_2(0) and rho = sigma,
-    where every level sits on the jump at t = 1.  It reports t = hi,
-    p_plus = P_plus(hi), p_zero = P_plus(lo) - P_plus(hi) (in general not a
+    q0 = (alpha0 - alpha(P_plus(hi))) / (alpha(P_plus(lo)) - alpha(P_plus(hi)))
+    (``_share``), attains alpha0 exactly and is built from the search's own
+    eigenpairs, with P_plus(lo) = 1 when the threshold is t = 0.  A level at
+    or above Tr sigma (1 - 1e-9 passes ``validate_density``) takes q0 = 1:
+    M = P_plus(lo), whose alpha is Tr sigma.  For a rank-one sigma P_plus =
+    1 - Pi_N - u u^H at either end (see ``_tau_search``), and on a jump of
+    alpha the lower end is 1 - Pi_N, so M mixes in u u^H.  This covers a
+    full-rank rho above level 1 - S_1(0)^2 / S_2(0) and rho = sigma, where
+    every level sits on the jump at t = 1.  It reports t = hi, p_plus =
+    P_plus(hi), p_zero = P_plus(lo) - P_plus(hi) (in general not a
     projector) and p_minus = 1 - P_plus(lo), so that M = p_plus + q0 * p_zero.
 
     beta(M) within GAP_TOL of the lower bound of the search's last yield,
     the best dual bound with the dual step of a probe search, proves M
-    optimal; a wider gap raises
-    SandwichViolated.  An eigenvalue of rho - t*sigma counts as zero only
-    within EIG_FLOOR * (1 + t), so tiny levels get the optimum too: a mixed
-    sigma = diag(1 - 1e-10, 1e-10) against the worked example's rho at 1e-20,
-    and a rank-one sigma, whose secular search has no zero rule, at any
-    level.  A solve costs one eigh per probe and one eigvalsh, or one eigh of
-    rho for a rank-one sigma.
+    optimal; a wider gap raises SandwichViolated.  An eigenvalue of
+    rho - t*sigma counts as zero only within EIG_FLOOR * (1 + t), so tiny
+    levels get the optimum too: a mixed sigma = diag(1 - 1e-10, 1e-10)
+    against the worked example's rho at 1e-20, and a rank-one sigma, whose
+    secular search has no zero rule, at any level.  A solve costs one eigh
+    per probe and one eigvalsh, or one eigh of rho for a rank-one sigma.
 
     alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).
     alpha0 = 0 returns the exact optimum, the projection onto the kernel of
@@ -557,12 +550,8 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
         t, q0 = math.inf, 0.0
     else:
         *_, (dual, _, (at_lo, at_hi)) = _tau_search(route, alpha0)
-        plus_hi = at_hi.plus()
-        if at_lo is None:
-            plus_lo, alpha_lo = one, float(np.sum(at_hi.rate))
-        else:
-            plus_lo, alpha_lo = at_lo.plus(), at_lo.alpha
-        t, q0 = at_hi.t, (alpha0 - at_hi.alpha) / (alpha_lo - at_hi.alpha)
+        plus_hi, plus_lo = at_hi.plus(), at_lo.plus()
+        t, q0 = at_hi.t, _share(alpha0, at_lo, at_hi)
     m = (1.0 - q0) * plus_hi + q0 * plus_lo
     m = (m + m.conj().T) / 2.0
     # Tr[A m] as an elementwise sum, O(d^2) without the product A @ m.
@@ -639,9 +628,10 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     the bounds get a rounding allowance.  The two levels share the
     level-free work of one route (``_Route``): a mixed sigma's searches take
     each probe of their common doubling once, and a rank-one sigma takes one
-    eigh of rho in all, at any levels, and no eigvalsh.  At p_a = 1 the level-0 search yields the exact beta of the
-    kernel projection of sigma, from one eigh of sigma or, for a rank-one
-    sigma, from none (see ``_tau_search``).
+    eigh of rho in all, at any levels, and no eigvalsh.  At p_a = 1 the
+    level-0 search yields the exact beta of the kernel projection of sigma,
+    from one eigh of sigma or, for a rank-one sigma, from none (see
+    ``_tau_search``).
 
     When p_b equals 1 - p_a up to rounding (typed pairs such as (0.8, 0.2)),
     one test at the larger level L = max(1 - p_a, p_b) decides: beta does not

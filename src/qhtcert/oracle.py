@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import Classifier, class_probabilities
-from .certification import _philox, hoeffding_margin
+from .certification import _check_count, _philox, hoeffding_margin
 from .errors import DimMismatch, RegimeTooLarge
 from .helstrom import _bracket_step, _condition_levels, _dual_margin
 from .states import DensityMatrix, PureState
@@ -203,8 +203,7 @@ def brute_force_min_beta(
         raise DimMismatch(f"dimensions differ: {sigma.dim} vs {rho.dim}")
     if sigma.dim > MAX_BRUTE_DIM:
         raise RegimeTooLarge(f"brute force limited to d <= {MAX_BRUTE_DIM}, got {sigma.dim}")
-    if samples < 1_000:
-        raise ValueError(f"need at least 10^3 samples, got samples={samples}")
+    _check_count(samples, 1_000, "need at least 10^3 samples, got samples={}")
     if not 0.0 <= alpha0 <= 1.0:
         raise ValueError("alpha0 must lie in [0, 1]")
     target = max(alpha0 - 1e-6, alpha0 * (1.0 - 1e-3))
@@ -291,8 +290,7 @@ def boundary_radius_search(
     """
     if reference.dim != 2:
         raise ValueError("reference must be a qubit state")
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got samples={samples}")
+    _check_count(samples, 1, "need samples >= 1, got samples={}")
     rng = _philox(seed)
     sigma, ref = reference.density(), reference.amplitudes
     perp = np.array([-np.conj(ref[1]), np.conj(ref[0])])
@@ -314,10 +312,8 @@ def hoeffding_coverage(
 ) -> float:
     """Fraction of sampling runs whose lower bound does not overshoot the
     truth, i.e. y_true[k_hat] >= pA_lower.  Should come out >= 1 - epsilon."""
-    if trials < 1_000:
-        raise ValueError("need at least 10^3 trials")
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    _check_count(trials, 1_000, "need at least 10^3 trials, got trials={}")
+    _check_count(n_shots, 1, "n_shots must be >= 1, got {}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     probs = class_probabilities(cl, sigma)

@@ -26,6 +26,7 @@ from qhtcert import (
 import qhtcert
 from qhtcert import demo, serialize
 from qhtcert.errors import OutOfRegime
+from qhtcert.oracle import boundary_radius_search, brute_force_min_beta, hoeffding_coverage
 
 from conftest import _smoothed_boundary_generic, philox, random_pure
 
@@ -310,11 +311,28 @@ def test_smoothed_one_dimensional_input_is_out_of_regime():
         pytest.param(lambda: certify(DEMO, SIGMA, 1000, 0.01, seed=1, mode="strict"), "mode must be", id="certify-unknown-mode"),
         pytest.param(lambda: certify_smoothed(DEMO, SIGMA, 0.0, 1000, 0.01, seed=1), r"p must lie in \(0, 1\)", id="smoothed-p-0"),
         pytest.param(lambda: certify_smoothed(DEMO, SIGMA, 1.0, 1000, 0.01, seed=1), r"p must lie in \(0, 1\)", id="smoothed-p-1"),
+        pytest.param(lambda: hoeffding_bounds([5], 5, 0.1), "at least two non-negative integers", id="hoeffding-one-count"),
+        pytest.param(lambda: hoeffding_bounds([7, -2], 5, 0.1), "at least two non-negative integers", id="hoeffding-negative-count"),
+        pytest.param(lambda: hoeffding_bounds([2.5, 2.5], 5, 0.1), "at least two non-negative integers", id="hoeffding-float-counts"),
+        pytest.param(lambda: hoeffding_bounds([0, 0], 0, 0.1), "n_shots must be >= 1", id="hoeffding-no-shots"),
+        pytest.param(lambda: certify(DEMO, SIGMA, 10.5, 0.01, seed=1), "n_shots must be >= 1", id="certify-float-shots"),
+        pytest.param(lambda: certify(DEMO, SIGMA, True, 0.01, seed=1), "n_shots must be >= 1", id="certify-bool-shots"),
+        pytest.param(lambda: certify(DEMO, SIGMA, 1000, 0.01, seed=1.5), "seed must be a non-negative integer", id="certify-float-seed"),
+        pytest.param(lambda: brute_force_min_beta(SIGMA, SIGMA, 0.1, samples=1000.0), "samples=1000.0", id="oracle-float-samples"),
+        pytest.param(lambda: boundary_radius_search(0.9, 0.1, demo.benign_state(), samples=2.0), "samples=2.0", id="boundary-float-samples"),
+        pytest.param(lambda: hoeffding_coverage(DEMO, SIGMA, 1000.0, 100, 0.1), "trials=1000.0", id="coverage-float-trials"),
+        pytest.param(lambda: hoeffding_coverage(DEMO, SIGMA, 1000, 100.0, 0.1), "n_shots must be >= 1", id="coverage-float-shots"),
     ],
 )
 def test_certification_input_raises_a_typed_error(call, fragment):
     with pytest.raises(ValueError, match=fragment):
         call()
+
+
+def test_numpy_integers_are_accepted():
+    want = certificate_to_json(certify(DEMO, SIGMA, 1000, 0.01, seed=3))
+    assert certificate_to_json(certify(DEMO, SIGMA, np.int64(1000), 0.01, seed=np.uint32(3))) == want
+    assert hoeffding_bounds(np.array([7, 3], dtype=np.uint8), np.int32(10), 0.1) == hoeffding_bounds([7, 3], 10, 0.1)
 
 
 def test_smoothed_d4_runs_no_condition_search(monkeypatch):

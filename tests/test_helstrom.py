@@ -117,12 +117,15 @@ def tau_bisection(rho, sigma, level, lambda_tol=0.0) -> tuple[float | None, floa
 def bisection_search(route, level):
     """tau_bisection in the shape of helstrom's search: a generator whose one
     yield carries the dual bound of its bracket-end probes, raised by the
-    dual step, and the probes."""
+    dual step, and the probes: at a t = 0 threshold the lower end is the
+    test 1, P_plus(0)'s probe with the whole space as its plus set."""
     rho, sigma = route.rho, route.sigma
     lo, hi = tau_bisection(rho, sigma, level)
-    ends = (None if lo is None else hel._threshold_probe(rho, sigma, lo), hel._threshold_probe(rho, sigma, hi))
-    lower = max(1.0 - end.t * level - end.plus_trace for end in ends if end is not None)
-    yield hel._dual_step(route, level, lower, ends[1]), 1.0 - level, ends
+    at_lo, at_hi = (hel._threshold_probe(rho, sigma, t) for t in (lo or 0.0, hi))
+    if lo is None:
+        at_lo = at_lo._replace(alpha=float(np.sum(at_lo.rate)), v=np.eye(at_lo.w.size), k=0)
+    lower = max(1.0 - end.t * level - end.plus_trace for end in (at_lo, at_hi))
+    yield hel._dual_step(route, level, lower, at_hi), 1.0 - level, (at_lo, at_hi)
 
 
 def test_tau_bisection_matches_grid_scan(rng):
@@ -483,6 +486,47 @@ def test_secular_sums_stay_finite_at_the_ends():
     assert helstrom(RHO, SIGMA, 1.0 - 1e-16).beta <= 1e-12
 
 
+def _tilted(trace: float, angle: float) -> np.ndarray:
+    """A pure qutrit sigma of the given trace, tilted by angle from |0> toward |2>."""
+    psi = math.sqrt(trace) * np.array([math.cos(angle), 0.0, math.sin(angle)])
+    return np.outer(psi, psi)
+
+
+@pytest.mark.parametrize(
+    ("sigma", "rho"),
+    [
+        pytest.param(np.diag([0.6, 0.4 - 5e-10, 0.0]), np.diag([0.5, 0.5, 0.0]), id="mixed-rank-deficient-rho"),
+        pytest.param(np.diag([0.6, 0.4 - 5e-10, 0.0]), np.diag([0.5, 0.3, 0.2]), id="mixed-full-rank-rho"),
+        pytest.param(np.diag([0.6, 0.4 - 5e-10 - 1e-12, 1e-12]), np.diag([0.5, 0.5, 0.0]), id="mixed-full-rank-sigma"),
+        pytest.param(_tilted(1.0 - 5e-10, 1e-7), np.diag([0.5, 0.5, 0.0]), id="pure-tilted-to-kernel"),
+        pytest.param(_tilted(1.0 - 5e-10, 0.0), np.diag([0.5, 0.5, 0.0]), id="pure"),
+    ],
+)
+def test_level_at_or_above_the_trace_of_sigma_takes_the_lower_end(sigma, rho):
+    # validate_density accepts Tr sigma = 1 - 5e-10, below the level: the
+    # mixture weight clamps at 1, and M = P_plus(lo) has alpha = Tr sigma.
+    sigma, rho = validate_density(sigma), validate_density(rho)
+    test = helstrom(rho, sigma, 0.9999999998)
+    assert 0.0 <= test.q0 <= 1.0
+    error_probabilities(test.m, sigma, rho)
+    assert test.beta <= 1e-12
+
+
+def test_every_search_ends_on_two_tests():
+    # Mixed sigma against pure and rank-deficient rho, where many levels sit
+    # at the threshold t = 0, whose lower end is the test 1.
+    rng = philox(4242)
+    for d in (2, 3, 4, 16):
+        for _ in range(15):
+            sigma = random_density(d, rng)
+            for rho in (random_pure(d, rng).density(), random_density(d, rng, max(1, d // 2))):
+                for level in (0.05, 0.3, 0.6, 0.9):
+                    *_, (_, _, (at_lo, at_hi)) = hel._tau_search(hel._Route(rho, sigma), level)
+                    where = f"d={d} level={level}"
+                    assert at_lo is not None and at_hi is not None, where
+                    assert at_lo.t <= at_hi.t and at_lo.alpha >= level >= at_hi.alpha, where
+
+
 # ---------------------------------------------------------------------------
 # signed projections
 
@@ -510,8 +554,9 @@ def test_projections_are_complete_and_orthogonal(seed, d, t):
 
 
 def test_signed_projections_input_errors(rng):
-    with pytest.raises(NegativeT):
-        signed_projections(SIGMA, RHO, -0.1)
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(NegativeT):
+            signed_projections(SIGMA, RHO, t)
     with pytest.raises(DimMismatch):
         signed_projections(SIGMA, random_density(3, rng), 1.0)
 

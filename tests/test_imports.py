@@ -124,7 +124,7 @@ def test_the_route_is_the_only_way_into_the_solvers_eigendecompositions():
         for scope, node in _scoped(trees["helstrom.py"])
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("eigh", "eigvalsh")
     }
-    allowed = {"_threshold_probe", "_Pencil.__init__", "_Route.kernel", "_dual_step", "signed_projections", "error_probabilities"}
+    allowed = {"_threshold_probe", "_Pencil.__init__", "_Route.kernel", "_dual_step", "error_probabilities"}
     assert decomposing <= allowed
     naming = {
         f"{name}:{scope}"
