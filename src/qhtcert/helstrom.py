@@ -115,7 +115,7 @@ def signed_projections(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> Si
     """
     if not 0.0 <= t < math.inf:
         raise NegativeT(f"t must be finite and non-negative, got {t}")
-    probe = _Route(rho, sigma).probe(t)
+    probe = _Route(rho, sigma).probe(t, slope=False)
     plus = probe.plus()
     minus = _span(probe.v[:, probe.w < -EIG_FLOOR * (1.0 + t)])
     zero = np.eye(len(probe.w)) - plus - minus
@@ -141,10 +141,10 @@ def error_probabilities(m, sigma: DensityMatrix, rho: DensityMatrix):
     return alpha, beta
 
 
-def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float):
+def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, slope: bool = True):
     """One eigh of rho - t*sigma and all that no level enters: alpha and beta
-    of the test P_plus(t), the slope of alpha, Tr[(rho - t*sigma)_+], and the
-    eigenpairs with the rates S_kk and the plus-set start.
+    of the test P_plus(t), the slope of alpha, Tr[(rho - t*sigma)_+], the
+    rates S_kk, the eigenpairs and the plus-set start (only these without slope).
 
     With S = V^H sigma V in the eigenbasis of rho - t*sigma, alpha(P_plus) is
     the sum of S_kk over the plus set, each eigenvalue moves at
@@ -160,6 +160,8 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float):
     """
     w, v = np.linalg.eigh(rho.matrix - t * sigma.matrix)
     k = int(np.searchsorted(w, EIG_FLOOR * (1.0 + t), side="right"))  # P_plus(t) spans the eigenvectors of w[k:]
+    if not slope:
+        return _Probe(t, math.nan, math.nan, math.nan, math.nan, w, v, None, k)
     s = v.conj().T @ sigma.matrix @ v
     rate = s.diagonal().real
     # ndarray.sum is the reduction np.sum calls, without its dispatch.
@@ -189,6 +191,21 @@ def _crossing(probe: _Probe, level: float) -> float:
     weight = probe.alpha + sign * np.cumsum(probe.rate[side][moving][order])
     passed = (weight > level) == below
     return float(times[order][np.argmax(passed)]) if np.any(passed) else math.nan
+
+
+def _unit_probe(rho: DensityMatrix, sigma: DensityMatrix) -> _Probe | None:
+    """The t = 0 probe of a positive definite rho, with no eigh, else None:
+    a Cholesky factor of rho - 2 * EIG_FLOOR * 1 puts every eigenvalue of rho
+    above EIG_FLOOR, so P_plus(0) = 1, the test 1 in the identity basis
+    (w = diag(rho)) with alpha = Tr sigma and beta = g(0) = 1 - Tr rho.  Its
+    slope and rates are 0, so it offers no guess and no dual step."""
+    try:
+        np.linalg.cholesky(rho.matrix - 2.0 * EIG_FLOOR * np.eye(rho.dim))
+    except np.linalg.LinAlgError:
+        return None
+    w = rho.matrix.diagonal().real
+    alpha, trace = float(sigma.matrix.diagonal().real.sum()), float(w.sum())
+    return _Probe(0.0, alpha, 1.0 - trace, 0.0, trace, w, np.eye(w.size), 0.0 * w, 0)
 
 
 def _bracket_step(
@@ -221,11 +238,13 @@ class _Pencil:
         lam, self.v = np.linalg.eigh(rho.matrix)
         self.zero = lam <= EIG_FLOOR
         self.slack, self.slack_t = float(np.abs(lam[self.zero]).sum()), slack_t
-        self.lam = np.where(self.zero, 0.0, lam)
+        lam = np.where(self.zero, 0.0, lam)
         self.c = (psi.conj() @ self.v).conj()
-        self.w = self.c.real**2 + self.c.imag**2
-        self.w_ker, self.s0 = float(self.w[self.zero].sum()), float(self.w.sum())
-        self.trace = float(self.lam.sum())
+        w = self.c.real**2 + self.c.imag**2
+        self.w_ker, self.s0 = float(w[self.zero].sum()), float(w.sum())
+        self.trace, self.spread = float(lam.sum()), float(w @ (lam - float(w @ lam) / self.s0) ** 2)
+        # Python floats: the secular point's O(d) loops run without numpy's per-call overhead.
+        self.lam, self.w, self.ker = lam.tolist(), w.tolist(), self.zero.tolist()
         self._keep = None
 
     def keep(self) -> np.ndarray:
@@ -273,13 +292,15 @@ class _Route:
             self._pencil = _Pencil(self.rho, self.psi, self.slack)
         return self._pencil
 
-    def probe(self, t: float) -> _Probe:
-        """The threshold probe at t: the newest one when it was taken at t,
-        else a new one.  The levels of a condition step in lockstep and
-        double t alike, so the newest probe catches every repeat of their
-        common doubling."""
+    def probe(self, t: float, slope: bool = True) -> _Probe:
+        """The threshold probe at t: the newest one if taken at t (the levels
+        of a condition step in lockstep and double t alike, so it catches
+        every repeat of their common doubling), else a new one, with no eigh
+        at t = 0 for a positive definite rho (``_unit_probe``).  Without slope
+        it is the one probe of ``signed_projections``' route."""
         if self._newest is None or self._newest.t != t:
-            self._newest = _threshold_probe(self.rho, self.sigma, t)
+            unit = _unit_probe(self.rho, self.sigma) if t == 0.0 else None
+            self._newest = unit or _threshold_probe(self.rho, self.sigma, t, slope)
         return self._newest
 
 
@@ -292,21 +313,21 @@ class _Root(NamedTuple):
     slope: float
     beta: float
     dual: float
-    r: np.ndarray
+    r: list[float]
     r2: float
     pencil: _Pencil
 
     def plus(self) -> np.ndarray:
         """P_plus(t) = 1 - Pi_N - u u^H, u the unit eigenvector of the eigenvalue -y."""
         p = self.pencil
-        u = p.v @ (p.c * (self.r / math.sqrt(self.r2)))
+        u = p.v @ (p.c * (np.array(self.r) / math.sqrt(self.r2)))
         return p.keep() - np.outer(u, u.conj())
 
 
 def _secular_point(p: _Pencil, s: float, level: float) -> _Root:
     """The point of the secular search where rho - t*psi psi^H has the
     eigenvalue -y, y = exp(s): t, alpha and beta of P_plus(t), the dual g(t)
-    and d alpha / ds, in O(d) and free of cancellation.
+    and d alpha / ds, in O(d) float loops and free of cancellation.
 
     With r = y / (lam + y) and b = lam / (lam + y) (r + b = 1, each to full
     relative precision), w = |c|^2, R1 = sum w r = y S_1, R2 = sum w r^2 =
@@ -325,25 +346,21 @@ def _secular_point(p: _Pencil, s: float, level: float) -> _Root:
     """
     y, ker = math.exp(s), p.w_ker > 0.0
     if y > 0.0:
-        den = p.lam + y
-        r, b = y / den, p.lam / den
-    elif ker:
-        r = p.zero.astype(float)
-        b = 1.0 - r
+        r, b = [y / (lam + y) for lam in p.lam], [lam / (lam + y) for lam in p.lam]
     else:
-        r = np.divide(1.0, p.lam, out=np.zeros_like(p.lam), where=~p.zero)
-        b = (~p.zero).astype(float)
-    wr = p.w * r
-    wr2 = wr * r
-    r1, r2, big_b, u = float(wr.sum()), float(wr2.sum()), float(p.w @ b), float(wr @ b)
+        b = [float(not zero) for zero in p.ker]
+        r = [1.0 - x for x in b] if ker else [0.0 if zero else 1.0 / lam for lam, zero in zip(p.lam, p.ker)]
+    r1 = r2 = big_b = u = 0.0
+    for w, ri, bi in zip(p.w, r, b):
+        wr = w * ri
+        r1, r2, big_b, u = r1 + wr, r2 + wr * ri, big_b + w * bi, u + wr * bi
     t = y / r1 if y > 0.0 or ker else 1.0 / r1
-    dev = r * big_b - b * r1
-    alpha = float((p.w * dev) @ dev) / (p.s0 * r2)
-    rate = r * (u / r2) - b
-    slope = -2.0 * float((wr * rate) @ rate)
-    beta = 1.0 - p.trace + float(wr2 @ p.lam) / r2
+    alpha = slope = beta = 0.0
+    for w, ri, bi, lam in zip(p.w, r, b, p.lam):
+        dev, rate, wr = ri * big_b - bi * r1, ri * (u / r2) - bi, w * ri
+        alpha, slope, beta = alpha + w * dev * dev, slope + wr * rate * rate, beta + wr * ri * lam
     dual = 1.0 - p.trace + t * (big_b - level) - p.slack - t * p.slack_t
-    return _Root(t, s, alpha, slope, beta, dual, r, r2, p)
+    return _Root(t, s, alpha / (p.s0 * r2), -2.0 * slope, 1.0 - p.trace + beta / r2, dual, r, r2, p)
 
 
 def _share(level: float, at_lo, at_hi) -> float:
@@ -374,12 +391,11 @@ def _secular_search(p: _Pencil, level: float):
     # alpha ~ Var / y^2 as y -> inf, Var = sum w (lam - mean)^2.  The step
     # from y -> 0 solves that two-ended model; every y with
     # |psi|^2 lam_max^2 / y^2 <= level lies above the threshold.
-    spread = float(p.w @ (p.lam - float(p.w @ p.lam) / p.s0) ** 2)
-    s_lo, s_hi = math.log(Y_MIN), math.log(min(Y_MAX, float(p.lam[-1]) * math.sqrt(p.s0 / level)))
+    s_lo, s_hi = math.log(Y_MIN), math.log(min(Y_MAX, p.lam[-1] * math.sqrt(p.s0 / level)))
 
     def newton(end: _Root) -> float:
         if end.s == -math.inf:
-            model = spread * (alpha0 - level) / (alpha0 * level)
+            model = p.spread * (alpha0 - level) / (alpha0 * level)
             return min(max(0.5 * math.log(model), s_lo), s_hi) if model > 0.0 else s_hi
         if not (0.0 < end.alpha < alpha0 and end.slope < 0.0):
             return math.nan
@@ -388,7 +404,7 @@ def _secular_search(p: _Pencil, level: float):
         return end.s - (math.log(end.alpha / gap) - target) * end.alpha * gap / (end.slope * alpha0)
 
     # The lower end starts at 1 - Pi_N, the plus projection below t(y -> 0).
-    at_lo = _Root(0.0, -math.inf, p.s0, math.nan, 1.0 - p.trace, -math.inf, 0.0 * p.lam, 1.0, p)
+    at_lo = _Root(0.0, -math.inf, p.s0, math.nan, 1.0 - p.trace, -math.inf, [0.0] * len(p.lam), 1.0, p)
     bounds, at_hi, lengths = (-math.inf, 1.0 - level), None, [math.inf, math.inf]
     newest = _secular_point(p, -math.inf, level)
     alpha0 = newest.alpha
@@ -421,7 +437,8 @@ def _tau_search(route: _Route, level: float):
     farther from the newest probe than half the step taken two steps earlier.
     The probes hold no level (``_Route.probe``): the search reads
     alpha <= level, the Newton step and g(t) from them, so levels stepped in
-    lockstep share the probes of their common doubling.
+    lockstep share the probes of their common doubling.  Its t = 0 end costs
+    a positive definite rho one Cholesky factor and no eigh (``_unit_probe``).
 
     After every point, placed at its bracket end (``_place``), it yields
     (lower, upper, None): lower is the largest dual bound g(t) of the probes
@@ -434,8 +451,8 @@ def _tau_search(route: _Route, level: float):
 
     A pure sigma (the route's psi) takes no probes: one eigh of rho (the
     route's pencil, shared by the levels of the call) gives every point in
-    O(d) (``_secular_point``).  It first takes y -> 0.  When alpha there is
-    at most the level, the level sits on the jump of alpha at t(0), and the
+    O(d) scalar arithmetic (``_secular_point``).  It first takes y -> 0.  If
+    alpha there is at most the level, the level sits on the jump at t(0): the
     ends are the test 1 - Pi_N and P_plus(t(0)).  Otherwise it takes
     safeguarded Newton steps in s = log y (``_secular_search``), one guess
     from the newest point, with the same bracket step, to width T_TOL in s,
@@ -471,7 +488,7 @@ def _tau_search(route: _Route, level: float):
     bounds, at_hi, lengths = (-math.inf, 1.0 - level), None, [math.inf, math.inf]
     newest = route.probe(0.0)
     # At or below the level at t = 0, the lower end is the test 1, with P_plus(0)'s beta.
-    at_lo = newest if newest.alpha > level else newest._replace(
+    at_lo = newest if newest.alpha > level or newest.k == 0 else newest._replace(
         alpha=float(np.sum(newest.rate)), v=np.eye(newest.w.size), k=0)
     while True:
         bounds, at_lo, at_hi = _place(bounds, 1.0 - newest.t * level - newest.plus_trace, newest, at_lo, at_hi, level)
@@ -501,6 +518,8 @@ def _dual_step(route: _Route, level: float, lower: float, end: _Probe) -> float:
     from t ~ 1e4 on, which tiny levels reach.  One eigvalsh at t* recovers g.
     """
     moving = end.rate > 0.0
+    if not moving.any():  # ``_unit_probe`` at a level >= Tr sigma, where g peaks at t = 0
+        return lower
     steps = end.w[moving] / end.rate[moving]
     t_star = max(end.t + float(steps[np.argmin(np.abs(steps))]), 0.0)
     w = np.linalg.eigvalsh(route.rho.matrix - t_star * route.sigma.matrix)
@@ -531,7 +550,8 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     levels get the optimum too: a mixed sigma = diag(1 - 1e-10, 1e-10)
     against the worked example's rho at 1e-20, and a rank-one sigma, whose
     secular search has no zero rule, at any level.  A solve costs one eigh
-    per probe and one eigvalsh, or one eigh of rho for a rank-one sigma.
+    per probe and one eigvalsh, or one eigh of rho for a rank-one sigma; a
+    positive definite rho takes its t = 0 probe from a Cholesky factor.
 
     alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).
     alpha0 = 0 returns the exact optimum, the projection onto the kernel of
@@ -627,7 +647,8 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     exact arithmetic; in floating point a margin of a few ulps can, until
     the bounds get a rounding allowance.  The two levels share the
     level-free work of one route (``_Route``): a mixed sigma's searches take
-    each probe of their common doubling once, and a rank-one sigma takes one
+    each probe of their common doubling once (t = 0 from one Cholesky factor
+    and no eigh for a positive definite rho), and a rank-one sigma takes one
     eigh of rho in all, at any levels, and no eigvalsh.  At p_a = 1 the
     level-0 search yields the exact beta of the kernel projection of sigma,
     from one eigh of sigma or, for a rank-one sigma, from none (see

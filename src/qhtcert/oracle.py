@@ -37,6 +37,9 @@ MAX_BRUTE_DIM = 4
 # Draws per batch of ``brute_force_min_beta``: the Philox stream is read in
 # batches of this size, so the value fixes which tests a seed searches.
 BATCH = 20_000
+# Columns per ``_traceless_charpoly`` call in ``_spectrum_ends``: it bounds the
+# complex temporaries, not the Newton loop, which runs on the whole batch.
+_CHARPOLY_BLOCK = 2_500
 # Guard of the root solve in ``_spectrum_ends``: the rows it keeps stay within
 # 6e-15 * max(1, |lambda|max) of eigvalsh on nearly repeated, shifted and scaled
 # spectra (1.3e-14 at _ILL_SLOPE = 0.01); about 8 draws in 20 000 at d = 4 fail it.
@@ -78,9 +81,9 @@ def _draw_entries(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return entries
 
 
-def _traceless_charpoly(entries: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Shift c = Tr h / d and the coefficients [e2, -e3] (d = 3) or
-    [e2, -e3, e4] (d = 4) of det(x*1 - A) = x^d + e2 x^(d-2) - e3 x^(d-3)
+def _traceless_charpoly(entries: np.ndarray) -> np.ndarray:
+    """Rows: the shift c = Tr h / d and the coefficients e2, -e3 (d = 3) or
+    e2, -e3, e4 (d = 4) of det(x*1 - A) = x^d + e2 x^(d-2) - e3 x^(d-3)
     (+ e4) for the traceless part A = h - c*1, in complex arithmetic on the
     ``_draw_entries`` rows: e2 = -Tr A^2 / 2, e3 the principal 3x3 minors'
     sum, e4 = det A.  A's last diagonal entry is minus the sum of the
@@ -118,7 +121,7 @@ def _traceless_charpoly(entries: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
             - ((a[1] * h02 - h01 * h12) * (a[3] * h02 - h03 * h23.conj()).conj()).real
             - ((a[1] * h03 - h01 * h13) * (a[2] * h03 - h02 * h23).conj()).real
         )
-    return c, coefficients
+    return np.stack([c, *coefficients])
 
 
 def _spectrum_ends(entries: np.ndarray) -> np.ndarray:
@@ -139,7 +142,8 @@ def _spectrum_ends(entries: np.ndarray) -> np.ndarray:
         h00, h11, re01, im01 = entries
         radius = np.hypot(np.hypot(re01, im01), (h00 - h11) / 2.0)
         return (h00 + h11) / 2.0 + np.outer([-1.0, 1.0], radius)
-    c, (e2, *rest) = _traceless_charpoly(entries)
+    blocks = range(0, entries.shape[1], _CHARPOLY_BLOCK)
+    c, e2, *rest = np.concatenate([_traceless_charpoly(entries[:, i:i + _CHARPOLY_BLOCK]) for i in blocks], axis=1)
     bound = np.sqrt(-2.0 * (d - 1) / d * e2)
     x = np.stack([-bound, bound])
     small_step, small_slope = _NEWTON_STEP * bound, _ILL_SLOPE * bound ** (d - 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,34 @@ def _alpha_plus(rho, sigma, t: float, lambda_tol: float) -> float:
     k = int(np.searchsorted(w, thr, side="right"))
     cols = v[:, k:]
     return float(np.real(np.sum(cols.conj() * (sigma.matrix @ cols))))
+
+
+def _secular_point(p, s: float, level: float):
+    """Reference for ``helstrom._secular_point``: the same cancellation-free
+    sums as numpy vector expressions on the pencil's lists, returning the
+    fields (t, alpha, slope, beta, dual, r, r2)."""
+    lam, w, zero = np.array(p.lam), np.array(p.w), np.array(p.ker)
+    y, ker = math.exp(s), p.w_ker > 0.0
+    if y > 0.0:
+        den = lam + y
+        r, b = y / den, lam / den
+    elif ker:
+        r = zero.astype(float)
+        b = 1.0 - r
+    else:
+        r = np.divide(1.0, lam, out=np.zeros_like(lam), where=~zero)
+        b = (~zero).astype(float)
+    wr = w * r
+    wr2 = wr * r
+    r1, r2, big_b, u = float(wr.sum()), float(wr2.sum()), float(w @ b), float(wr @ b)
+    t = y / r1 if y > 0.0 or ker else 1.0 / r1
+    dev = r * big_b - b * r1
+    alpha = float((w * dev) @ dev) / (p.s0 * r2)
+    rate = r * (u / r2) - b
+    slope = -2.0 * float((wr * rate) @ rate)
+    beta = 1.0 - p.trace + float(wr2 @ lam) / r2
+    dual = 1.0 - p.trace + t * (big_b - level) - p.slack - t * p.slack_t
+    return t, alpha, slope, beta, dual, r, r2
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from qhtcert.oracle import _dual_margin
 from qhtcert import bounds, demo
 from qhtcert.states import is_rank_one
 
-from conftest import _alpha_plus, philox, random_density, random_pure, sample_test_operators
+from conftest import _alpha_plus, _secular_point, philox, random_density, random_pure, sample_test_operators
 
 hel = importlib.import_module("qhtcert.helstrom")
 
@@ -220,10 +220,11 @@ def counting(calls, name, fn):
 
 def test_converged_newton_run_is_not_bisected(monkeypatch):
     # On this mixed pair Newton reaches the threshold from one side, so the
-    # far end of the bracket stays put (probes above, below, then five above
-    # the level); once Newton has converged, the step-length safeguard must
-    # close the bracket without bisecting.  Bisecting whenever the bracket
-    # has not halved over two steps takes 10 probes.
+    # far end of the bracket stays put (t = 0 above, then probes below and
+    # five above the level); once Newton has converged, the step-length
+    # safeguard must close the bracket without bisecting.  Bisecting whenever
+    # the bracket has not halved over two steps takes 9 probes.  rho is
+    # positive definite, so t = 0 takes no probe and the log starts at t = 1.
     rng = philox(2024)
     sigma, rho = random_density(2, rng), random_density(2, rng)
     probes = []
@@ -235,9 +236,9 @@ def test_converged_newton_run_is_not_bisected(monkeypatch):
 
     monkeypatch.setattr(hel, "_threshold_probe", logged_probe)
     helstrom(rho, sigma, 0.1)
-    assert [p.alpha <= 0.1 for p in probes[:2]] == [False, True]
-    assert not any(p.alpha <= 0.1 for p in probes[2:-1])
-    assert len(probes) <= 8
+    assert probes[0].t == 1.0 and probes[0].alpha <= 0.1
+    assert not any(p.alpha <= 0.1 for p in probes[1:-1])
+    assert len(probes) <= 7
 
 
 def test_crossing_guess_is_computed_only_when_newton_misses(monkeypatch):
@@ -486,6 +487,39 @@ def test_secular_sums_stay_finite_at_the_ends():
     assert helstrom(RHO, SIGMA, 1.0 - 1e-16).beta <= 1e-12
 
 
+def test_secular_point_matches_the_numpy_reference():
+    # The scalar loops against the same sums as numpy vector expressions
+    # (conftest._secular_point), with and without weight of psi on ker rho.
+    # Sums of non-negative terms (t, alpha, slope, r, r2) agree to 1e-14
+    # relative; beta and the dual add terms of size 1 and t, and agree to
+    # 1e-14 of those.  Python floats raise ZeroDivisionError or OverflowError
+    # where numpy warned, so reaching the comparison shows there is neither.
+    rng = philox(2629)
+    checked = {True: 0, False: 0}
+    for d in (2, 3, 4, 16, 64):
+        for _ in range(4):
+            sigma = random_pure(d, rng).density()
+            for rho in (random_density(d, rng), random_density(d, rng, max(1, d // 2))):
+                pencil = hel._Route(rho, sigma).pencil()
+                for s in (-math.inf, math.log(hel.Y_MIN), -30.0, -3.0, -0.5, 0.0, 2.0, 25.0, math.log(hel.Y_MAX)):
+                    for level in (1e-12, 0.3, 0.9):
+                        where = f"d={d} w_ker={pencil.w_ker} s={s} level={level}"
+                        point = hel._secular_point(pencil, s, level)
+                        t, alpha, slope, beta, dual, r, r2 = _secular_point(pencil, s, level)
+                        for got, want, scale in (
+                            (point.t, t, abs(t)),
+                            (point.alpha, alpha, abs(alpha)),
+                            (point.slope, slope, abs(slope)),
+                            (point.r2, r2, abs(r2)),
+                            (point.beta, beta, max(abs(beta), 1.0)),
+                            (point.dual, dual, max(abs(dual), 1.0 + t)),
+                        ):
+                            assert abs(got - want) <= 1e-14 * scale, where
+                        assert np.allclose(point.r, r, rtol=1e-14, atol=0.0), where
+                checked[pencil.w_ker > 0.0] += 1
+    assert min(checked.values()) >= 10
+
+
 def _tilted(trace: float, angle: float) -> np.ndarray:
     """A pure qutrit sigma of the given trace, tilted by angle from |0> toward |2>."""
     psi = math.sqrt(trace) * np.array([math.cos(angle), 0.0, math.sin(angle)])
@@ -527,6 +561,96 @@ def test_every_search_ends_on_two_tests():
                     assert at_lo.t <= at_hi.t and at_lo.alpha >= level >= at_hi.alpha, where
 
 
+def eigh_saved_at_t_zero(monkeypatch, solve) -> int:
+    """eigh calls of solve() with np.linalg.cholesky failing, so that every
+    route probes t = 0 by eigh, minus those of solve() as it is."""
+    calls = {"eigh": 0}
+    monkeypatch.setattr(np.linalg, "eigh", counting(calls, "eigh", np.linalg.eigh))
+    solve()
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "cholesky", lambda a: (_ for _ in ()).throw(np.linalg.LinAlgError()))
+        calls["eigh"] = -calls["eigh"]
+        solve()
+    return calls["eigh"]
+
+
+def test_positive_definite_rho_takes_no_eigh_at_t_zero(monkeypatch):
+    # P_plus(0) = 1 when rho - 2 * EIG_FLOOR * 1 has a Cholesky factor: the
+    # search starts from the test 1 with no eigh, and the solve matches the
+    # one that decomposes rho at t = 0.
+    rng = philox(2626)
+    for d in (2, 3, 4, 16, 64):
+        for _ in range(3):
+            sigma, rho = random_density(d, rng), random_density(d, rng)
+            for alpha0 in (0.05, 0.3, 0.7):
+                where = f"d={d} alpha0={alpha0}"
+                assert eigh_saved_at_t_zero(monkeypatch, lambda: helstrom(rho, sigma, alpha0)) == 1, where
+                assert helstrom(rho, sigma, alpha0).beta == pytest.approx(dual_beta(rho, sigma, alpha0), abs=1e-12), where
+            for p_a, p_b in ((0.8, 0.1), (0.7, 0.2)):
+                where = f"d={d} pA={p_a} pB={p_b}"
+                assert eigh_saved_at_t_zero(monkeypatch, lambda: certify_condition(sigma, rho, p_a, p_b)) == 1, where
+                assert eigh_saved_at_t_zero(monkeypatch, lambda: _dual_margin(sigma, rho, p_a, p_b)) == 1, where
+
+
+@pytest.mark.parametrize("smallest", [0.0, 1e-14, "pure"])
+def test_rho_without_a_cholesky_factor_probes_t_zero(monkeypatch, smallest):
+    # A pure rho, a zero eigenvalue and one of 1e-14 (below 2 * EIG_FLOOR)
+    # leave P_plus(0) to an eigh.
+    rng = philox(2627)
+    probed = []
+    probe = hel._threshold_probe
+
+    def logged_probe(rho, sigma, t, *args):
+        probed.append(t)
+        return probe(rho, sigma, t, *args)
+
+    monkeypatch.setattr(hel, "_threshold_probe", logged_probe)
+    for d in (2, 4, 16):
+        sigma = random_density(d, rng)
+        if smallest == "pure":
+            rho = random_pure(d, rng).density()
+        else:
+            w = np.append(rng.dirichlet(np.ones(d - 1)) * (1.0 - smallest), smallest)
+            v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            rho = DensityMatrix((v * w) @ v.conj().T)
+        probed.clear()
+        helstrom(rho, sigma, 0.3)
+        assert probed[0] == 0.0, f"d={d}"
+        probed.clear()
+        certify_condition(sigma, rho, 0.8, 0.1)
+        assert probed[0] == 0.0, f"d={d}"
+
+
+def test_exact_zero_margins_stay_not_certified():
+    # A mixed sigma against a pure rho at (1, 0.3): beta is 1 at level 0 and
+    # 0 at the threshold t = 0, so the exact margin is 0, and the verdict is
+    # the sign of roundoff (no rounding allowance yet).  The pure rho probes
+    # t = 0 by eigh, and the test 1 takes P_plus(0)'s beta; with 1 - Tr rho
+    # instead, these two of 364 pairs turn certified.
+    rng = philox(2628)
+    pairs = [(random_density(16, rng), random_pure(16, rng).density()) for _ in range(364)]
+    for index in (160, 363):
+        sigma, rho = pairs[index]
+        assert not certify_condition(sigma, rho, 1.0, 0.3), index
+
+
+def test_positive_definite_rho_at_a_level_above_the_trace_of_sigma_takes_the_test_one(monkeypatch):
+    # Both bracket ends are the t = 0 probe of a positive definite rho, the
+    # test 1, where g peaks: no eigh, no dual step, M = 1.
+    sigma = validate_density(np.diag([0.6, 0.4 - 5e-10, 0.0]))
+    rho = validate_density(np.diag([0.5, 0.3, 0.2]))
+    calls = {"eig": 0}
+    monkeypatch.setattr(np.linalg, "eigh", counting(calls, "eig", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(calls, "eig", np.linalg.eigvalsh))
+    test = helstrom(rho, sigma, 0.9999999998)
+    assert calls["eig"] == 0
+    assert test.t == 0.0 and test.q0 == 1.0 and np.array_equal(test.m, np.eye(3))
+    assert test.beta <= 1e-15
+    # The probe is its own lower end, with the alpha of the test 1.
+    *_, (_, _, (at_lo, at_hi)) = hel._tau_search(hel._Route(rho, sigma), 0.9999999998)
+    assert at_lo is at_hi and at_lo.alpha == pytest.approx(1.0 - 5e-10, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # signed projections
 
@@ -534,6 +658,16 @@ def test_every_search_ends_on_two_tests():
 def test_t_zero_has_no_negative_part(rng):
     proj = signed_projections(random_density(3, rng), random_density(3, rng), 0.0)
     assert np.allclose(proj.p_minus, 0.0, atol=1e-12)
+
+
+def test_t_zero_projections_of_a_positive_definite_rho_take_no_eigh(monkeypatch, rng):
+    calls = {"eigh": 0}
+    monkeypatch.setattr(np.linalg, "eigh", counting(calls, "eigh", np.linalg.eigh))
+    for d in (2, 4, 16):
+        proj = signed_projections(random_density(d, rng), random_density(d, rng), 0.0)
+        assert np.array_equal(proj.p_plus, np.eye(d)), d
+        assert not proj.p_zero.any() and not proj.p_minus.any(), d
+    assert calls["eigh"] == 0
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 1.6547, 3.0])

@@ -117,23 +117,33 @@ def test_the_route_is_the_only_way_into_the_solvers_eigendecompositions():
     # The level searches read every eigendecomposition from their call's
     # route: the threshold probes (memoized by ``_Route.probe``), the pencil
     # of a pure sigma and the kernel of sigma.  Outside the route only the
-    # dual step and the public helpers decompose.
+    # dual step and the public helpers decompose.  The one Cholesky factor,
+    # the positive-definiteness test of rho at t = 0, is the route's too.
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
-    decomposing = {
-        scope
-        for scope, node in _scoped(trees["helstrom.py"])
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("eigh", "eigvalsh")
-    }
+
+    def calling(*attrs):
+        return {
+            f"{name}:{scope}"
+            for name, tree in trees.items()
+            for scope, node in _scoped(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in attrs
+        }
+
+    def naming(target):
+        return {
+            f"{name}:{scope}"
+            for name, tree in trees.items()
+            for scope, node in _scoped(tree)
+            if target in (getattr(node, "id", None), getattr(node, "attr", None))
+            or isinstance(node, ast.alias) and node.name == target
+        }
+
+    decomposing = {scope.removeprefix("helstrom.py:") for scope in calling("eigh", "eigvalsh") if scope.startswith("helstrom.py:")}
     allowed = {"_threshold_probe", "_Pencil.__init__", "_Route.kernel", "_dual_step", "error_probabilities"}
     assert decomposing <= allowed
-    naming = {
-        f"{name}:{scope}"
-        for name, tree in trees.items()
-        for scope, node in _scoped(tree)
-        if "_threshold_probe" in (getattr(node, "id", None), getattr(node, "attr", None))
-        or isinstance(node, ast.alias) and node.name == "_threshold_probe"
-    }
-    assert naming == {"helstrom.py:_Route.probe"}
+    assert naming("_threshold_probe") == {"helstrom.py:_Route.probe"}
+    assert calling("cholesky") == {"helstrom.py:_unit_probe"}
+    assert naming("_unit_probe") == {"helstrom.py:_Route.probe"}
 
 
 def test_every_library_name_the_benchmark_needs_resolves():
