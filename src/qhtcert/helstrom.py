@@ -205,7 +205,7 @@ def _unit_probe(rho: DensityMatrix, sigma: DensityMatrix) -> _Probe | None:
         return None
     w = rho.matrix.diagonal().real
     alpha, trace = float(sigma.matrix.diagonal().real.sum()), float(w.sum())
-    return _Probe(0.0, alpha, 1.0 - trace, 0.0, trace, w, np.eye(w.size), 0.0 * w, 0)
+    return _Probe(0.0, alpha, 1.0 - trace, 0.0, trace, w, np.eye(w.size, dtype=complex), 0.0 * w, 0)
 
 
 def _bracket_step(

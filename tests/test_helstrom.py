@@ -644,7 +644,7 @@ def test_positive_definite_rho_at_a_level_above_the_trace_of_sigma_takes_the_tes
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(calls, "eig", np.linalg.eigvalsh))
     test = helstrom(rho, sigma, 0.9999999998)
     assert calls["eig"] == 0
-    assert test.t == 0.0 and test.q0 == 1.0 and np.array_equal(test.m, np.eye(3))
+    assert test.t == 0.0 and test.q0 == 1.0 and np.array_equal(test.m, np.eye(3)) and test.m.dtype == np.complex128
     assert test.beta <= 1e-15
     # The probe is its own lower end, with the alpha of the test 1.
     *_, (_, _, (at_lo, at_hi)) = hel._tau_search(hel._Route(rho, sigma), 0.9999999998)
