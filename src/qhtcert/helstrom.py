@@ -22,13 +22,16 @@ and has at most one negative eigenvalue -y, the root of t * S_1(-y) = 1 with
 S_k(mu) = sum_i |c_i|^2 / (lam_i - mu)^k and c = V^H psi (Golub 1973; Bunch,
 Nielsen and Sorensen 1978).  One eigh of rho then serves every level: the
 search steps in log y on closed forms of alpha, beta and the dual, and
-builds the test from u = sum_i c_i / (lam_i + y) v_i.
+builds the test from u = sum_i c_i / (lam_i + y) v_i.  A qubit pair takes
+no search at all: in Bloch form the dual costs O(1), and its maximum lies at
+one of four points in closed form (``_Qubit``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +77,8 @@ class SignedProjections:
 
 
 class _Probe(NamedTuple):
-    """One probe of the threshold search at t; see ``_threshold_probe``."""
+    """One probe of the threshold search at t (``_threshold_probe``), or a
+    bracket end of the qubit route (``_Qubit.tests``)."""
 
     t: float
     alpha: float
@@ -88,7 +92,7 @@ class _Probe(NamedTuple):
 
     def plus(self) -> np.ndarray:
         """P_plus(t), the span of the eigenvectors above EIG_FLOOR * (1 + t)."""
-        return _span(self.v[:, self.k:])
+        return _span(np.asarray(self.v, dtype=complex)[:, self.k:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,20 +266,26 @@ class _Pencil:
 class _Route:
     """One call's pair (rho, sigma) and all of its work that no level enters;
     the call's level searches only read from it.  It checks the dimensions
-    and decides once, in O(d^2) and without an eigh of sigma, how the
-    searches run: psi is the unnormalized factor of the purity rule
-    (``states._rank_one_factor``) for a pure sigma (the secular search on
-    ``pencil()``), else None (threshold probes, ``probe``).  slack =
-    sqrt(d) * ||sigma - psi psi^H||_F bounds the residual's trace norm, so
-    the dual of (rho, psi psi^H) at t exceeds that of (rho, sigma) by at
-    most t * slack; a mixed sigma has slack 0."""
+    and picks one of three routes, in O(d^2) and without an eigh of sigma:
+    a qubit pair takes the closed form (``qubit``, no eigh, eigvalsh or
+    Cholesky factor); a pure sigma the secular search (psi, the unnormalized
+    factor of the purity rule ``states._rank_one_factor``, and ``pencil()``,
+    one eigh of rho); else threshold probes (``probe``, one eigh each, none
+    at t = 0 for a positive definite rho, and one eigvalsh per level).
+    slack = sqrt(d) * ||sigma - psi psi^H||_F bounds the residual's trace
+    norm, so the dual of (rho, psi psi^H) at t exceeds that of (rho, sigma)
+    by at most t * slack; a mixed sigma has slack 0, and a qubit pair the
+    rounding allowance of its closed-form kernel."""
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix):
         if rho.dim != sigma.dim:
             raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
         self.rho, self.sigma = rho, sigma
-        self.psi, residual = _rank_one_factor(sigma) or (None, 0.0)
+        self.qubit = _Qubit(rho, sigma) if rho.dim == 2 else None
+        self.psi, residual = (self.qubit is None and _rank_one_factor(sigma)) or (None, 0.0)
         self.slack = math.sqrt(sigma.dim) * residual
+        if self.qubit is not None:
+            self.slack = 16.0 * 2.0**-53 * (1.0 + abs(self.qubit.tau_r))
         self._pencil, self._newest = None, None
 
     def kernel(self) -> np.ndarray:
@@ -284,6 +294,10 @@ class _Route:
         whose eigenvalues are at most EIG_FLOOR, from one eigh."""
         if self.psi is not None:
             return np.eye(self.psi.size) - np.outer(self.psi, self.psi.conj()) / np.vdot(self.psi, self.psi).real
+        if self.qubit is not None:
+            (top, low), u = self.qubit.spectrum
+            p = np.outer(u, np.conj(u))
+            return (top <= EIG_FLOOR) * p + (low <= EIG_FLOOR) * (np.eye(2, dtype=complex) - p)
         w, v = np.linalg.eigh(self.sigma.matrix)
         return _span(v[:, w <= EIG_FLOOR])
 
@@ -422,6 +436,130 @@ def _secular_search(p: _Pencil, level: float):
         newest = _secular_point(p, s, level)
 
 
+def _top(p: float, w: float, x: float, y: float):
+    """(rad, u) of the Hermitian [[p, x + iy], [x - iy, w]]: its eigenvalues
+    are (p + w)/2 +- rad, and u is the unit eigenvector of the larger one,
+    free of cancellation ((1, 0) for a multiple of 1)."""
+    h = 0.5 * (p - w)
+    rad = math.hypot(h, x, y)
+    u0, u1 = (h + rad, complex(x, -y)) if h >= 0.0 else (complex(x, y), rad - h)
+    norm = math.sqrt(2.0 * rad * (rad + abs(h)))
+    return rad, (u0 / norm, u1 / norm) if rad else (1.0, 0.0)
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971)."""
+    p, a1, b1 = a * b, 134217729.0 * a, 134217729.0 * b
+    ah, bh = a1 - (a1 - a), b1 - (b1 - b)
+    return p, ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+
+
+class _Qubit:
+    """The qubit route: a 2x2 pair in closed form (Helstrom 1976).  With
+    sigma = (tau_s 1 + s.S)/2 and rho = (tau_r 1 + r.S)/2 (S the Pauli
+    vector), rho - t*sigma has the eigenvalues (a +- |v|)/2, a = tau_r -
+    t tau_s and v = r - t s, so g(t) costs O(1); it is concave, and its
+    maximum lies at t = 0, at a root of det(rho - t*sigma) = 0, or where g
+    is stationary in the rank-one region."""
+
+    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix):
+        (r00, _), (r10, r11), (s00, _), (s10, s11) = rho.matrix.tolist() + sigma.matrix.tolist()
+        self.pair = r00, r11, rx, ry, s00, s11, sx, sy = (
+            r00.real, r11.real, r10.real, -r10.imag, s00.real, s11.real, s10.real, -s10.imag)
+        self.norm = abs(r00) + abs(r11) + abs(rx) + abs(ry), abs(s00) + abs(s11) + abs(sx) + abs(sy)
+        self.tau_r, self.tau_s = tau_r, tau_s = r00 + r11, s00 + s11
+        # Bloch vectors, up to the sign of y in both, which no dot or cross product sees.
+        r, s = (2.0 * rx, 2.0 * ry, r00 - r11), (2.0 * sx, 2.0 * sy, s00 - s11)
+        self.dot, self.ss = r[0] * s[0] + r[1] * s[1] + r[2] * s[2], s[0] * s[0] + s[1] * s[1] + s[2] * s[2]
+        self.cross = math.hypot(r[1] * s[2] - r[2] * s[1], r[2] * s[0] - r[0] * s[2], r[0] * s[1] - r[1] * s[0])
+        # det sigma to the last bit, for t^2 det sigma at large t.
+        self.det = math.fsum((*_two_product(s00, s11), *_two_product(-sx, sx), *_two_product(-sy, sy)))
+        # 4 det(rho - t*sigma) = A t^2 - 2 B t + C, and B^2 - A C = |tau_s r - tau_r s|^2 - |r x s|^2.
+        a, c = 4.0 * self.det, 4.0 * (r00 * r11 - rx * rx - ry * ry)
+        self.coef = a, 2.0 * (r00 * s11 + r11 * s00) - 4.0 * (rx * sx + ry * sy), c
+        diff = math.hypot(tau_s * r[0] - tau_r * s[0], tau_s * r[1] - tau_r * s[1], tau_s * r[2] - tau_r * s[2])
+        q = self.coef[1] + math.copysign(math.sqrt(max(diff - self.cross, 0.0) * (diff + self.cross)), self.coef[1])
+        self.roots = (0.0, q / a if a else -1.0, c / q if q else -1.0)
+
+    @cached_property
+    def spectrum(self):
+        """((top, low), u): sigma's eigenvalues, low = det / top, and top's unit eigenvector."""
+        rad, u = _top(*self.pair[4:])
+        top = 0.5 * self.tau_s + rad
+        return (top, self.det / top if top else 0.0), u
+
+    def plus(self, t: float) -> tuple[float, float]:
+        """Tr[(rho - t*sigma)_+] and a running bound on its rounding error
+        (Higham 2002, ch. 3).  The eigenvalue of larger magnitude, big, comes
+        from the entries p, w, x + iy of rho - t*sigma, the other as det / big,
+        det from the entries (near-identical pairs) or from A, B and C (near
+        rank-one sigma, large t), whichever has the smaller bound."""
+        (r00, r11, rx, ry, s00, s11, sx, sy), (a, b, c), (nr, ns), u = self.pair, self.coef, self.norm, 2.0**-53
+        p, w, x, y = r00 - t * s00, r11 - t * s11, rx - t * sx, ry - t * sy
+        big = 0.5 * (p + w) + math.copysign(math.hypot(0.5 * (p - w), x, y), p + w)
+        e = 2.0 * u * (nr + t * ns)  # bounds the rounding of each entry
+        ebig = 4.0 * e + 3.0 * u * abs(big)
+        entries = e * (abs(p) + abs(w) + 2.0 * abs(x) + 2.0 * abs(y)) + 3.0 * u * (abs(p * w) + x * x + y * y)
+        coefs = 2.0 * u * nr * (4.0 * nr + 8.0 * t * ns) + 2.0 * u * t * t * abs(a)
+        det, edet = (p * w - x * x - y * y, entries) if entries <= coefs else (0.25 * (c - t * (2 * b - t * a)), coefs)
+        apart = abs(big) > 2.0 * ebig  # else both eigenvalues lie within 3 ebig of 0
+        small = det / big if apart else 0.0
+        esmall = (edet + abs(small) * ebig) / (abs(big) - ebig) + u * abs(small) if apart else 3.0 * ebig
+        plus = max(big, 0.0) + max(small, 0.0)
+        return plus, (ebig if big > -ebig else 0.0) + (esmall if small > -esmall else 0.0) + u * plus
+
+    def tests(self, level: float, t: float):
+        """(beta, at_lo, at_hi) of the mixture with alpha = level (``_share``)
+        of its neighbours in the chain 1, P_n, 0 (k = 0, 1, 2) at t; v = (m, n)
+        is the eigenbasis of rho - t*sigma, or where that is a multiple of 1,
+        sigma's, whose top spans the plus set just below t.  alpha(P_n) is
+        summed in sigma's eigenbasis, free of cancellation."""
+        (r00, r11, rx, ry, s00, s11, sx, sy), ((top, low), (e0, e1)) = self.pair, self.spectrum
+        rad, (n0, n1) = _top(r00 - t * s00, r11 - t * s11, rx - t * sx, ry - t * sy)
+        n0, n1 = (n0, n1) if rad > EIG_FLOOR * (1.0 + t) else (e0, e1)
+        z = n0.conjugate() * n1
+        alpha = top * abs(e0.conjugate() * n0 + e1.conjugate() * n1) ** 2 + low * abs(e1 * n0 - e0 * n1) ** 2
+        beta = r00 * abs(n1) ** 2 + r11 * abs(n0) ** 2 - 2.0 * (rx * z.real - ry * z.imag)
+        if abs(alpha - level) <= 16.0 * 2.0**-53 * (math.sqrt(top * max(alpha, 0.0)) + abs(low) + alpha):
+            # P_n attains the level to the rounding of its alpha, and a
+            # mixture with 0 or 1 would cost beta / level times that.
+            ends = [(max(alpha, level), beta, 1), (min(alpha, level), beta, 1)]
+        else:
+            k = 0 if self.tau_s <= level else 2 - int(alpha <= level)
+            chain = [(self.tau_s, 0.0, 0), (alpha, beta, 1), (0.0, self.tau_r, 2)]
+            ends = [chain[max(k - 1, 0)], chain[k]]
+        v = (-n1.conjugate(), n0), (n0.conjugate(), n1)
+        at_lo, at_hi = [_Probe(t, alpha, beta, math.nan, math.nan, None, v, None, k) for alpha, beta, k in ends]
+        return at_hi.beta + _share(level, at_lo, at_hi) * (at_lo.beta - at_hi.beta), at_lo, at_hi
+
+    def search(self, level: float):
+        """The level's search: its bound, then its test; see ``_tau_search``."""
+        tau_r, tau_s, u = self.tau_r, self.tau_s, 2.0**-53
+        # g is stationary in the rank-one region where s.v = c |v|, c = 2L - tau_s.
+        room, c = 4.0 * (level * (tau_s - level) - self.det), 2.0 * level - tau_s
+        stay = -1.0 if not room > 0.0 < self.ss else (
+            self.dot - math.copysign(abs(c) * self.cross / math.sqrt(room), c)) / self.ss
+        # g <= 1 - t L - max(0, tau_r - t tau_s), with equality where an
+        # eigenvalue is 0: after the stationary point, the maximum where it
+        # exists, a point whose cap lies below the best bound is skipped.
+        points, best = [], -math.inf
+        for t in (stay, *self.roots):
+            slack = 8.0 * u * (1.0 + abs(tau_r) + t * (level + abs(tau_s)))  # the rounding of the cap
+            if 0.0 <= t <= 2.0**100 and (not points or 1.0 - t * level - max(0.0, tau_r - t * tau_s) + slack >= best):
+                plus, err = self.plus(t)
+                err += 4.0 * u * (1.0 + t * level + plus)
+                points.append((1.0 - t * level - plus - err, err, t))
+                best = max(best, points[-1][0] - 2.0 * err)
+        lower = max(points)[0]
+        yield lower, 1.0 - level, None  # enough for a verdict that the lower bound decides
+        # The test at the stationary point if it attains the bound to rounding,
+        # else at the smallest t that does: g is flat between such points.
+        near = [p for p in points if p[0] >= lower - 2.0 * p[1]]
+        _, err, t = near[0] if len(near) == 1 else min(near, key=lambda p: (p[2] != stay, p[2]))
+        upper, at_lo, at_hi = self.tests(level, t)
+        yield lower, upper + err, (at_lo, at_hi)
+
+
 def _tau_search(route: _Route, level: float):
     """Smallest t >= 0 with alpha(P_plus(t)) <= level for the route's pair, as
     a generator.
@@ -461,6 +599,17 @@ def _tau_search(route: _Route, level: float):
     (rho, sigma).  Its lower bound is the dual at the root itself, so its
     last point ends it with no dual step.
 
+    A qubit pair (the route's qubit) takes no search (``_Qubit.search``): g
+    costs O(1), and its maximum lies at t = 0, at a root of
+    det(rho - t*sigma) = 0 or at the stationary point of the rank-one region
+    (t <= 2^100, as for the probes).  It yields the best g there less a
+    running bound on its rounding, with the upper bound 1 - level, then the
+    same lower bound, the beta of a mixture of the tests 0, P_n and 1 at the
+    maximiser raised by that bound, and the two tests.  On a jump of alpha
+    at_hi.t is the root of det(rho - t*sigma) = 0, where the probe search
+    ends at the probe where the eigenvalue that carries the jump passes
+    EIG_FLOOR * (1 + t).
+
     Level 0 has no threshold: the dual g(t) = 1 - Tr[(rho - t*sigma)_+] does
     not decrease in t, and its limit is the beta of the optimal test, the
     projection onto ker sigma (``_Route.kernel``).  The search yields once,
@@ -469,11 +618,15 @@ def _tau_search(route: _Route, level: float):
     to an eigh's Pi_ker, and they can only lower b0: as a lower bound b0
     never overclaims, and as an upper bound it can only stop a search at
     "not certified".  A pure sigma's 1 - psi psi^H / |psi|^2 is within twice
-    the slack of the eigh's, which the lower bound gives up.
+    the slack of the eigh's, which the lower bound gives up, and so is a
+    qubit pair's closed form.
     """
     if level == 0.0:
         b0 = 1.0 - float(np.sum(route.rho.matrix.T * route.kernel()).real)
         yield b0 - 2.0 * route.slack, b0, (None, None)
+        return
+    if route.qubit is not None:
+        yield from route.qubit.search(level)
         return
     if route.psi is not None:
         yield from _secular_search(route.pencil(), level)
@@ -551,7 +704,11 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     against the worked example's rho at 1e-20, and a rank-one sigma, whose
     secular search has no zero rule, at any level.  A solve costs one eigh
     per probe and one eigvalsh, or one eigh of rho for a rank-one sigma; a
-    positive definite rho takes its t = 0 probe from a Cholesky factor.
+    positive definite rho takes its t = 0 probe from a Cholesky factor, and
+    a qubit pair takes no decomposition (``_Qubit``).  On a jump of alpha a
+    qubit pair reports the exact root of det(rho - t*sigma) = 0 as t, and a
+    probe search the probe where the eigenvalue that carries the jump
+    passes EIG_FLOOR * (1 + t).
 
     alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).
     alpha0 = 0 returns the exact optimum, the projection onto the kernel of
@@ -644,14 +801,16 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     (``_margin_bounds``), stop once the summed bounds fix the sign, or else
     decide on g_A + g_B - 1, a probe search's last g with its dual step.
     Certification rests on the dual bounds alone, so it never overclaims in
-    exact arithmetic; in floating point a margin of a few ulps can, until
-    the bounds get a rounding allowance.  The two levels share the
-    level-free work of one route (``_Route``): a mixed sigma's searches take
-    each probe of their common doubling once (t = 0 from one Cholesky factor
-    and no eigh for a positive definite rho), and a rank-one sigma takes one
-    eigh of rho in all, at any levels, and no eigvalsh.  At p_a = 1 the
-    level-0 search yields the exact beta of the kernel projection of sigma,
-    from one eigh of sigma or, for a rank-one sigma, from none (see
+    exact arithmetic.  A qubit pair's bounds give up a running bound on their
+    own rounding, so at d = 2 a margin must exceed that allowance; at d >= 3
+    the bounds have no allowance yet, and a margin of a few ulps can still
+    overclaim.  The two levels share the level-free work of one route
+    (``_Route``): a mixed sigma's searches take each probe of their common
+    doubling once (t = 0 from one Cholesky factor and no eigh for a positive
+    definite rho), a rank-one sigma takes one eigh of rho in all, at any
+    levels, and no eigvalsh, and a qubit pair none.  At p_a = 1 the level-0
+    search yields the exact beta of the kernel projection of sigma, from one
+    eigh of sigma or, for a rank-one sigma or a qubit pair, from none (see
     ``_tau_search``).
 
     When p_b equals 1 - p_a up to rounding (typed pairs such as (0.8, 0.2)),

@@ -1,6 +1,5 @@
 import importlib
 import math
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -29,9 +28,10 @@ from qhtcert.errors import (
 from qhtcert.helstrom import T_TOL, _condition_levels, _condition_margin
 from qhtcert.oracle import _dual_margin
 from qhtcert import bounds, demo
-from qhtcert.states import is_rank_one
+from qhtcert.states import _rank_one_factor, is_rank_one
 
 from conftest import _alpha_plus, _secular_point, philox, random_density, random_pure, sample_test_operators
+from exact import decimal_dual_beta
 
 hel = importlib.import_module("qhtcert.helstrom")
 
@@ -174,8 +174,8 @@ def test_threshold_search_matches_bisection(monkeypatch):
             where = f"d={d} {kind} alpha0={alpha0}"
             if pure:
                 # The secular search takes one eigh of rho, none at level 0,
-                # and beta comes from the dual.
-                assert eigh_calls[0] == (alpha0 > 0.0), where
+                # and beta comes from the dual; a qubit pair takes none.
+                assert eigh_calls[0] == (alpha0 > 0.0 and d != 2), where
                 want_t = tau_bisection(rho, sigma, alpha0)[1] if alpha0 > 0.0 else math.inf
                 want_beta = dual_beta(rho, sigma, alpha0) if alpha0 > 0.0 else got.beta
             else:
@@ -219,14 +219,15 @@ def counting(calls, name, fn):
 
 
 def test_converged_newton_run_is_not_bisected(monkeypatch):
-    # On this mixed pair Newton reaches the threshold from one side, so the
-    # far end of the bracket stays put (t = 0 above, then probes below and
-    # five above the level); once Newton has converged, the step-length
-    # safeguard must close the bracket without bisecting.  Bisecting whenever
-    # the bracket has not halved over two steps takes 9 probes.  rho is
-    # positive definite, so t = 0 takes no probe and the log starts at t = 1.
-    rng = philox(2024)
-    sigma, rho = random_density(2, rng), random_density(2, rng)
+    # On this mixed qutrit pair (a qubit pair takes no probes) Newton reaches
+    # the threshold from one side, so the far end of the bracket stays put
+    # (t = 0 above, then a probe below and four above the level); once Newton
+    # has converged, the step-length safeguard must close the bracket without
+    # bisecting.  Bisecting whenever the bracket has not halved over two
+    # steps takes 8 probes.  rho is positive definite, so t = 0 takes no
+    # probe and the log starts at t = 1.
+    rng = philox(2078)
+    sigma, rho = random_density(3, rng), random_density(3, rng)
     probes = []
     probe = hel._threshold_probe
 
@@ -238,7 +239,7 @@ def test_converged_newton_run_is_not_bisected(monkeypatch):
     helstrom(rho, sigma, 0.1)
     assert probes[0].t == 1.0 and probes[0].alpha <= 0.1
     assert not any(p.alpha <= 0.1 for p in probes[1:-1])
-    assert len(probes) <= 7
+    assert len(probes) <= 6
 
 
 def test_crossing_guess_is_computed_only_when_newton_misses(monkeypatch):
@@ -321,38 +322,6 @@ def test_zero_level_is_the_kernel_of_sigma(monkeypatch):
         assert abs(test.beta - exact) <= 1e-12, kind
         assert test.alpha <= 1e-12, kind
         assert calls["eigh"] == (kind == "low-rank"), kind
-
-
-def decimal_dual_beta(rho, sigma, level) -> Decimal:
-    """Optimal beta of a 2x2 pair to 60 digits: the Lagrange dual
-    g(t) = 1 - t * level - Tr[(rho - t*sigma)_+], maximised over t >= 0 by
-    golden-section search on the concave g, from the float entries exactly."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        r, s = rho.matrix, sigma.matrix
-        r00, r11, s00, s11, re_r, im_r, re_s, im_s = (
-            Decimal(float(x))
-            for x in (r[0, 0].real, r[1, 1].real, s[0, 0].real, s[1, 1].real, r[0, 1].real, r[0, 1].imag, s[0, 1].real, s[0, 1].imag)
-        )
-        level = Decimal(level)
-
-        def g(t: Decimal) -> Decimal:
-            mid = (r00 + r11 - t * (s00 + s11)) / 2
-            rad = (((r00 - r11 - t * (s00 - s11)) / 2) ** 2 + (re_r - t * re_s) ** 2 + (im_r - t * im_s) ** 2).sqrt()
-            return 1 - t * level - max(mid + rad, 0) - max(mid - rad, 0)
-
-        golden = (Decimal(5).sqrt() - 1) / 2
-        lo, hi = Decimal(0), Decimal(1)
-        while g(2 * hi) > g(hi):
-            hi *= 2
-        hi *= 2
-        while hi - lo > Decimal("1e-30") * (1 + hi):
-            x, y = hi - golden * (hi - lo), lo + golden * (hi - lo)
-            if g(x) >= g(y):
-                hi = y
-            else:
-                lo = x
-        return g(lo)
 
 
 def test_tiny_levels_reach_the_optimum():
@@ -461,20 +430,28 @@ def test_pure_sigma_takes_one_eigh(monkeypatch):
         for alpha0 in (0.0, 0.05, 0.3, 0.7, 0.95):
             calls.update(eigh=0, eigvalsh=0)
             helstrom(rho, sigma, alpha0)
-            # One eigh of rho; none at level 0, whose test is 1 - psi psi^H.
-            assert calls == {"eigh": int(alpha0 > 0.0), "eigvalsh": 0}, f"d={d} {kind} alpha0={alpha0}"
+            # One eigh of rho; none at level 0, whose test is 1 - psi psi^H,
+            # and none for a qubit pair, which takes the closed form.
+            assert calls == {"eigh": int(alpha0 > 0.0 and d != 2), "eigvalsh": 0}, f"d={d} {kind} alpha0={alpha0}"
         for p_a, p_b in ((1.0, 0.0), (1.0, 0.2), (0.8, 0.2), (0.9, 0.05), (0.7, 0.1)):
             calls.update(eigh=0, eigvalsh=0)
             certify_condition(sigma, rho, p_a, p_b)
             # Both levels share the one eigh of rho.
-            assert calls == {"eigh": int(p_b > 0.0), "eigvalsh": 0}, f"d={d} {kind} pA={p_a} pB={p_b}"
+            assert calls == {"eigh": int(p_b > 0.0 and d != 2), "eigvalsh": 0}, f"d={d} {kind} pA={p_a} pB={p_b}"
+
+
+def secular_pencil(rho, sigma):
+    """The pencil of the secular search for a pure sigma at any d; the route
+    sends qubit pairs to the closed form instead, but the sums are the same."""
+    psi, residual = _rank_one_factor(sigma)
+    return hel._Pencil(rho, psi, math.sqrt(sigma.dim) * residual)
 
 
 def test_secular_sums_stay_finite_at_the_ends():
     # Runs under filterwarnings = error::RuntimeWarning, so an overflow or a
     # 0/0 in the secular sums fails here.
     for d, kind, sigma, rho, _ in pure_edge_cases():
-        pencil = hel._Route(rho, sigma).pencil()
+        pencil = secular_pencil(rho, sigma)
         for s in (-math.inf, math.log(hel.Y_MIN), -20.0, 0.0, 20.0, math.log(hel.Y_MAX)):
             for level in (1e-300, 1e-20, 0.3, 1.0 - 1e-16):
                 point = hel._secular_point(pencil, s, level)
@@ -500,7 +477,7 @@ def test_secular_point_matches_the_numpy_reference():
         for _ in range(4):
             sigma = random_pure(d, rng).density()
             for rho in (random_density(d, rng), random_density(d, rng, max(1, d // 2))):
-                pencil = hel._Route(rho, sigma).pencil()
+                pencil = secular_pencil(rho, sigma)
                 for s in (-math.inf, math.log(hel.Y_MIN), -30.0, -3.0, -0.5, 0.0, 2.0, 25.0, math.log(hel.Y_MAX)):
                     for level in (1e-12, 0.3, 0.9):
                         where = f"d={d} w_ker={pencil.w_ker} s={s} level={level}"
@@ -579,7 +556,7 @@ def test_positive_definite_rho_takes_no_eigh_at_t_zero(monkeypatch):
     # search starts from the test 1 with no eigh, and the solve matches the
     # one that decomposes rho at t = 0.
     rng = philox(2626)
-    for d in (2, 3, 4, 16, 64):
+    for d in (3, 4, 16, 64):  # a qubit pair takes no eigh at all
         for _ in range(3):
             sigma, rho = random_density(d, rng), random_density(d, rng)
             for alpha0 in (0.05, 0.3, 0.7):
@@ -605,7 +582,7 @@ def test_rho_without_a_cholesky_factor_probes_t_zero(monkeypatch, smallest):
         return probe(rho, sigma, t, *args)
 
     monkeypatch.setattr(hel, "_threshold_probe", logged_probe)
-    for d in (2, 4, 16):
+    for d in (3, 4, 16):  # a qubit pair takes no probe
         sigma = random_density(d, rng)
         if smallest == "pure":
             rho = random_pure(d, rng).density()
@@ -963,7 +940,7 @@ def test_condition_levels_share_their_probes(monkeypatch):
     monkeypatch.setattr(hel, "_threshold_probe", logged_probe)
     rng = philox(4242)
     conditions = repeated = doubled = 0
-    for d in (2, 4, 16):
+    for d in (3, 4, 16):  # a qubit pair takes no probe
         for _ in range(70):
             sigma, rho = random_density(d, rng), random_density(d, rng)
             for p_a, p_b in unequal:
@@ -1019,12 +996,13 @@ def test_condition_needs_few_eigendecompositions(monkeypatch):
     verdicts = 0
     for _ in range(100):
         # Mixed sigma, so that the probe search runs (a pure sigma takes one
-        # eigh per verdict; see test_pure_sigma_takes_one_eigh).
-        sigma, rho = random_density(2, rng), random_density(2, rng)
+        # eigh per verdict; see test_pure_sigma_takes_one_eigh), at d = 3,
+        # since a qubit pair takes none.
+        sigma, rho = random_density(3, rng), random_density(3, rng)
         for p_a in np.linspace(0.52, 0.98, 20):
             certify_condition(sigma, rho, float(p_a), 1.0 - float(p_a))
             verdicts += 1
-    # 2.54 here.
+    # 1.55 here.
     assert calls[0] / verdicts <= 2.6
 
 

@@ -479,25 +479,27 @@ def test_boundary_search_stops_at_float_resolution(monkeypatch):
 
 
 def test_pure_boundary_search_takes_one_eigh_per_angle(monkeypatch):
-    # The two levels of an angle share one route, so one eigh of rho serves both.
+    # The two levels of an angle share one route, so one eigh of rho serves
+    # both.  A qubit plane takes the closed form and no eigh at all, so the
+    # plane of pure states here lies in d = 3.
     margins = [0]
-    margin = oracle_module._dual_margin
+    sigma = PureState([1.0, 0.0, 0.0]).density()
 
-    def counting_margin(*args):
+    def margin(theta):
         margins[0] += 1
-        return margin(*args)
+        rho = PureState([np.cos(theta / 2.0), np.sin(theta / 2.0), 0.0]).density()
+        return oracle_module._dual_margin(sigma, rho, 0.8, 0.15)
 
-    monkeypatch.setattr(oracle_module, "_dual_margin", counting_margin)
     calls = counting_eigh(monkeypatch)
-    boundary_radius_search(0.8, 0.15, PureState([1.0, 0.0]), 60, 0)
+    oracle_module._plane_boundary_radius(margin, 0.8, 0.15, 60)
     assert margins[0] > 1
     assert calls[0] == margins[0]
 
 
 def test_boundary_steps_are_plain_regula_falsi(monkeypatch):
     # One safeguard, the bracket step's: a second one, such as Illinois
-    # halving of the end margins, takes 379 margins here, and plain regula
-    # falsi 360.
+    # halving of the end margins, takes 387 margins here, and plain regula
+    # falsi 363.
     calls = [0]
     margin = oracle_module._dual_margin
 
@@ -512,7 +514,7 @@ def test_boundary_steps_are_plain_regula_falsi(monkeypatch):
             boundary_radius_search(p_a, p_b, random_pure(2, rng), 60, int(rng.integers(1 << 30)))
     for seed in range(10):
         boundary_radius_search(0.9, 0.1, demo.benign_state(), seed=seed)
-    assert calls[0] <= 360
+    assert calls[0] <= 363
 
 
 def test_boundary_search_stops_at_a_zero_margin(monkeypatch):
@@ -584,7 +586,7 @@ def test_solver_bits_are_pinned():
         put(boundary_radius_search(p_a, p_b, random_pure(2, rng), 60, int(rng.integers(1 << 30))))
     for d in (2, 4):
         put(_smoothed_boundary_generic(random_pure(d, rng).density(), 0.3, 0.8))
-    assert digest.hexdigest() == "53678475d35f7c52f9f6979e4f2bb6c1f5660925400d20d677b383427ca73e30"
+    assert digest.hexdigest() == "0235057c9006761addaf9f0e84dfd435c7cb2e57860818c88df7685cf46c5f4d"
 
 
 # ---------------------------------------------------------------------------
