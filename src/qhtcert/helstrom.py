@@ -24,7 +24,7 @@ Nielsen and Sorensen 1978).  One eigh of rho then serves every level: the
 search steps in log y on closed forms of alpha, beta and the dual, and
 builds the test from u = sum_i c_i / (lam_i + y) v_i.  A qubit pair takes
 no search at all: in Bloch form the dual costs O(1), and its maximum lies at
-one of four points in closed form (``_Qubit``).
+one of four points in closed form (``qubit._Qubit``).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class SignedProjections:
 
 class _Probe(NamedTuple):
     """One probe of the threshold search at t (``_threshold_probe``), or a
-    bracket end of the qubit route (``_Qubit.tests``)."""
+    bracket end of the qubit route (``qubit._Qubit.tests``)."""
 
     t: float
     alpha: float
@@ -474,7 +474,7 @@ def _tau_search(route: _Route, level: float):
     (rho, sigma).  Its lower bound is the dual at the root itself, so its
     last point ends it with no dual step.
 
-    A qubit pair (the route's qubit) takes no search (``_Qubit.search``): g
+    A qubit pair (the route's qubit) takes no search (``qubit._Qubit.search``): g
     costs O(1), and its maximum lies at t = 0, at a root of
     det(rho - t*sigma) = 0 or at the stationary point of the rank-one region
     (t <= 2^100, as for the probes).  It yields the best g there less a
@@ -580,7 +580,7 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     secular search has no zero rule, at any level.  A solve costs one eigh
     per probe and one eigvalsh, or one eigh of rho for a rank-one sigma; a
     positive definite rho takes its t = 0 probe from a Cholesky factor, and
-    a qubit pair takes no decomposition (``_Qubit``).  On a jump of alpha a
+    a qubit pair takes no decomposition (``qubit._Qubit``).  On a jump of alpha a
     qubit pair reports the exact root of det(rho - t*sigma) = 0 as t, and a
     probe search the probe where the eigenvalue that carries the jump
     passes EIG_FLOOR * (1 + t).

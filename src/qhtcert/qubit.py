@@ -110,9 +110,9 @@ class _Qubit:
         """The level's search: its bound, then its test; see ``_tau_search``."""
         tau_r, tau_s, u = self.tau_r, self.tau_s, 2.0**-53
         # g is stationary in the rank-one region where s.v = c |v|, c = 2L - tau_s.
-        room, c = 4.0 * (level * (tau_s - level) - self.det), 2.0 * level - tau_s
-        stay = -1.0 if not room > 0.0 < self.ss else (
-            self.dot - math.copysign(abs(c) * self.cross / math.sqrt(room), c)) / self.ss
+        room, c, stay = 4.0 * (level * (tau_s - level) - self.det), 2.0 * level - tau_s, -1.0
+        if room > 0.0 and self.ss > 0.0:
+            stay = (self.dot - math.copysign(abs(c) * self.cross / math.sqrt(room), c)) / self.ss
         # g <= 1 - t L - max(0, tau_r - t tau_s), with equality where an
         # eigenvalue is 0: after the stationary point, the maximum where it
         # exists, a point whose cap lies below the best bound is skipped.

@@ -12,7 +12,7 @@ and rho = (tau_r 1 + r.S)/2, so rho - t*sigma has the eigenvalues
   concave, and the maximum lies at t = 0, at a root of det(rho - t*sigma) = 0
   (an eigenvalue changes sign), or at a stationary point in the rank-one
   region, a root of t^2 |s|^2 (|s|^2 - c^2) - 2 t (r.s) (|s|^2 - c^2) +
-  (r.s)^2 - c^2 |r|^2 = 0 with c = 2L - tau_s (ROADMAP item 8).  At level 0
+  (r.s)^2 - c^2 |r|^2 = 0 with c = 2L - tau_s.  At level 0
   it is the limit of g as t -> inf.
 * ``margin`` is the condition margin beta(1 - pA) + beta(pB) - 1.
 * ``decimal_dual_beta`` finds the same maximum by golden-section search on g,

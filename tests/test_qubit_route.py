@@ -25,7 +25,6 @@ from conftest import philox, random_density, random_pure
 hel = importlib.import_module("qhtcert.helstrom")
 oracle = importlib.import_module("qhtcert.oracle")
 
-SIGMA = demo.benign_state().density()
 RHO = demo.adversarial_state().density()
 
 
