@@ -107,28 +107,21 @@ class _Qubit:
         return at_hi.beta + _share(level, at_lo, at_hi) * (at_lo.beta - at_hi.beta), at_lo, at_hi
 
     def search(self, level: float):
-        """The level's search: its bound, then its test; see ``_tau_search``."""
+        """The level's one yield: its bound and its test; see ``_tau_search``."""
         tau_r, tau_s, u = self.tau_r, self.tau_s, 2.0**-53
         # g is stationary in the rank-one region where s.v = c |v|, c = 2L - tau_s.
         room, c, stay = 4.0 * (level * (tau_s - level) - self.det), 2.0 * level - tau_s, -1.0
         if room > 0.0 and self.ss > 0.0:
             stay = (self.dot - math.copysign(abs(c) * self.cross / math.sqrt(room), c)) / self.ss
-        # g <= 1 - t L - max(0, tau_r - t tau_s), with equality where an
-        # eigenvalue is 0: after the stationary point, the maximum where it
-        # exists, a point whose cap lies below the best bound is skipped.
-        points, best = [], -math.inf
+        points = []
         for t in (stay, *self.roots):
-            slack = 8.0 * u * (1.0 + abs(tau_r) + t * (level + abs(tau_s)))  # the rounding of the cap
-            if 0.0 <= t <= 2.0**100 and (not points or 1.0 - t * level - max(0.0, tau_r - t * tau_s) + slack >= best):
+            if 0.0 <= t <= 2.0**100:  # as far as the probe search doubles
                 plus, err = self.plus(t)
                 err += 4.0 * u * (1.0 + t * level + plus)
                 points.append((1.0 - t * level - plus - err, err, t))
-                best = max(best, points[-1][0] - 2.0 * err)
-        lower = max(points)[0]
-        yield lower, 1.0 - level, None  # enough for a verdict that the lower bound decides
         # The test at the stationary point if it attains the bound to rounding,
         # else at the smallest t that does: g is flat between such points.
-        near = [p for p in points if p[0] >= lower - 2.0 * p[1]]
-        _, err, t = near[0] if len(near) == 1 else min(near, key=lambda p: (p[2] != stay, p[2]))
+        lower = max(points)[0]
+        _, err, t = min((p for p in points if p[0] >= lower - 2.0 * p[1]), key=lambda p: (p[2] != stay, p[2]))
         upper, at_lo, at_hi = self.tests(level, t)
         yield lower, upper + err, (at_lo, at_hi)
