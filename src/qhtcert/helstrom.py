@@ -477,10 +477,10 @@ def _tau_search(route: _Route, level: float):
     A qubit pair (the route's qubit) takes no search (``qubit._Qubit.search``): g
     costs O(1), and its maximum lies at t = 0, at a root of
     det(rho - t*sigma) = 0 or at the stationary point of the rank-one region
-    (t <= 2^100, as for the probes).  It yields the best g there less a
-    running bound on its rounding, with the upper bound 1 - level, then the
-    same lower bound, the beta of a mixture of the tests 0, P_n and 1 at the
-    maximiser raised by that bound, and the two tests.  On a jump of alpha
+    (t <= 2^100, as for the probes).  It yields once: the best g there less
+    a running bound on its rounding, the beta of a mixture of the tests 0,
+    P_n and 1 at the maximiser raised by that bound, and the two tests.  On
+    a jump of alpha
     at_hi.t is the root of det(rho - t*sigma) = 0, where the probe search
     ends at the probe where the eigenvalue that carries the jump passes
     EIG_FLOOR * (1 + t).
