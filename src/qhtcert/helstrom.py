@@ -480,10 +480,9 @@ def _tau_search(route: _Route, level: float):
     (t <= 2^100, as for the probes).  It yields once: the best g there less
     a running bound on its rounding, the beta of a mixture of the tests 0,
     P_n and 1 at the maximiser raised by that bound, and the two tests.  On
-    a jump of alpha
-    at_hi.t is the root of det(rho - t*sigma) = 0, where the probe search
-    ends at the probe where the eigenvalue that carries the jump passes
-    EIG_FLOOR * (1 + t).
+    a jump of alpha at_hi.t is the root of det(rho - t*sigma) = 0, where the
+    probe search ends at the probe where the eigenvalue that carries the
+    jump passes EIG_FLOOR * (1 + t).
 
     Level 0 has no threshold: the dual g(t) = 1 - Tr[(rho - t*sigma)_+] does
     not decrease in t, and its limit is the beta of the optimal test, the
