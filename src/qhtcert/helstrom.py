@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import _check_order, _complementary
 from .errors import DimMismatch, InvalidTestOperator, NegativeT, SandwichViolated
+from .qubit import _Qubit
 from .states import TOL, DensityMatrix, _rank_one_factor, hermitian_residual
 
 # Eigenvalue floor.  An eigenvalue w of rho - t*sigma counts as zero when
@@ -91,7 +93,7 @@ class _Probe(NamedTuple):
 
     def plus(self) -> np.ndarray:
         """P_plus(t), the span of the eigenvectors above EIG_FLOOR * (1 + t)."""
-        return _span(np.asarray(self.v, dtype=complex)[:, self.k:])
+        return _span(self.v[:, self.k:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,32 +273,44 @@ class _Route:
     factor of the purity rule ``states._rank_one_factor``, and ``pencil()``,
     one eigh of rho); else threshold probes (``probe``, one eigh each, none
     at t = 0 for a positive definite rho, and one eigvalsh per level).
-    slack = sqrt(d) * ||sigma - psi psi^H||_F bounds the residual's trace
-    norm, so the dual of (rho, psi psi^H) at t exceeds that of (rho, sigma)
-    by at most t * slack; a mixed sigma has slack 0, and a qubit pair the
-    rounding allowance of its closed-form kernel."""
+    psi (None for a mixed sigma) is found on first read, which a qubit
+    pair's searches never make.  slack = sqrt(d) * ||sigma - psi psi^H||_F
+    bounds the residual's trace norm, so the dual of (rho, psi psi^H) at t
+    exceeds that of (rho, sigma) by at most t * slack; a mixed sigma has
+    slack 0, and a qubit pair the rounding allowance of its closed-form
+    kernel."""
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix):
         if rho.dim != sigma.dim:
             raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
         self.rho, self.sigma = rho, sigma
-        self.qubit = _Qubit(rho, sigma) if rho.dim == 2 else None
-        self.psi, residual = (self.qubit is None and _rank_one_factor(sigma)) or (None, 0.0)
-        self.slack = math.sqrt(sigma.dim) * residual
-        if self.qubit is not None:
-            self.slack = 16.0 * 2.0**-53 * (1.0 + abs(self.qubit.tau_r))
+        self.qubit = _Qubit(rho, sigma, EIG_FLOOR) if rho.dim == 2 else None
         self._pencil, self._newest = None, None
+
+    @cached_property
+    def _rank_one(self) -> tuple:
+        return _rank_one_factor(self.sigma) or (None, 0.0)
+
+    @property
+    def psi(self) -> np.ndarray | None:
+        return self._rank_one[0]
+
+    @cached_property
+    def slack(self) -> float:
+        if self.qubit is not None:
+            return 16.0 * 2.0**-53 * (1.0 + abs(self.qubit.tau_r))
+        return math.sqrt(self.sigma.dim) * self._rank_one[1]
 
     def kernel(self) -> np.ndarray:
         """Pi_ker, the projection onto ker sigma: 1 - psi psi^H / |psi|^2 for a
         pure sigma, with no eigh; else the span of the eigenvectors of sigma
         whose eigenvalues are at most EIG_FLOOR, from one eigh."""
-        if self.psi is not None:
-            return np.eye(self.psi.size) - np.outer(self.psi, self.psi.conj()) / np.vdot(self.psi, self.psi).real
         if self.qubit is not None:
             (top, low), u = self.qubit.spectrum
             p = np.outer(u, np.conj(u))
             return (top <= EIG_FLOOR) * p + (low <= EIG_FLOOR) * (np.eye(2, dtype=complex) - p)
+        if self.psi is not None:
+            return np.eye(self.psi.size) - np.outer(self.psi, self.psi.conj()) / np.vdot(self.psi, self.psi).real
         w, v = np.linalg.eigh(self.sigma.matrix)
         return _span(v[:, w <= EIG_FLOOR])
 
@@ -474,11 +488,11 @@ def _tau_search(route: _Route, level: float):
     (rho, sigma).  Its lower bound is the dual at the root itself, so its
     last point ends it with no dual step.
 
-    A qubit pair (the route's qubit) takes no search (``qubit._Qubit.search``): g
-    costs O(1), and its maximum lies at t = 0, at a root of
-    det(rho - t*sigma) = 0 or at the stationary point of the rank-one region
-    (t <= 2^100, as for the probes).  It yields once: the best g there less
-    a running bound on its rounding, the beta of a mixture of the tests 0,
+    A qubit pair (the route's qubit) takes no search: g costs O(1), and its
+    maximum lies at t = 0, at a root of det(rho - t*sigma) = 0 or at the
+    stationary point of the rank-one region (t <= 2^100, as for the probes;
+    ``qubit._Qubit.search``).  It yields once: the best g there less a
+    running bound on its rounding, the beta of a mixture of the tests 0,
     P_n and 1 at the maximiser raised by that bound, and the two tests.  On
     a jump of alpha at_hi.t is the root of det(rho - t*sigma) = 0, where the
     probe search ends at the probe where the eigenvalue that carries the
@@ -500,7 +514,9 @@ def _tau_search(route: _Route, level: float):
         yield b0 - 2.0 * route.slack, b0, (None, None)
         return
     if route.qubit is not None:
-        yield from route.qubit.search(level)
+        lower, err, t, v, ends = route.qubit.search(level)
+        at_lo, at_hi = (_Probe(t, alpha, beta, math.nan, math.nan, None, v, None, k) for alpha, beta, k in ends)
+        yield lower, at_hi.beta + _share(level, at_lo, at_hi) * (at_lo.beta - at_hi.beta) + err, (at_lo, at_hi)
         return
     if route.psi is not None:
         yield from _secular_search(route.pencil(), level)
@@ -579,10 +595,10 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     secular search has no zero rule, at any level.  A solve costs one eigh
     per probe and one eigvalsh, or one eigh of rho for a rank-one sigma; a
     positive definite rho takes its t = 0 probe from a Cholesky factor, and
-    a qubit pair takes no decomposition (``qubit._Qubit``).  On a jump of alpha a
-    qubit pair reports the exact root of det(rho - t*sigma) = 0 as t, and a
-    probe search the probe where the eigenvalue that carries the jump
-    passes EIG_FLOOR * (1 + t).
+    a qubit pair takes no decomposition (``qubit._Qubit``).  On a jump of
+    alpha a qubit pair reports the exact root of det(rho - t*sigma) = 0 as
+    t, and a probe search the probe where the eigenvalue that carries the
+    jump passes EIG_FLOOR * (1 + t).
 
     alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).
     alpha0 = 0 returns the exact optimum, the projection onto the kernel of
@@ -694,6 +710,3 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     """
     return bool(_condition_margin(sigma, rho, p_a, p_b) > 0.0)
 
-
-# Last, since the qubit route reads EIG_FLOOR, _Probe and _share from this module.
-from .qubit import _Qubit  # noqa: E402

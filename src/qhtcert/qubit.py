@@ -6,7 +6,8 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .helstrom import EIG_FLOOR, _Probe, _share
+import numpy as np
+
 from .states import DensityMatrix
 
 
@@ -17,7 +18,7 @@ def _top(p: float, w: float, x: float, y: float):
     h = 0.5 * (p - w)
     rad = math.hypot(h, x, y)
     u0, u1 = (h + rad, complex(x, -y)) if h >= 0.0 else (complex(x, y), rad - h)
-    norm = math.sqrt(2.0 * rad * (rad + abs(h)))
+    norm = math.hypot(abs(u0), abs(u1))  # sqrt(2 rad (rad + |h|)) underflows below rad = 1e-154
     return rad, (u0 / norm, u1 / norm) if rad else (1.0, 0.0)
 
 
@@ -36,7 +37,8 @@ class _Qubit:
     maximum lies at t = 0, at a root of det(rho - t*sigma) = 0, or where g
     is stationary in the rank-one region."""
 
-    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix):
+    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix, floor: float):
+        self.floor = floor  # the solver's zero rule, EIG_FLOOR * (1 + t)
         (r00, _), (r10, r11), (s00, _), (s10, s11) = rho.matrix.tolist() + sigma.matrix.tolist()
         self.pair = r00, r11, rx, ry, s00, s11, sx, sy = (
             r00.real, r11.real, r10.real, -r10.imag, s00.real, s11.real, s10.real, -s10.imag)
@@ -83,14 +85,14 @@ class _Qubit:
         return plus, (ebig if big > -ebig else 0.0) + (esmall if small > -esmall else 0.0) + u * plus
 
     def tests(self, level: float, t: float):
-        """(beta, at_lo, at_hi) of the mixture with alpha = level (``_share``)
-        of its neighbours in the chain 1, P_n, 0 (k = 0, 1, 2) at t; v = (m, n)
-        is the eigenbasis of rho - t*sigma, or where that is a multiple of 1,
+        """(v, ends): the two tests around the level in the chain 1, P_n, 0
+        (k = 0, 1, 2) at t, each as (alpha, beta, k); v = (m, n) is the
+        eigenbasis of rho - t*sigma, or where that is a multiple of 1,
         sigma's, whose top spans the plus set just below t.  alpha(P_n) is
         summed in sigma's eigenbasis, free of cancellation."""
         (r00, r11, rx, ry, s00, s11, sx, sy), ((top, low), (e0, e1)) = self.pair, self.spectrum
         rad, (n0, n1) = _top(r00 - t * s00, r11 - t * s11, rx - t * sx, ry - t * sy)
-        n0, n1 = (n0, n1) if rad > EIG_FLOOR * (1.0 + t) else (e0, e1)
+        n0, n1 = (n0, n1) if rad > self.floor * (1.0 + t) else (e0, e1)
         z = n0.conjugate() * n1
         alpha = top * abs(e0.conjugate() * n0 + e1.conjugate() * n1) ** 2 + low * abs(e1 * n0 - e0 * n1) ** 2
         beta = r00 * abs(n1) ** 2 + r11 * abs(n0) ** 2 - 2.0 * (rx * z.real - ry * z.imag)
@@ -102,12 +104,12 @@ class _Qubit:
             k = 0 if self.tau_s <= level else 2 - int(alpha <= level)
             chain = [(self.tau_s, 0.0, 0), (alpha, beta, 1), (0.0, self.tau_r, 2)]
             ends = [chain[max(k - 1, 0)], chain[k]]
-        v = (-n1.conjugate(), n0), (n0.conjugate(), n1)
-        at_lo, at_hi = [_Probe(t, alpha, beta, math.nan, math.nan, None, v, None, k) for alpha, beta, k in ends]
-        return at_hi.beta + _share(level, at_lo, at_hi) * (at_lo.beta - at_hi.beta), at_lo, at_hi
+        return np.array(((-n1.conjugate(), n0), (n0.conjugate(), n1))), ends
 
     def search(self, level: float):
-        """The level's one yield: its bound and its test; see ``_tau_search``."""
+        """(lower, err, t, v, ends): the largest dual at the candidates less
+        err, the bound on its rounding, and the tests at its t (``tests``);
+        see ``helstrom._tau_search``."""
         tau_r, tau_s, u = self.tau_r, self.tau_s, 2.0**-53
         # g is stationary in the rank-one region where s.v = c |v|, c = 2L - tau_s.
         room, c, stay = 4.0 * (level * (tau_s - level) - self.det), 2.0 * level - tau_s, -1.0
@@ -123,5 +125,4 @@ class _Qubit:
         # else at the smallest t that does: g is flat between such points.
         lower = max(points)[0]
         _, err, t = min((p for p in points if p[0] >= lower - 2.0 * p[1]), key=lambda p: (p[2] != stay, p[2]))
-        upper, at_lo, at_hi = self.tests(level, t)
-        yield lower, upper + err, (at_lo, at_hi)
+        return (lower, err, t, *self.tests(level, t))

@@ -178,6 +178,23 @@ def test_a_level_at_or_above_the_trace_of_sigma_takes_the_lower_end():
         assert test.beta <= 1e-12
 
 
+@pytest.mark.parametrize("off", [1e-170, 1e-158, 3e-160j])
+def test_tiny_off_diagonals(off):
+    # Eigenvectors of a near-multiple of 1: normalized as sqrt(2 rad (rad +
+    # |h|)), the norm underflowed to 0 at rad = 1e-170 (a ZeroDivisionError)
+    # and to a subnormal, off by up to 1e-3, at rad = 1e-158.
+    sigma = DensityMatrix(np.array([[0.5, np.conj(off)], [off, 0.5]]))
+    tilted = DensityMatrix(np.array([[0.7, 1e-165], [1e-165, 0.3]]))
+    for rho in (random_density(2, philox(2707)), PureState([0.6, 0.8j]).density(), tilted, sigma):
+        for alpha0 in (0.0, 1e-9, 0.1, 0.5):
+            test = helstrom(rho, sigma, alpha0)
+            assert abs(test.beta - float(exact.beta(rho, sigma, alpha0))) <= 1e-14, alpha0
+            assert abs(test.alpha - alpha0) <= 1e-14, alpha0
+        for p_a, p_b in ((0.9, 0.05), (0.6, 0.3)):
+            margin = exact.margin(sigma, rho, p_a, p_b)
+            assert certify_condition(sigma, rho, p_a, p_b) is (margin > 0) or abs(margin) <= 1e-12
+
+
 def test_tiny_levels_against_the_exact_reference():
     # The tiny-level pair of test_helstrom.py at its tolerance.
     sigma = DensityMatrix(np.diag([1.0 - 1e-10, 1e-10]))

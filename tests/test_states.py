@@ -232,8 +232,7 @@ def test_purity_rule_is_shared(seed, d, log_eps):
         sigma = DensityMatrix((1.0 - eps) * sigma.matrix + eps * random_density(d, rng).matrix)
     pure = is_rank_one(sigma)
     assert type(pure) is bool
-    # A qubit pair takes the closed form, which needs no purity decision.
-    assert (_Route(sigma, sigma).psi is not None) is (pure and d != 2)
+    assert (_Route(sigma, sigma).psi is not None) is pure
     try:
         back = PureState.from_density(sigma)
     except ValueError:
