@@ -79,7 +79,10 @@ class SignedProjections:
 
 class _Probe(NamedTuple):
     """One probe of the threshold search at t (``_threshold_probe``), or a
-    bracket end of the qubit route (``qubit._Qubit.tests``)."""
+    bracket end of the qubit route (``qubit._Qubit.tests``), whose v is the
+    2x2 eigenbasis as nested tuples: only ``plus`` reads v, and a verdict
+    never calls it, while building the array would cost about 8% of a
+    qubit condition."""
 
     t: float
     alpha: float
@@ -93,7 +96,7 @@ class _Probe(NamedTuple):
 
     def plus(self) -> np.ndarray:
         """P_plus(t), the span of the eigenvectors above EIG_FLOOR * (1 + t)."""
-        return _span(self.v[:, self.k:])
+        return _span(np.asarray(self.v, dtype=complex)[:, self.k:])
 
 
 @dataclass(frozen=True, eq=False)

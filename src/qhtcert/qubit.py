@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-import numpy as np
-
 from .states import DensityMatrix
 
 
@@ -104,7 +102,7 @@ class _Qubit:
             k = 0 if self.tau_s <= level else 2 - int(alpha <= level)
             chain = [(self.tau_s, 0.0, 0), (alpha, beta, 1), (0.0, self.tau_r, 2)]
             ends = [chain[max(k - 1, 0)], chain[k]]
-        return np.array(((-n1.conjugate(), n0), (n0.conjugate(), n1))), ends
+        return ((-n1.conjugate(), n0), (n0.conjugate(), n1)), ends
 
     def search(self, level: float):
         """(lower, err, t, v, ends): the largest dual at the candidates less
