@@ -10,11 +10,12 @@ The minimizer of beta at fixed alpha is built from the projections P_plus(t)
 onto the positive eigenspace of rho - t*sigma.  t -> alpha(P_plus(t)) is
 non-increasing and right-continuous, so the threshold t at which it drops to
 the requested level is bracketed by doubling, and the bracket is closed by
-Newton steps taken from each probe's eigendecomposition, with bisection as
-the safeguard.  The optimal test mixes the plus projections at the two
-bracket ends so that it attains the level exactly, and its beta is checked
-against the Lagrange dual bound, which proves it optimal.  At level 0 the
-optimal test is the projection onto the kernel of sigma, with no search.
+steps to where each probe's first-order model of alpha (its slope, and its
+jumps at the predicted eigenvalue crossings) passes the level, with
+bisection as the safeguard.  The optimal test mixes the plus projections at
+the two bracket ends so that it attains the level exactly, and its beta is
+checked against the Lagrange dual bound, which proves it optimal.  At level
+0 the optimal test is the projection onto the kernel of sigma, with no search.
 
 A rank-one sigma = psi psi^H (the paper's pure benign state) takes no
 probes.  rho - t*sigma is then a rank-one downdate of rho = V diag(lam) V^H
@@ -101,7 +102,10 @@ class _Probe(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class HelstromTest:
-    """An optimal test M = p_plus + q0 * p_zero attaining alpha = alpha0; see ``helstrom``."""
+    """An optimal test M = p_plus + q0 * p_zero attaining alpha = alpha0; see
+    ``helstrom``.  Where alpha is smooth at t, q0 and the split of M into
+    p_plus and p_zero are not stable outputs; m, alpha, beta and t (to T_TOL)
+    are."""
 
     m: np.ndarray
     t: float
@@ -158,9 +162,9 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, slope: 
     the sum of S_kk over the plus set, each eigenvalue moves at
     d(lambda_k)/dt = -S_kk (Hellmann-Feynman), and first-order perturbation
     theory gives the slope alpha'(t) = -2 sum_{i in +, j not in +}
-    |S_ij|^2 / (lambda_i - lambda_j), from which the search takes a Newton
-    step on alpha - level.  The second guess, for levels that sit on a jump
-    of alpha, is computed on demand from the probe by ``_crossing``.
+    |S_ij|^2 / (lambda_i - lambda_j).  The search's guess from the probe,
+    ``_first_passage``, moves alpha at that slope and each eigenvalue at its
+    rate.
 
     beta(P_plus) = 1 - Tr[(rho - t*sigma) P_plus] - t * alpha(P_plus), and the
     Lagrange dual g(t) = 1 - t * level - Tr[(rho - t*sigma)_+] bounds the beta
@@ -180,25 +184,28 @@ def _threshold_probe(rho: DensityMatrix, sigma: DensityMatrix, t: float, slope: 
     return _Probe(t, alpha, beta, slope, float(w[w > 0.0].sum()), w, v, rate, k)
 
 
-def _crossing(probe: _Probe, level: float) -> float:
-    """The probe's guess for a threshold on a jump of alpha (NaN where there
-    is none): move every eigenvalue at its rate toward the level and return
-    the first crossing of the zero threshold thr = EIG_FLOOR * (1 + t) after
-    which the plus set's weight has passed the level.
-
-    Below the level the threshold lies to the left, where eigenvalues
-    outside P_plus rise through thr and add their weight; above it, to the
-    right, where eigenvalues in P_plus fall through thr and take theirs away.
-    """
-    thr = EIG_FLOOR * (1.0 + probe.t)
+def _first_passage(probe: _Probe, level: float) -> float:
+    """The probe's guess for the threshold, or NaN: the first point where
+    alpha's first-order model passes the level.  The model moves at the
+    probe's slope and jumps by S_kk where an eigenvalue, moving at its rate,
+    crosses thr = EIG_FLOOR * (1 + t): below the level, to the left, one
+    outside P_plus rises through thr and adds its weight; above it, to the
+    right, one in P_plus falls through thr and takes it away.  Taken in
+    order away from the probe, the first crossing whose jump passes the
+    level is the guess, unless the smooth piece before it (or past the last
+    crossing) passes first, at its Newton point."""
     below = probe.alpha <= level
     sign, side = (1.0, slice(None, probe.k)) if below else (-1.0, slice(probe.k, None))
     moving = probe.rate[side] > 0.0
-    times = probe.t + (probe.w[side][moving] - thr) / probe.rate[side][moving]
+    times = probe.t + (probe.w[side][moving] - EIG_FLOOR * (1.0 + probe.t)) / probe.rate[side][moving]
     order = np.argsort(-sign * times)
-    weight = probe.alpha + sign * np.cumsum(probe.rate[side][moving][order])
-    passed = (weight > level) == below
-    return float(times[order][np.argmax(passed)]) if np.any(passed) else math.nan
+    times, jumps = times[order], sign * probe.rate[side][moving][order]
+    passed = (probe.alpha + probe.slope * (times - probe.t) + np.cumsum(jumps) > level) == below
+    j = int(np.argmax(passed)) if passed.any() else times.size
+    alpha = probe.alpha + float(jumps[:j].sum())  # the model's alpha at t, shifted by the jumps before piece j
+    if j < times.size and (alpha + probe.slope * (times[j] - probe.t) > level) != below:
+        return float(times[j])
+    return probe.t - (alpha - level) / probe.slope if probe.slope < 0.0 else math.nan
 
 
 def _unit_probe(rho: DensityMatrix, sigma: DensityMatrix) -> _Probe | None:
@@ -457,16 +464,16 @@ def _tau_search(route: _Route, level: float):
     a generator.
 
     A doubling search brackets t with alpha(P_plus(lo)) > level >=
-    alpha(P_plus(hi)); safeguarded Newton steps then shrink the bracket to a
-    relative width T_TOL.  Each step takes the first guess of the newest probe
-    (its Newton step on alpha, then its step to an eigenvalue crossing), then
-    of the probe at the other end, that lies in the bracket, clamped at least
-    half the tolerance inside it so that a converged step closes it.  A
-    crossing is computed only when the guesses before it miss the bracket.
+    alpha(P_plus(hi)); safeguarded steps then shrink the bracket to a
+    relative width T_TOL.  Each step takes the guess of the newest probe,
+    else of the probe at the other end, that lies in the bracket: the first
+    point where the probe's first-order model of alpha passes the level
+    (``_first_passage``).  It is clamped at least half the tolerance inside
+    the bracket, so that a converged step closes it, and computed on demand.
     It bisects when no guess lies in the bracket or when the step would move
     farther from the newest probe than half the step taken two steps earlier.
     The probes hold no level (``_Route.probe``): the search reads
-    alpha <= level, the Newton step and g(t) from them, so levels stepped in
+    alpha <= level, the guess and g(t) from them, so levels stepped in
     lockstep share the probes of their common doubling.  Its t = 0 end costs
     a positive definite rho one Cholesky factor and no eigh (``_unit_probe``).
 
@@ -526,10 +533,9 @@ def _tau_search(route: _Route, level: float):
         return
 
     def guesses():
-        # The newest probe's, then the other end's, each crossing on demand.
+        # The newest probe's, then the other end's, on demand.
         for end in (newest, at_lo if newest.alpha <= level else at_hi):
-            yield end.t - (end.alpha - level) / end.slope if end.slope < 0.0 else math.nan
-            yield _crossing(end, level)
+            yield _first_passage(end, level)
 
     bounds, at_hi, lengths = (-math.inf, 1.0 - level), None, [math.inf, math.inf]
     newest = route.probe(0.0)
@@ -588,6 +594,9 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     every level sits on the jump at t = 1.  It reports t = hi, p_plus =
     P_plus(hi), p_zero = P_plus(lo) - P_plus(hi) (in general not a
     projector) and p_minus = 1 - P_plus(lo), so that M = p_plus + q0 * p_zero.
+    Where alpha is smooth at t, the bracket ends rotate with the search, so
+    q0 and the split into p_plus and p_zero are not stable outputs (q0 can
+    move by up to 1); only m, alpha, beta and t, to T_TOL, are.
 
     beta(M) within GAP_TOL of the lower bound of the search's last yield,
     the best dual bound with the dual step of a probe search, proves M
