@@ -102,10 +102,9 @@ class _Probe(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class HelstromTest:
-    """An optimal test M = p_plus + q0 * p_zero attaining alpha = alpha0; see
-    ``helstrom``.  Where alpha is smooth at t, q0 and the split of M into
-    p_plus and p_zero are not stable outputs; m, alpha, beta and t (to T_TOL)
-    are."""
+    """An optimal test M = p_plus + q0 * p_zero attaining alpha = alpha0 (see
+    ``helstrom``).  Where alpha is smooth at t, q0 and the split into p_plus
+    and p_zero are not stable outputs; m, alpha, beta and t (to T_TOL) are."""
 
     m: np.ndarray
     t: float
@@ -196,15 +195,17 @@ def _first_passage(probe: _Probe, level: float) -> float:
     crossing) passes first, at its Newton point."""
     below = probe.alpha <= level
     sign, side = (1.0, slice(None, probe.k)) if below else (-1.0, slice(probe.k, None))
-    moving = probe.rate[side] > 0.0
-    times = probe.t + (probe.w[side][moving] - EIG_FLOOR * (1.0 + probe.t)) / probe.rate[side][moving]
-    order = np.argsort(-sign * times)
-    times, jumps = times[order], sign * probe.rate[side][moving][order]
-    passed = (probe.alpha + probe.slope * (times - probe.t) + np.cumsum(jumps) > level) == below
-    j = int(np.argmax(passed)) if passed.any() else times.size
-    alpha = probe.alpha + float(jumps[:j].sum())  # the model's alpha at t, shifted by the jumps before piece j
-    if j < times.size and (alpha + probe.slope * (times[j] - probe.t) > level) != below:
-        return float(times[j])
+    thr = EIG_FLOOR * (1.0 + probe.t)
+    # Python floats: most calls end at the first crossing, so numpy's per-call overhead would dominate.
+    pairs = zip(probe.w[side].tolist(), probe.rate[side].tolist())
+    crossings = sorted(((probe.t + (w - thr) / rate, rate) for w, rate in pairs if rate > 0.0), reverse=below)
+    alpha = probe.alpha  # the model's alpha at t, shifted by the jumps so far
+    for t, rate in crossings:
+        if (alpha + probe.slope * (t - probe.t) > level) == below:
+            break
+        alpha += sign * rate
+        if (alpha + probe.slope * (t - probe.t) > level) == below:
+            return t
     return probe.t - (alpha - level) / probe.slope if probe.slope < 0.0 else math.nan
 
 
