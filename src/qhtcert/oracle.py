@@ -12,8 +12,8 @@ the library's closed forms and optimal tests on small instances:
 * ``boundary_radius_search`` angle search for the largest certified trace
                              distance around a pure qubit reference, using
                              only the generic robustness condition and its
-                             dual margin g_A + g_B - 1 from converged level
-                             searches (``helstrom._dual_margin``);
+                             margin (``helstrom._condition_margin``), at
+                             d = 2 the converged dual g_A + g_B - 1;
                              ``_plane_boundary_radius`` steps on any such
                              margin its caller supplies.
 * ``hoeffding_coverage``     empirical coverage of the confidence lower bound.
@@ -30,7 +30,7 @@ import numpy as np
 from .classifier import Classifier, class_probabilities
 from .certification import _check_count, _philox, hoeffding_margin
 from .errors import DimMismatch, RegimeTooLarge
-from .helstrom import _bracket_step, _condition_levels, _dual_margin
+from .helstrom import _bracket_step, _condition_levels, _condition_margin
 from .states import DensityMatrix, PureState
 
 MAX_BRUTE_DIM = 4
@@ -301,7 +301,7 @@ def boundary_radius_search(
 
     def margin(theta: float) -> float:
         tilt = np.sin(theta / 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        return _dual_margin(sigma, PureState(np.cos(theta / 2.0) * ref + tilt * perp).density(), p_a, p_b)
+        return _condition_margin(sigma, PureState(np.cos(theta / 2.0) * ref + tilt * perp).density(), p_a, p_b)
 
     return _plane_boundary_radius(margin, p_a, p_b, samples)
 

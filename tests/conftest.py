@@ -5,7 +5,7 @@ import pytest
 
 from qhtcert import oracle
 from qhtcert.errors import DimMismatch, OutOfRegime
-from qhtcert.helstrom import EIG_FLOOR
+from qhtcert.helstrom import EIG_FLOOR, _condition_levels, _Route, _tau_search
 from qhtcert.states import Channel, DensityMatrix, Povm, PureState, depolarize
 
 
@@ -50,6 +50,20 @@ def _secular_point(p, s: float, level: float):
     beta = 1.0 - p.trace + float(wr2 @ lam) / r2
     dual = 1.0 - p.trace + t * (big_b - level) - p.slack - t * p.slack_t
     return t, alpha, slope, beta, dual, r, r2
+
+
+def converged_margin(sigma, rho, p_a: float, p_b: float) -> float:
+    """The dual condition margin g_A + g_B - 1 (2 * g(L) - 1 on equal levels)
+    of level searches run to convergence on one route: each distinct level's
+    ``helstrom._tau_search`` drained to its last lower bound, summed as
+    ``helstrom._condition_margin`` sums a round."""
+    route = _Route(rho, sigma)
+    levels = list(dict.fromkeys(_condition_levels(p_a, p_b)))
+    lowers = []
+    for level in levels:
+        *_, (lower, _, _) = _tau_search(route, level)
+        lowers.append(lower)
+    return 2.0 / len(levels) * sum(lowers) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +159,7 @@ def _smoothed_boundary_generic(sigma: DensityMatrix, p: float, p_a: float, steps
 
     def margin(theta: float) -> float:
         rho = PureState(np.cos(theta / 2.0) * psi + np.sin(theta / 2.0) * partner).density()
-        return oracle._dual_margin(null, depolarize(rho, p), p_a, 1.0 - p_a)
+        return converged_margin(null, depolarize(rho, p), p_a, 1.0 - p_a)
 
     return oracle._plane_boundary_radius(margin, p_a, 1.0 - p_a, steps)
 

@@ -146,6 +146,20 @@ def test_the_route_is_the_only_way_into_the_solvers_eigendecompositions():
     assert naming("_unit_probe") == {"helstrom.py:_Route.probe"}
 
 
+def test_two_functions_read_the_level_search_protocol():
+    # Every level search yields (lower, upper, ends); only the condition's
+    # lockstep and ``helstrom`` read them, so a field added to the protocol
+    # has two readers to change.
+    readers = {
+        f"{path.name}:{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in _scoped(ast.parse(path.read_text(), filename=str(path)))
+        if "_tau_search" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or isinstance(node, ast.alias) and node.name == "_tau_search"
+    }
+    assert readers == {"helstrom.py:_condition_margin", "helstrom.py:helstrom"}
+
+
 def test_every_library_name_the_benchmark_needs_resolves():
     # The benchmark harness wraps each (owner, attr) of ``perfbench/spans.py``
     # SPANNED by getattr and calls lib.<module>.<name> in its workloads, so a

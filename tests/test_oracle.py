@@ -23,7 +23,7 @@ from qhtcert import demo
 from qhtcert.errors import DimMismatch, InvalidProbabilityOrder, OutOfRegime, RegimeTooLarge
 from qhtcert.helstrom import _condition_margin
 
-from conftest import _smoothed_boundary_generic, philox, random_density, random_pure, sample_test_operators
+from conftest import _smoothed_boundary_generic, converged_margin, philox, random_density, random_pure, sample_test_operators
 
 oracle_module = importlib.import_module("qhtcert.oracle")
 
@@ -488,7 +488,7 @@ def test_pure_boundary_search_takes_one_eigh_per_angle(monkeypatch):
     def margin(theta):
         margins[0] += 1
         rho = PureState([np.cos(theta / 2.0), np.sin(theta / 2.0), 0.0]).density()
-        return oracle_module._dual_margin(sigma, rho, 0.8, 0.15)
+        return converged_margin(sigma, rho, 0.8, 0.15)
 
     calls = counting_eigh(monkeypatch)
     oracle_module._plane_boundary_radius(margin, 0.8, 0.15, 60)
@@ -525,7 +525,7 @@ def test_boundary_steps_are_plain_regula_falsi(monkeypatch):
     # against 363 for plain regula falsi).  Each count moves by a few with
     # the last bits of the margins, so both are taken in the same run.
     calls = [0]
-    margin = oracle_module._dual_margin
+    margin = oracle_module._condition_margin
 
     def counting_margin(*args):
         calls[0] += 1
@@ -541,7 +541,7 @@ def test_boundary_steps_are_plain_regula_falsi(monkeypatch):
             boundary_radius_search(0.9, 0.1, demo.benign_state(), seed=seed)
         return calls[0]
 
-    monkeypatch.setattr(oracle_module, "_dual_margin", counting_margin)
+    monkeypatch.setattr(oracle_module, "_condition_margin", counting_margin)
     plain = searches()
     monkeypatch.setattr(oracle_module, "_plane_boundary_radius", _illinois_boundary_radius)
     assert plain <= 0.96 * searches()
@@ -560,7 +560,7 @@ def test_boundary_search_stops_at_a_zero_margin(monkeypatch):
         seen.append(theta)
         return 0.0 if abs(theta - 1.0) < 0.2 else 1.0 - theta
 
-    monkeypatch.setattr(oracle_module, "_dual_margin", margin)
+    monkeypatch.setattr(oracle_module, "_condition_margin", margin)
     radius = boundary_radius_search(0.9, 0.1, reference, samples=60, seed=4)
     assert abs(seen[-1] - 1.0) < 0.2
     assert radius == pytest.approx(math.sin(seen[-1] / 2.0), abs=1e-12)
@@ -610,7 +610,7 @@ def test_solver_bits_are_pinned():
                 digest.update(test.m.tobytes())
                 put(test.t, test.q0, test.alpha, test.beta)
             for p_a, p_b in ((0.8, 0.2), (0.7, 0.1), (1.0, 0.3)):
-                put(_condition_margin(sigma, rho, p_a, p_b), oracle_module._dual_margin(sigma, rho, p_a, p_b))
+                put(_condition_margin(sigma, rho, p_a, p_b), converged_margin(sigma, rho, p_a, p_b))
     rng = philox(1999)
     for p_a, p_b in ((0.8, 0.2), (0.7, 0.1)):
         put(boundary_radius_search(p_a, p_b, random_pure(2, rng), 60, int(rng.integers(1 << 30))))

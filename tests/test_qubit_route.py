@@ -20,7 +20,7 @@ from qhtcert import (
 from qhtcert import demo
 
 import exact
-from conftest import philox, random_density, random_pure
+from conftest import converged_margin, philox, random_density, random_pure
 
 hel = importlib.import_module("qhtcert.helstrom")
 oracle = importlib.import_module("qhtcert.oracle")
@@ -114,12 +114,28 @@ def test_no_qubit_condition_overclaims():
         def rho_at(theta):
             return depolarize(PureState([math.cos(theta / 2.0), phase * math.sin(theta / 2.0)]).density(), p)
 
-        radius = oracle._plane_boundary_radius(lambda theta: oracle._dual_margin(sigma, rho_at(theta), p_a, p_b), p_a, p_b, 60)
+        radius = oracle._plane_boundary_radius(lambda theta: hel._condition_margin(sigma, rho_at(theta), p_a, p_b), p_a, p_b, 60)
         rho = rho_at(2.0 * math.asin(min(radius, 1.0)))
         if certify_condition(sigma, rho, p_a, p_b):
             certified += 1
             assert exact.margin(sigma, rho, p_a, p_b) > 0, f"pA={p_a!r} pB={p_b!r} p={p!r}"
     assert certified > 5
+
+
+def test_qubit_conditions_decide_on_their_converged_margin():
+    # The angle search steps on the verdict's margin, which is the converged
+    # dual margin of a qubit pair only because each qubit search, level 0
+    # too, yields once: a second yield would part the two, bit for bit.
+    # 250 pairs of the eight kinds, each at pA = 1 (level 0), typed equal
+    # levels and one random point, unequal unless pB = 1 - pA.
+    rng = philox(2708)
+    pairs = qubit_pairs(rng)
+    for _ in range(250):
+        kind, sigma, rho = next(pairs)
+        top = float(rng.uniform(0.5, 1.0))
+        for p_a, p_b in ((1.0, 0.0), (1.0, 0.2), (0.8, 0.2), (0.6, 0.4), (top, min(1.0 - top, level(rng)))):
+            margin = hel._condition_margin(sigma, rho, p_a, p_b)
+            assert margin.hex() == converged_margin(sigma, rho, p_a, p_b).hex(), f"{kind} pA={p_a!r} pB={p_b!r}"
 
 
 def test_level_one_half_of_a_unit_trace_sigma():
@@ -226,7 +242,7 @@ def test_qubit_pairs_take_no_decomposition(monkeypatch):
             helstrom(rho, sigma, alpha0)
         for p_a, p_b in ((1.0, 0.2), (0.8, 0.2), (0.9, 0.05), (0.7, 0.1)):
             certify_condition(sigma, rho, p_a, p_b)
-            oracle._dual_margin(sigma, rho, p_a, p_b)
+            hel._condition_margin(sigma, rho, p_a, p_b)
         assert calls == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}, kind
         worst_case_classifier(sigma, rho, 0.8, 0, 1)
         assert calls == {"eigh": 0, "eigvalsh": 2, "cholesky": 0}, kind
