@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidProbabilityOrder, OutOfRegime
+from .errors import InvalidProbabilityOrder, OutOfRegime, _check_count
 
 
 def _check_order(p_a: float, p_b: float) -> None:
@@ -81,6 +81,7 @@ def radius_hoelder(p_a: float, p_b: float) -> float:
 def _depol_case_thresholds(p: float, d: int = 2) -> tuple[float, float]:
     """The pA thresholds (t1, t2) of ``radius_depol_qht`` at dimension d: the
     qubit expressions plus terms in shift = p/2 - p/d, exactly 0.0 at d = 2."""
+    _check_count(d, -math.inf, "dimension d must be an integer, got {}")
     if d < 2:
         raise OutOfRegime(f"requires dimension d >= 2, got {d}")
     shift = p / 2.0 - p / d

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from . import serialize
 from .bounds import BoundReport, _depol_radii, bound_report, smoothing_covers_everything
 from .classifier import Classifier, class_probabilities
+from .errors import _check_count
 from .states import DensityMatrix, depolarize, is_rank_one
 
 TOOL_VERSION = "0.1.0"
@@ -76,14 +76,10 @@ class Certificate:
 
 
 def hoeffding_margin(n_shots: int, epsilon: float) -> float:
+    _check_count(n_shots, 1, "n_shots must be >= 1, got {}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     return math.sqrt(-math.log(epsilon) / (2.0 * n_shots))
-
-
-def _check_count(value, least: int, message: str) -> None:
-    """Raise ValueError(message.format(value)) unless value is an integer
-    (a numpy one too, but not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(message.format(value))
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -111,8 +107,6 @@ def hoeffding_bounds(counts, n_shots: int, epsilon: float) -> HoeffdingEstimate:
         raise ValueError(f"counts must be a vector of at least two non-negative integers, got {counts}")
     if int(counts.sum()) != n_shots:
         raise ValueError("counts must sum to n_shots")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
     freq = counts / float(n_shots)
     order = np.lexsort((np.arange(len(freq)), -freq))
     k_a, k_b = int(order[0]), int(order[1])

@@ -33,7 +33,7 @@ import numpy as np
 from . import bounds as bnd
 from . import demo, oracle, serialize
 from .certification import certificate_to_json, certify, certify_smoothed
-from .errors import QhtcertError
+from .errors import QhtcertError, _check_count
 from .helstrom import helstrom
 from .states import PureState
 
@@ -97,8 +97,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_compare_pure(args) -> int:
     n = args.grid
-    if n < 1:
-        raise ValueError(f"--grid must be >= 1, got {n}")
+    _check_count(n, 1, "--grid must be >= 1, got {}")
     header = "pA,pB,r_qht_pure,r_hoelder,d_qht_minus_hoelder,d_hoelder_minus_mixed_main,d_hoelder_minus_mixed_appendix"
     lines = [header]
     values = np.linspace(0.0, 1.0, n)
@@ -117,8 +116,7 @@ def cmd_compare_depol(args) -> int:
     if not p_values:
         raise ValueError(f"--p must list at least one value, got {args.p!r}")
     n = args.grid
-    if n < 1:
-        raise ValueError(f"--grid must be >= 1, got {n}")
+    _check_count(n, 1, "--grid must be >= 1, got {}")
     header = "p,pA,r_depol_qht,r_depol_hoelder,r_depol_dp"
     lines = [header]
     pa_values = [0.5 + (k + 1) * 0.5 / (n + 1) for k in range(n)]

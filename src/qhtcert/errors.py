@@ -1,10 +1,21 @@
 """Exception types raised by the certification toolkit.
 
 Validation errors carry the measured residual of the violated invariant so
-callers (and test logs) can see how far an input was from admissible.
+callers (and test logs) can see how far an input was from admissible.  The
+one check of integer inputs (counts, seeds, dimensions) lives here too, where
+every module can import it.
 """
 
 from __future__ import annotations
+
+import numbers
+
+
+def _check_count(value, least: float, message: str) -> None:
+    """Raise ValueError(message.format(value)) unless value is an integer
+    (a numpy one too, but not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(message.format(value))
 
 
 class QhtcertError(Exception):

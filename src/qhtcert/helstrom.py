@@ -8,24 +8,13 @@ state rho.  A test is an operator 0 <= M <= 1 with error rates
 
 The minimizer of beta at fixed alpha is built from the projections P_plus(t)
 onto the positive eigenspace of rho - t*sigma.  t -> alpha(P_plus(t)) is
-non-increasing and right-continuous, so the threshold t at which it drops to
-the requested level is bracketed by doubling, and the bracket is closed by
-steps to where each probe's first-order model of alpha (its slope, and its
-jumps at the predicted eigenvalue crossings) passes the level, with
-bisection as the safeguard.  The optimal test mixes the plus projections at
-the two bracket ends so that it attains the level exactly, and its beta is
-checked against the Lagrange dual bound, which proves it optimal.  At level
-0 the optimal test is the projection onto the kernel of sigma, with no search.
-
-A rank-one sigma = psi psi^H (the paper's pure benign state) takes no
-probes.  rho - t*sigma is then a rank-one downdate of rho = V diag(lam) V^H
-and has at most one negative eigenvalue -y, the root of t * S_1(-y) = 1 with
-S_k(mu) = sum_i |c_i|^2 / (lam_i - mu)^k and c = V^H psi (Golub 1973; Bunch,
-Nielsen and Sorensen 1978).  One eigh of rho then serves every level: the
-search steps in log y on closed forms of alpha, beta and the dual, and
-builds the test from u = sum_i c_i / (lam_i + y) v_i.  A qubit pair takes
-no search at all: in Bloch form the dual costs O(1), and its maximum lies at
-one of four points in closed form (``qubit._Qubit``).
+non-increasing and right-continuous; the optimal test mixes the plus
+projections at the threshold t where it drops to the requested level so that
+it attains the level exactly, and its beta is checked against the Lagrange
+dual bound, which proves it optimal.  The level search (``_tau_search``)
+takes one of four routes, each described where it is computed: level 0
+(``_Route.kernel``), a qubit pair (``qubit._Qubit.search``), a pure sigma
+(``_secular_search``) and a mixed sigma (``_probe_search``).
 """
 
 from __future__ import annotations
@@ -54,12 +43,13 @@ T_TOL = 1e-12
 # Largest excess of a constructed test's beta over the dual lower bound.
 GAP_TOL = 1e-9
 
-# The secular search brackets y, the negative eigenvalue -y of
-# rho - t*psi psi^H, in [Y_MIN, Y_MAX].  A root below Y_MIN, where the
-# weights on ker rho are roundoff-sized, closes the bracket at Y_MIN; above
-# Y_MAX the threshold t >= y / |psi|^2 is past the probe search's 2^100.
+# Largest threshold the level searches reach: the probe search's doubling
+# stops past it, the qubit route drops candidates beyond it, and the secular
+# search brackets y, the negative eigenvalue -y of rho - t*psi psi^H, in
+# [Y_MIN, Y_MAX], since t >= y / |psi|^2.  A root below Y_MIN, where the
+# weights on ker rho are roundoff-sized, closes the bracket at Y_MIN.
+T_MAX = Y_MAX = 2.0**100
 Y_MIN = 1e-60
-Y_MAX = 2.0**100
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +95,7 @@ class HelstromTest:
     """An optimal test M = p_plus + q0 * p_zero attaining alpha = alpha0 (see
     ``helstrom``).  Where alpha is smooth at t, q0 and the split into p_plus
     and p_zero are not stable outputs; m, alpha, beta and t (to T_TOL) are.
-    On a jump at large t, t is not stable to T_TOL; beta is (``helstrom``)."""
+    On a jump at large t, t is not stable to T_TOL; beta is (``_probe_search``)."""
 
     m: np.ndarray
     t: float
@@ -247,7 +237,10 @@ class _Pencil:
     """One eigh of rho = V diag(lam) V^H and c = V^H psi, shared by the
     secular searches of a call (see ``_Route``).  Eigenvalues up to EIG_FLOOR
     are set to 0, so that ker rho is exact and u is orthogonal to
-    N = ker rho & psi^perp; that moves rho by ``slack`` in trace norm."""
+    N = ker rho & psi^perp; that moves rho by ``slack`` in trace norm.
+    slack_t = sqrt(d) * ||sigma - psi psi^H||_F bounds the trace norm of
+    sigma - psi psi^H, so the dual of (rho, psi psi^H) at t exceeds that of
+    (rho, sigma) by at most t * slack_t."""
 
     def __init__(self, rho: DensityMatrix, psi: np.ndarray, slack_t: float):
         lam, self.v = np.linalg.eigh(rho.matrix)
@@ -274,24 +267,17 @@ class _Pencil:
 class _Route:
     """One call's pair (rho, sigma) and all of its work that no level enters;
     the call's level searches only read from it.  It checks the dimensions
-    and picks one of three routes, in O(d^2) and without an eigh of sigma:
-    a qubit pair takes the closed form (``qubit``, no eigh, eigvalsh or
-    Cholesky factor); a pure sigma the secular search (psi, the unnormalized
-    factor of the purity rule ``states._rank_one_factor``, and ``pencil``,
-    one eigh of rho); else threshold probes (``probe``, one eigh each, none
-    at t = 0 for a positive definite rho, and one eigvalsh per level).
-    psi (None for a mixed sigma) and the pencil are found on first read,
-    which a qubit pair's searches never make.  slack = sqrt(d) *
-    ||sigma - psi psi^H||_F bounds the residual's trace norm, so the dual of
-    (rho, psi psi^H) at t exceeds that of (rho, sigma) by at most t * slack;
-    a mixed sigma has slack 0, and a qubit pair the rounding allowance of
-    its closed-form kernel."""
+    and picks the route of ``_tau_search`` in O(d^2) and without an eigh of
+    sigma: ``qubit`` for a 2x2 pair, else psi, the unnormalized factor of
+    the purity rule ``states._rank_one_factor`` (None for a mixed sigma).
+    psi and the pencil are found on first read, which a qubit pair's
+    searches never make."""
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix):
         if rho.dim != sigma.dim:
             raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
         self.rho, self.sigma = rho, sigma
-        self.qubit = _Qubit(rho, sigma, EIG_FLOOR) if rho.dim == 2 else None
+        self.qubit = _Qubit(rho, sigma, EIG_FLOOR, T_MAX) if rho.dim == 2 else None
         self._newest = None
 
     @cached_property
@@ -302,28 +288,34 @@ class _Route:
     def psi(self) -> np.ndarray | None:
         return self._rank_one[0]
 
-    @cached_property
-    def slack(self) -> float:
-        if self.qubit is not None:
-            return 16.0 * 2.0**-53 * (1.0 + abs(self.qubit.tau_r))
-        return math.sqrt(self.sigma.dim) * self._rank_one[1]
-
-    def kernel(self) -> np.ndarray:
-        """Pi_ker, the projection onto ker sigma: 1 - psi psi^H / |psi|^2 for a
-        pure sigma, with no eigh; else the span of the eigenvectors of sigma
-        whose eigenvalues are at most EIG_FLOOR, from one eigh."""
+    def kernel(self) -> tuple[np.ndarray, float]:
+        """(Pi_ker, allowance): the projection onto ker sigma, the optimal
+        test at level 0, and how far its beta b0 = 1 - Tr[rho Pi_ker] may lie
+        above that of the eigh's kernel, which the level-0 search's lower
+        bound gives up.  Level 0 has no threshold: the dual
+        g(t) = 1 - Tr[(rho - t*sigma)_+] does not decrease in t, and its
+        limit is b0.  sigma's eigh gives the span of the eigenvectors whose
+        eigenvalues are at most EIG_FLOOR, allowance 0: roundoff can only add
+        near-kernel vectors to it, and they can only lower b0, so as a lower
+        bound b0 never overclaims, and as an upper bound it can only stop a
+        search at "not certified".  A pure sigma gives 1 - psi psi^H / |psi|^2
+        with no eigh, allowance 2 sqrt(d) ||sigma - psi psi^H||_F, and a qubit
+        pair the same rule in closed form, allowance 32u (1 + |tau_r|), u = 2^-53."""
         if self.qubit is not None:
             (top, low), u = self.qubit.spectrum
             p = np.outer(u, np.conj(u))
-            return (top <= EIG_FLOOR) * p + (low <= EIG_FLOOR) * (np.eye(2, dtype=complex) - p)
-        if self.psi is not None:
-            return np.eye(self.psi.size) - np.outer(self.psi, self.psi.conj()) / np.vdot(self.psi, self.psi).real
+            kernel = (top <= EIG_FLOOR) * p + (low <= EIG_FLOOR) * (np.eye(2, dtype=complex) - p)
+            return kernel, 32.0 * 2.0**-53 * (1.0 + abs(self.qubit.tau_r))
+        psi, residual = self._rank_one
+        if psi is not None:
+            allowance = 2.0 * math.sqrt(psi.size) * residual
+            return np.eye(psi.size) - np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, allowance
         w, v = np.linalg.eigh(self.sigma.matrix)
-        return _span(v[:, w <= EIG_FLOOR])
+        return _span(v[:, w <= EIG_FLOOR]), 0.0
 
     @cached_property
     def pencil(self) -> _Pencil:
-        return _Pencil(self.rho, self.psi, self.slack)
+        return _Pencil(self.rho, self.psi, math.sqrt(self.sigma.dim) * self._rank_one[1])
 
     def probe(self, t: float) -> _Probe:
         """The threshold probe at t: the newest one if taken at t (the levels
@@ -418,7 +410,33 @@ def _place(bounds: tuple[float, float], dual: float, newest, at_lo, at_hi, level
 
 
 def _secular_search(p: _Pencil, level: float):
-    """The threshold search of a rank-one sigma, from y -> 0; see ``_tau_search``."""
+    """The level search of a pure sigma = psi psi^H, which takes no probes.
+
+    rho - t*sigma is a rank-one downdate of rho = V diag(lam) V^H and has at
+    most one negative eigenvalue -y, the root of t * S_1(-y) = 1 with
+    S_k(mu) = sum_i |c_i|^2 / (lam_i - mu)^k and c = V^H psi (Golub 1973;
+    Bunch, Nielsen and Sorensen 1978).  One eigh of rho, the pencil shared by
+    the levels of the call, gives every point in O(d) scalar arithmetic
+    (``_secular_point``), and P_plus = 1 - Pi_N - u u^H at either end.  It
+    first takes y -> 0.  If alpha there is at most the level, the level sits
+    on the jump at t(0): the ends are the test 1 - Pi_N and P_plus(t(0)), so
+    the optimal test mixes in u u^H; this covers a full-rank rho above level
+    1 - S_1(0)^2 / S_2(0) and rho = sigma, where every level sits on the jump
+    at t = 1.  Otherwise it takes safeguarded Newton steps in s = log y, one
+    guess from the newest point, with the probe search's ``_bracket_step``,
+    to width T_TOL in s, and raises SandwichViolated when no y <= Y_MAX
+    reaches the level.  It yields the probe search's bounds, lowered by the
+    pencil's slacks, so they hold for (rho, sigma); its lower bound is the
+    dual at the root itself, so its last point ends it with no dual step.
+
+    The slack t * slack_t limits the levels it proves: a Haar pure sigma at
+    d >= 3 has a purity residual of about 1.5e-16, never 0, and at levels
+    of 1e-16 and below, whose thresholds pass t ~ 1e7, the gap exceeds
+    GAP_TOL and ``helstrom`` raises SandwichViolated (some d = 3, 4 cases
+    already at 1e-14).  At such t the dual of sigma itself is known only to
+    about 2^-53 * t * d, so the slack stays.  An exactly rank-one sigma has no
+    residual and is solved at 1e-16 and 1e-20.
+    """
     # Newton steps on log(alpha / (alpha0 - alpha)), alpha0 = alpha(y -> 0),
     # close to linear in s at both ends: alpha0 - alpha ~ y as y -> 0, and
     # alpha ~ Var / y^2 as y -> inf, Var = sum w (lam - mean)^2.  The step
@@ -455,79 +473,28 @@ def _secular_search(p: _Pencil, level: float):
         newest = _secular_point(p, s, level)
 
 
-def _tau_search(route: _Route, level: float):
-    """Smallest t >= 0 with alpha(P_plus(t)) <= level for the route's pair, as
-    a generator.
+def _probe_search(route: _Route, level: float):
+    """The level search of a mixed sigma, by threshold probes (``_Route.probe``).
 
     A doubling search brackets t with alpha(P_plus(lo)) > level >=
-    alpha(P_plus(hi)); safeguarded steps then shrink the bracket to a
-    relative width T_TOL.  Each step takes the guess of the newest probe,
-    else of the probe at the other end, that lies in the bracket: the first
-    point where the probe's first-order model of alpha passes the level
-    (``_first_passage``).  It is clamped at least half the tolerance inside
-    the bracket, so that a converged step closes it, and computed on demand.
-    It bisects when no guess lies in the bracket or when the step would move
-    farther from the newest probe than half the step taken two steps earlier.
-    The probes hold no level (``_Route.probe``): the search reads
-    alpha <= level, the guess and g(t) from them, so levels stepped in
-    lockstep share the probes of their common doubling.  Its t = 0 end costs
-    a positive definite rho one Cholesky factor and no eigh (``_unit_probe``).
+    alpha(P_plus(hi)), and raises SandwichViolated past T_MAX; safeguarded
+    steps (``_bracket_step``) then shrink the bracket to a relative width
+    T_TOL.  Each step takes the guess of the newest probe, else of the probe
+    at the other end, that lies in the bracket, computed on demand
+    (``_first_passage``).  The probes hold no level, so levels stepped in
+    lockstep share the probes of their common doubling.  A solve costs one
+    eigh per probe, none at t = 0 for a positive definite rho
+    (``_unit_probe``), and one eigvalsh for the dual step.
 
-    After every point, placed at its bracket end (``_place``), it yields
-    (lower, upper, None): lower is the largest dual bound g(t) of the probes
-    so far, upper the smallest beta of a test with alpha = level built from
-    them, the mixture of the bracket-end tests P_plus(lo) and P_plus(hi), or
-    1 - level before any probe has reached the level.  Its last yield, after
-    convergence, adds the dual step (``_dual_step``) to lower and carries
-    the two bracket-end tests (at_lo, at_hi); at_hi.t is the threshold, and
-    at t = 0 at_lo is the test 1 with P_plus(0)'s beta.
-
-    A pure sigma (the route's psi) takes no probes: one eigh of rho (the
-    route's pencil, shared by the levels of the call) gives every point in
-    O(d) scalar arithmetic (``_secular_point``).  It first takes y -> 0.  If
-    alpha there is at most the level, the level sits on the jump at t(0): the
-    ends are the test 1 - Pi_N and P_plus(t(0)).  Otherwise it takes
-    safeguarded Newton steps in s = log y (``_secular_search``), one guess
-    from the newest point, with the same bracket step, to width T_TOL in s,
-    and yields the same bounds, lowered by t times the route's slack and by
-    the eigenvalues of rho set to zero (``_Pencil``), so they hold for
-    (rho, sigma).  Its lower bound is the dual at the root itself, so its
-    last point ends it with no dual step.
-
-    A qubit pair (the route's qubit) takes no search: g costs O(1), and its
-    maximum lies at t = 0, at a root of det(rho - t*sigma) = 0 or at the
-    stationary point of the rank-one region (t <= 2^100, as for the probes;
-    ``qubit._Qubit.search``).  It yields once: the best g there less a
-    running bound on its rounding, the beta of a mixture of the tests 0,
-    P_n and 1 at the maximiser raised by that bound, and the two tests.  On
-    a jump of alpha at_hi.t is the root of det(rho - t*sigma) = 0 from float
-    coefficients (to 2.9e-12 relative; beta within 2.1e-15 of exact), where
-    the probe search ends at the probe where the eigenvalue that carries the
-    jump passes EIG_FLOOR * (1 + t).
-
-    Level 0 has no threshold: the dual g(t) = 1 - Tr[(rho - t*sigma)_+] does
-    not decrease in t, and its limit is the beta of the optimal test, the
-    projection onto ker sigma (``_Route.kernel``).  The search yields once,
-    (b0 - 2 * slack, b0, (None, None)), b0 = 1 - Tr[rho Pi_ker].
-    Roundoff can only add near-kernel vectors (eigenvalues up to EIG_FLOOR)
-    to an eigh's Pi_ker, and they can only lower b0: as a lower bound b0
-    never overclaims, and as an upper bound it can only stop a search at
-    "not certified".  A pure sigma's 1 - psi psi^H / |psi|^2 is within twice
-    the slack of the eigh's, which the lower bound gives up, and so is a
-    qubit pair's closed form.
+    The converged round yields the bounds as every round does, and one more
+    yield adds the dual step (``_dual_step``) to lower and carries the ends:
+    a condition whose upper bounds already fix "not certified" stops before
+    it, so an exact-zero margin is not certified on the dual step's rounding.
+    On a jump of alpha the threshold is the probe where the eigenvalue that
+    carries the jump passes EIG_FLOOR * (1 + t), at large t only to that
+    eigenvalue's rounding, not to T_TOL (2.4e-12 relative at t ~ 2310,
+    d = 64); beta is the same to 1e-15 there.
     """
-    if level == 0.0:
-        b0 = 1.0 - float(np.sum(route.rho.matrix.T * route.kernel()).real)
-        yield b0 - 2.0 * route.slack, b0, (None, None)
-        return
-    if route.qubit is not None:
-        lower, err, t, v, ends = route.qubit.search(level)
-        at_lo, at_hi = (_Probe(t, alpha, beta, math.nan, math.nan, None, v, None, k) for alpha, beta, k in ends)
-        yield lower, at_hi.beta + _share(level, at_lo, at_hi) * (at_lo.beta - at_hi.beta) + err, (at_lo, at_hi)
-        return
-    if route.psi is not None:
-        yield from _secular_search(route.pencil, level)
-        return
 
     def guesses():
         # The newest probe's, then the other end's, on demand.
@@ -541,7 +508,7 @@ def _tau_search(route: _Route, level: float):
         alpha=float(np.sum(newest.rate)), v=np.eye(newest.w.size), k=0)
     while True:
         bounds, at_lo, at_hi = _place(bounds, 1.0 - newest.t * level - newest.plus_trace, newest, at_lo, at_hi, level)
-        if at_hi is None and newest.t > 2.0**100:
+        if at_hi is None and newest.t > T_MAX:
             raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
         yield *bounds, None
         if at_hi is None:
@@ -553,6 +520,34 @@ def _tau_search(route: _Route, level: float):
             guess = next((g for g in guesses() if at_lo.t <= g <= at_hi.t), None)
             t = _bracket_step(at_lo.t, at_hi.t, guess, 0.5 * T_TOL * max(1.0, at_hi.t), newest.t, lengths)
         newest = route.probe(t)
+
+
+def _tau_search(route: _Route, level: float):
+    """The level search of the route's pair for the threshold, the smallest
+    t >= 0 with alpha(P_plus(t)) <= level: an iterator of (lower, upper,
+    ends) steps.
+
+    lower bounds the optimal beta at the level from below (the best dual
+    bound g(t) so far, less the route's allowance), upper from above (the
+    beta of a test with alpha = level built so far, 1 - level before any),
+    and ends is None until the last step, which carries the bracket-end
+    tests (at_lo, at_hi) that ``_share`` mixes: at_hi.t is the threshold,
+    and at t = 0 at_lo is the test 1.  Level 0 (``_Route.kernel``, ends
+    (None, None)) and a qubit pair (``qubit._Qubit.search``) take one step;
+    a pure sigma takes ``_secular_search`` and a mixed one ``_probe_search``.
+    """
+    if level == 0.0:
+        kernel, allowance = route.kernel()
+        b0 = 1.0 - float(np.sum(route.rho.matrix.T * kernel).real)
+        return iter([(b0 - allowance, b0, (None, None))])
+    if route.qubit is not None:
+        lower, err, t, v, ends = route.qubit.search(level)
+        at_lo, at_hi = (_Probe(t, alpha, beta, math.nan, math.nan, None, v, None, k) for alpha, beta, k in ends)
+        upper = at_hi.beta + _share(level, at_lo, at_hi) * (at_lo.beta - at_hi.beta) + err
+        return iter([(lower, upper, (at_lo, at_hi))])
+    if route.psi is not None:
+        return _secular_search(route.pencil, level)
+    return _probe_search(route, level)
 
 
 def _dual_step(route: _Route, level: float, lower: float, end: _Probe) -> float:
@@ -578,39 +573,28 @@ def _dual_step(route: _Route, level: float, lower: float, end: _Probe) -> float:
 def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> HelstromTest:
     """Optimal test for null sigma vs alternative rho at type-I error alpha0.
 
-    The threshold search ends on a bracket [lo, hi] with alpha(P_plus(lo)) >
-    alpha0 >= alpha(P_plus(hi)).  M = (1 - q0) * P_plus(hi) + q0 * P_plus(lo),
-    q0 = (alpha0 - alpha(P_plus(hi))) / (alpha(P_plus(lo)) - alpha(P_plus(hi)))
-    (``_share``), attains alpha0 exactly and is built from the search's own
-    eigenpairs, with P_plus(lo) = 1 when the threshold is t = 0.  A level at
-    or above Tr sigma (1 - 1e-9 passes ``validate_density``) takes q0 = 1:
-    M = P_plus(lo), whose alpha is Tr sigma.  For a rank-one sigma P_plus =
-    1 - Pi_N - u u^H at either end (see ``_tau_search``), and on a jump of
-    alpha the lower end is 1 - Pi_N, so M mixes in u u^H.  This covers a
-    full-rank rho above level 1 - S_1(0)^2 / S_2(0) and rho = sigma, where
-    every level sits on the jump at t = 1.  It reports t = hi, p_plus =
-    P_plus(hi), p_zero = P_plus(lo) - P_plus(hi) (in general not a
-    projector) and p_minus = 1 - P_plus(lo), so that M = p_plus + q0 * p_zero.
-    Where alpha is smooth at t, the bracket ends rotate with the search, so
-    q0 and the split into p_plus and p_zero are not stable outputs (q0 can
-    move by up to 1); only m, alpha, beta and t, to T_TOL, are.
+    The level search (``_tau_search``) ends on a bracket [lo, hi] with
+    alpha(P_plus(lo)) > alpha0 >= alpha(P_plus(hi)).  M = (1 - q0) *
+    P_plus(hi) + q0 * P_plus(lo), q0 = (alpha0 - alpha(P_plus(hi))) /
+    (alpha(P_plus(lo)) - alpha(P_plus(hi))) (``_share``), attains alpha0
+    exactly and is built from the search's own eigenpairs, with P_plus(lo) =
+    1 when the threshold is t = 0.  A level at or above Tr sigma (1 - 1e-9
+    passes ``validate_density``) takes q0 = 1: M = P_plus(lo), whose alpha is
+    Tr sigma.  It reports t = hi, p_plus = P_plus(hi), p_zero = P_plus(lo) -
+    P_plus(hi) (in general not a projector) and p_minus = 1 - P_plus(lo), so
+    that M = p_plus + q0 * p_zero.  Where alpha is smooth at t, the bracket
+    ends rotate with the search, so q0 and the split into p_plus and p_zero
+    are not stable outputs (q0 can move by up to 1); only m, alpha, beta and
+    t, to T_TOL, are.  On a jump of alpha each route states how far t is
+    resolved.
 
-    beta(M) within GAP_TOL of the lower bound of the search's last yield,
-    the best dual bound with the dual step of a probe search, proves M
-    optimal; a wider gap raises SandwichViolated.  An eigenvalue of
+    beta(M) within GAP_TOL of the lower bound of the search's last step
+    proves M optimal; a wider gap raises SandwichViolated.  An eigenvalue of
     rho - t*sigma counts as zero only within EIG_FLOOR * (1 + t), so tiny
     levels get the optimum too: a mixed sigma = diag(1 - 1e-10, 1e-10)
-    against the worked example's rho at 1e-20, and a rank-one sigma, whose
-    secular search has no zero rule, at any level.  A solve costs one eigh
-    per probe and one eigvalsh, or one eigh of rho for a rank-one sigma; a
-    positive definite rho takes its t = 0 probe from a Cholesky factor, and
-    a qubit pair takes no decomposition (``qubit._Qubit``).  On a jump of
-    alpha a qubit pair reports as t the root of det(rho - t*sigma) = 0 to
-    2.9e-12 relative (1.1e-12 at a mixed rho = sigma), and a probe search
-    the probe where the eigenvalue that carries the jump passes the floor
-    EIG_FLOOR * (1 + t), at large t only to that eigenvalue's rounding, not
-    to T_TOL (2.4e-12 relative at t ~ 2310, d = 64).  beta is unaffected:
-    within 2.1e-15 of exact on the qubit route, the same to 1e-15 there.
+    against the worked example's rho at 1e-20.  A pure sigma at d >= 3
+    reaches such levels only when it is exactly rank one
+    (``_secular_search``).
 
     alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).
     alpha0 = 0 returns the exact optimum, the projection onto the kernel of
@@ -625,7 +609,7 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
         plus_hi = plus_lo = one
         t, q0 = 0.0, 1.0
     elif alpha0 == 0.0:
-        plus_hi = plus_lo = route.kernel()
+        plus_hi = plus_lo = route.kernel()[0]
         t, q0 = math.inf, 0.0
     else:
         *_, (dual, _, (at_lo, at_hi)) = _tau_search(route, alpha0)
@@ -685,24 +669,18 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     When true, every classifier whose top class on sigma has probability
     >= p_a and runner-up <= p_b must assign rho the same top class.
 
-    The decision needs eigenvalues only and no test operator.  Every probe
-    of the threshold searches bounds the optimal beta from below by the
-    Lagrange dual g(t) = 1 - t * alpha0 - Tr[(rho - t*sigma)_+] and from
-    above by the beta of a feasible test; the searches, stepped in lockstep
-    (``_condition_margin``), stop once the summed bounds fix the sign, or else
-    decide on g_A + g_B - 1, a probe search's last g with its dual step.
-    Certification rests on the dual bounds alone, so it never overclaims in
-    exact arithmetic.  A qubit pair's bounds give up a running bound on their
-    own rounding, so at d = 2 a margin must exceed that allowance; at d >= 3
-    the bounds have no allowance yet, and a margin of a few ulps can still
-    overclaim.  The two levels share the level-free work of one route
-    (``_Route``): a mixed sigma's searches take each probe of their common
-    doubling once (t = 0 from one Cholesky factor and no eigh for a positive
-    definite rho), a rank-one sigma takes one eigh of rho in all, at any
-    levels, and no eigvalsh, and a qubit pair none.  At p_a = 1 the level-0
-    search yields the exact beta of the kernel projection of sigma, from one
-    eigh of sigma or, for a rank-one sigma or a qubit pair, from none (see
-    ``_tau_search``).
+    The decision needs eigenvalues only and no test operator.  Every step of
+    the level searches (``_tau_search``) bounds the optimal beta from below
+    by the Lagrange dual g(t) = 1 - t * alpha0 - Tr[(rho - t*sigma)_+], less
+    the route's allowance, and from above by the beta of a feasible test;
+    the searches, stepped in lockstep (``_condition_margin``), stop once the
+    summed bounds fix the sign, or else decide on their converged lower
+    bounds g_A + g_B - 1.  Certification rests on the dual bounds alone, so
+    it never overclaims in exact arithmetic.  A qubit pair's bounds give up
+    a running bound on their own rounding, so at d = 2 a margin must exceed
+    that allowance; at d >= 3 the bounds have no allowance yet, and a margin
+    of a few ulps can still overclaim.  The two levels share the level-free
+    work of one route (``_Route``); each route's search states its cost.
 
     When p_b equals 1 - p_a up to rounding (typed pairs such as (0.8, 0.2)),
     one test at the larger level L = max(1 - p_a, p_b) decides: beta does not

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import Classifier, class_probabilities
-from .certification import _check_count, _philox, hoeffding_margin
-from .errors import DimMismatch, RegimeTooLarge
+from .certification import _philox, hoeffding_margin
+from .errors import DimMismatch, RegimeTooLarge, _check_count
 from .helstrom import _bracket_step, _condition_levels, _condition_margin
 from .states import DensityMatrix, PureState
 
@@ -317,12 +317,9 @@ def hoeffding_coverage(
     """Fraction of sampling runs whose lower bound does not overshoot the
     truth, i.e. y_true[k_hat] >= pA_lower.  Should come out >= 1 - epsilon."""
     _check_count(trials, 1_000, "need at least 10^3 trials, got trials={}")
-    _check_count(n_shots, 1, "n_shots must be >= 1, got {}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    margin = hoeffding_margin(n_shots, epsilon)
     probs = class_probabilities(cl, sigma)
     counts = _philox(seed).multinomial(n_shots, probs / probs.sum(), size=trials)
     k_hat = np.argmax(counts, axis=1)
-    margin = hoeffding_margin(n_shots, epsilon)
     lower = counts[np.arange(trials), k_hat] / n_shots - margin
     return float(np.mean(probs[k_hat] >= lower))

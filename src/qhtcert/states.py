@@ -21,6 +21,7 @@ from .errors import (
     NotPSD,
     NotTracePreserving,
     TraceNotOne,
+    _check_count,
 )
 
 # The one absolute tolerance of the invariant checks on trace-one-scale
@@ -229,6 +230,7 @@ def validate_density(raw) -> DensityMatrix:
 
 
 def identity_kraus(dim: int) -> Channel:
+    _check_count(dim, 1, "dimension must be a positive integer, got {}")
     return Channel((np.eye(dim),))
 
 
@@ -240,6 +242,7 @@ def depolarizing_kraus(p: float, dim: int = 2) -> Channel:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarization parameter must lie in [0, 1]")
+    _check_count(dim, 1, "dimension must be a positive integer, got {}")
     omega = np.exp(2j * np.pi / dim)
     shift = np.roll(np.eye(dim), 1, axis=0)
     clock = np.diag(omega ** np.arange(dim))

@@ -92,6 +92,17 @@ def test_radius_depol_qht_values():
         smoothing_covers_everything(math.nan, 0.2)
 
 
+@pytest.mark.parametrize("d", [2.5, math.inf, 3.0, True])
+def test_smoothed_radius_takes_integer_dimensions_only(d):
+    # An integer d < 2 is out of regime (above); anything else that is no
+    # integer is a ValueError, not a radius.
+    with pytest.raises(ValueError, match="dimension d must be an integer"):
+        radius_depol_qht(0.9, 0.1, d)
+    with pytest.raises(ValueError, match="dimension d must be an integer"):
+        smoothing_covers_everything(0.9, 0.1, d)
+    assert radius_depol_qht(0.9, 0.1, np.int64(3)) == radius_depol_qht(0.9, 0.1, 3)
+
+
 def test_radius_depol_qht_continuous_across_cases():
     for p in (0.1, 0.3, 0.6):
         t1, t2 = _depol_case_thresholds(p)

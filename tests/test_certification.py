@@ -315,6 +315,9 @@ def test_smoothed_one_dimensional_input_is_out_of_regime():
         pytest.param(lambda: hoeffding_bounds([7, -2], 5, 0.1), "at least two non-negative integers", id="hoeffding-negative-count"),
         pytest.param(lambda: hoeffding_bounds([2.5, 2.5], 5, 0.1), "at least two non-negative integers", id="hoeffding-float-counts"),
         pytest.param(lambda: hoeffding_bounds([0, 0], 0, 0.1), "n_shots must be >= 1", id="hoeffding-no-shots"),
+        pytest.param(lambda: hoeffding_margin(0, 0.1), "n_shots must be >= 1", id="margin-no-shots"),
+        pytest.param(lambda: hoeffding_margin(100, 0.0), r"epsilon must lie in \(0, 1\)", id="margin-epsilon-0"),
+        pytest.param(lambda: hoeffding_margin(100, 2.0), r"epsilon must lie in \(0, 1\)", id="margin-epsilon-2"),
         pytest.param(lambda: certify(DEMO, SIGMA, 10.5, 0.01, seed=1), "n_shots must be >= 1", id="certify-float-shots"),
         pytest.param(lambda: certify(DEMO, SIGMA, True, 0.01, seed=1), "n_shots must be >= 1", id="certify-bool-shots"),
         pytest.param(lambda: certify(DEMO, SIGMA, 1000, 0.01, seed=1.5), "seed must be a non-negative integer", id="certify-float-seed"),

@@ -365,11 +365,14 @@ def test_zero_level_is_the_kernel_of_sigma(monkeypatch):
 
 
 def test_tiny_levels_reach_the_optimum():
-    # The worked example's sigma is pure: the secular search finds the
-    # optimum at any level down to 1e-20.
+    # An exactly rank-one sigma at d = 3 takes the secular search, whose
+    # bounds give up nothing for purity, and finds the optimum down to 1e-20.
+    # The pure rho keeps the worked example's overlap, so the closed form holds.
+    sigma = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
+    rho = PureState(np.array([math.sqrt(OVERLAP_SQ), 0.5 * math.sqrt(0.5), 0.5j * math.sqrt(0.5)])).density()
     for alpha0 in (1e-13, 1e-16, 1e-20):
         beta_closed, _ = pure_beta_closed_form(OVERLAP_SQ, 1.0 - alpha0, 0.0)
-        assert helstrom(RHO, SIGMA, alpha0).beta == pytest.approx(beta_closed, abs=1e-9), alpha0
+        assert helstrom(rho, sigma, alpha0).beta == pytest.approx(beta_closed, abs=1e-9), alpha0
     # A mixed sigma takes threshold probes.  The threshold sits on a jump of
     # alpha at t ~ 2.5e9, where the positive eigenvalue of rho - t*sigma
     # falls through the zero rule EIG_FLOOR * (1 + t) ~ 2.5e-4; the mixed
@@ -387,6 +390,40 @@ def test_a_dual_gap_above_gap_tol_raises(monkeypatch):
     monkeypatch.setattr(hel, "GAP_TOL", -1.0)
     with pytest.raises(SandwichViolated, match="exceeds the dual bound"):
         helstrom(RHO, DensityMatrix(np.diag([0.6, 0.4])), 0.3)
+
+
+def test_a_haar_pure_sigma_cannot_prove_a_tiny_level():
+    # A Haar pure sigma at d >= 3 has a purity residual of about 1e-16, never
+    # 0, and the secular search's dual gives up t * sqrt(d) times it: past
+    # GAP_TOL at the threshold t ~ 7e7 of level 1e-18.
+    rng = philox(2630)
+    sigma, rho = random_pure(16, rng).density(), random_density(16, rng)
+    assert _rank_one_factor(sigma)[1] > 0.0
+    with pytest.raises(SandwichViolated, match="exceeds the dual bound"):
+        helstrom(rho, sigma, 1e-18)
+
+
+def test_secular_search_stops_at_two_to_the_100():
+    # At level 1e-80 the root y of a pure sigma lies near 1e40, past Y_MAX.
+    rng = philox(2631)
+    sigma, rho = random_pure(4, rng).density(), random_density(4, rng)
+    with pytest.raises(SandwichViolated, match="no t <= 2\\^100"):
+        helstrom(rho, sigma, 1e-80)
+
+
+def test_secular_search_bisects_where_alpha_is_flat():
+    # Just below alpha0 = alpha(y -> 0) the search probes small y, where
+    # alpha rounds to alpha0 and its Newton model has no gap to step on: the
+    # guess is NaN there, and the search bisects to the optimum.
+    rng = philox(2632)
+    sigma, rho = random_pure(4, rng).density(), random_density(4, rng)
+    pencil = hel._Route(rho, sigma).pencil
+    alpha0 = hel._secular_point(pencil, -math.inf, 0.5).alpha
+    assert hel._secular_point(pencil, math.log(1e-30), 0.5).alpha == alpha0
+    level = alpha0 * (1.0 - 1e-12)
+    test = helstrom(rho, sigma, level)
+    assert abs(test.beta - dual_beta(rho, sigma, level)) <= 1e-12
+    assert abs(test.alpha - level) <= 1e-12
 
 
 def test_probe_doubling_stops_at_two_to_the_100():
@@ -498,7 +535,8 @@ def test_secular_sums_stay_finite_at_the_ends():
                 values = (point.t, point.alpha, point.slope, point.beta, point.dual)
                 assert all(math.isfinite(v) for v in values), f"d={d} {kind} s={s} {values}"
                 assert 0.0 <= point.alpha <= pencil.s0 + 1e-12 and point.slope <= 0.0, f"d={d} {kind} s={s}"
-    # Past Y_MAX the threshold exceeds 2^100, as in the probe search.
+    # The qubit route drops candidates past T_MAX, so a threshold beyond it
+    # leaves a dual gap that raises.
     with pytest.raises(SandwichViolated):
         helstrom(RHO, SIGMA, 1e-300)
     assert helstrom(RHO, SIGMA, 1.0 - 1e-16).beta <= 1e-12

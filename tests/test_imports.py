@@ -160,6 +160,27 @@ def test_two_functions_read_the_level_search_protocol():
     assert readers == {"helstrom.py:_condition_margin", "helstrom.py:helstrom"}
 
 
+def test_each_level_search_route_is_a_function_of_its_own():
+    # ``_tau_search`` only dispatches: each route's search, with the rounding
+    # allowance of its bounds, is one function, so ``_Route`` holds no slack
+    # that two routes read in two senses, and the 2^100 limit on the
+    # threshold is one named constant.
+    nodes = [node for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))]
+    dispatch = next(node for node in nodes if isinstance(node, ast.FunctionDef) and node.name == "_tau_search")
+    loops = (ast.For, ast.While, ast.Yield, ast.YieldFrom)
+    assert not any(isinstance(node, loops) for node in ast.walk(dispatch))
+    route = next(node for node in nodes if isinstance(node, ast.ClassDef) and node.name == "_Route")
+    names = {getattr(node, "name", None) for node in route.body} | {
+        node.attr for node in ast.walk(route) if isinstance(node, ast.Attribute)}
+    assert "slack" not in names
+    limits = [
+        node for node in nodes
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and getattr(node.left, "value", None) == 2 and getattr(node.right, "value", None) == 100
+    ]
+    assert len(limits) == 1
+
+
 def test_every_library_name_the_benchmark_needs_resolves():
     # The benchmark harness wraps each (owner, attr) of ``perfbench/spans.py``
     # SPANNED by getattr and calls lib.<module>.<name> in its workloads, so a

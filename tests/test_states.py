@@ -122,6 +122,14 @@ def test_identity_channel_is_noop(rng):
     assert np.allclose(out.matrix, dm.matrix, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [0, -1, 2.0, True])
+def test_channels_take_positive_integer_dimensions(dim):
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        depolarizing_kraus(0.1, dim)
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        identity_kraus(dim)
+
+
 def test_depolarizing_kraus_matches_affine_form():
     zero = PureState([1.0, 0.0]).density()
     via_kraus = apply_channel(depolarizing_kraus(0.2, 2), zero)
