@@ -14,22 +14,20 @@ import numpy as np
 
 from .errors import DimMismatch, OutOfRegime
 from .helstrom import helstrom
-from .states import TOL, Channel, DensityMatrix, Povm, apply_channel, identity_kraus
+from .states import TOL, Channel, DensityMatrix, Povm, _check_labels, apply_channel, identity_kraus
 
 
 @dataclass(frozen=True, eq=False)
 class Classifier:
-    """A CPTP channel plus a POVM with one element per class label."""
+    """A CPTP channel plus a POVM with one element per class label (no two equal)."""
 
     channel: Channel
     povm: Povm
     labels: tuple = None
 
     def __post_init__(self):
-        labels = self.labels
-        labels = self.povm.labels if labels is None else tuple(labels)
-        if len(labels) != len(self.povm.elements):
-            raise ValueError("one label per POVM element required")
+        labels = self.povm.labels if self.labels is None else tuple(self.labels)
+        _check_labels(labels, len(self.povm.elements))
         if len(labels) < 2:
             raise ValueError("a classifier needs at least two classes")
         if self.channel.dim_out != self.povm.dim:

@@ -11,9 +11,9 @@ oracle         brute-force verifiers (min-beta, boundary, coverage)
 
 A call builds the parser of its command alone; its usage line still lists every command.
 
-Exit codes: 0 success / certificate, 2 ABSTAIN, 1 error (a JSON error record
-is printed to stderr).  CSV output is byte-stable for fixed inputs and seed:
-fixed header, fixed column order, 12-significant-digit formatting.
+Exit codes: 0 success / certificate, 2 ABSTAIN, 1 error, a usage error too
+(the last line on stderr is a JSON error record).  CSV output is byte-stable
+for fixed inputs and seed: fixed header, fixed column order, 12-significant-digit formatting.
 
 All sweeps run sequentially, so outputs never depend on BLAS threading.  To
 cap BLAS threads, set OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the
@@ -177,8 +177,18 @@ def cmd_oracle_coverage(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser (its subparsers take the class), but a usage error
+    raises ValueError, so ``main`` exits 1 with its record, not 2 (ABSTAIN)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhtcert",
         description="Certify adversarial robustness of quantum classifiers.",
     )
@@ -264,8 +274,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (QhtcertError, ValueError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

@@ -93,9 +93,10 @@ class _Probe(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class HelstromTest:
     """An optimal test M = p_plus + q0 * p_zero attaining alpha = alpha0 (see
-    ``helstrom``).  Where alpha is smooth at t, q0 and the split into p_plus
-    and p_zero are not stable outputs; m, alpha, beta and t (to T_TOL) are.
-    On a jump at large t, t is not stable to T_TOL; beta is (``_probe_search``)."""
+    ``helstrom``).  Where alpha is smooth at t, the bracket ends rotate with
+    the search, so q0 (by up to 1) and the split into p_plus and p_zero are
+    not stable outputs; m, alpha, beta and t (to T_TOL) are.  On a jump of
+    alpha each route states how far t is resolved; beta is stable there."""
 
     m: np.ndarray
     t: float
@@ -235,17 +236,17 @@ def _bracket_step(
 
 class _Pencil:
     """One eigh of rho = V diag(lam) V^H and c = V^H psi, shared by the
-    secular searches of a call (see ``_Route``).  Eigenvalues up to EIG_FLOOR
-    are set to 0, so that ker rho is exact and u is orthogonal to
+    secular searches of a call (``_Route.pencil``).  Eigenvalues up to
+    EIG_FLOOR are set to 0, so that ker rho is exact and u is orthogonal to
     N = ker rho & psi^perp; that moves rho by ``slack`` in trace norm.
-    slack_t = sqrt(d) * ||sigma - psi psi^H||_F bounds the trace norm of
-    sigma - psi psi^H, so the dual of (rho, psi psi^H) at t exceeds that of
-    (rho, sigma) by at most t * slack_t."""
+    slack_t = sqrt(d) * residual, residual = ||sigma - psi psi^H||_F, bounds
+    the trace norm of sigma - psi psi^H, so the dual of (rho, psi psi^H) at t
+    exceeds that of (rho, sigma) by at most t * slack_t."""
 
-    def __init__(self, rho: DensityMatrix, psi: np.ndarray, slack_t: float):
+    def __init__(self, rho: DensityMatrix, psi: np.ndarray, residual: float):
         lam, self.v = np.linalg.eigh(rho.matrix)
         self.zero = lam <= EIG_FLOOR
-        self.slack, self.slack_t = float(np.abs(lam[self.zero]).sum()), slack_t
+        self.slack, self.slack_t = float(np.abs(lam[self.zero]).sum()), math.sqrt(psi.size) * residual
         lam = np.where(self.zero, 0.0, lam)
         self.c = (psi.conj() @ self.v).conj()
         w = self.c.real**2 + self.c.imag**2
@@ -266,12 +267,9 @@ class _Pencil:
 
 class _Route:
     """One call's pair (rho, sigma) and all of its work that no level enters;
-    the call's level searches only read from it.  It checks the dimensions
-    and picks the route of ``_tau_search`` in O(d^2) and without an eigh of
-    sigma: ``qubit`` for a 2x2 pair, else psi, the unnormalized factor of
-    the purity rule ``states._rank_one_factor`` (None for a mixed sigma).
-    psi and the pencil are found on first read, which a qubit pair's
-    searches never make."""
+    the call's level searches only read from it.  It checks the dimensions and
+    picks the route of ``_tau_search`` without an eigh of sigma: ``qubit`` for
+    a 2x2 pair, else ``pencil`` (found on first read) for a pure sigma."""
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix):
         if rho.dim != sigma.dim:
@@ -280,42 +278,31 @@ class _Route:
         self.qubit = _Qubit(rho, sigma, EIG_FLOOR, T_MAX) if rho.dim == 2 else None
         self._newest = None
 
-    @cached_property
-    def _rank_one(self) -> tuple:
-        return _rank_one_factor(self.sigma) or (None, 0.0)
-
-    @property
-    def psi(self) -> np.ndarray | None:
-        return self._rank_one[0]
-
     def kernel(self) -> tuple[np.ndarray, float]:
-        """(Pi_ker, allowance): the projection onto ker sigma, the optimal
-        test at level 0, and how far its beta b0 = 1 - Tr[rho Pi_ker] may lie
-        above that of the eigh's kernel, which the level-0 search's lower
-        bound gives up.  Level 0 has no threshold: the dual
-        g(t) = 1 - Tr[(rho - t*sigma)_+] does not decrease in t, and its
-        limit is b0.  sigma's eigh gives the span of the eigenvectors whose
-        eigenvalues are at most EIG_FLOOR, allowance 0: roundoff can only add
-        near-kernel vectors to it, and they can only lower b0, so as a lower
-        bound b0 never overclaims, and as an upper bound it can only stop a
-        search at "not certified".  A pure sigma gives 1 - psi psi^H / |psi|^2
-        with no eigh, allowance 2 sqrt(d) ||sigma - psi psi^H||_F, and a qubit
-        pair the same rule in closed form, allowance 32u (1 + |tau_r|), u = 2^-53."""
+        """(Pi_ker, allowance): the projection onto ker sigma, the optimal test
+        at level 0, and how far its beta b0 = 1 - Tr[rho Pi_ker] may lie above
+        that of the eigh's kernel, which the level-0 search's lower bound gives
+        up.  Level 0 has no threshold: the dual g(t) = 1 - Tr[(rho - t*sigma)_+]
+        does not decrease in t, and its limit is b0.  sigma's eigh gives the
+        span of the eigenvectors with eigenvalues up to EIG_FLOOR, allowance 0:
+        roundoff can only add near-kernel vectors to it, which only lower b0,
+        so as a lower bound b0 never overclaims, and as an upper bound it can
+        only stop a search at "not certified".  A qubit pair takes the same
+        rule in closed form, allowance 32u (1 + |tau_r|), u = 2^-53."""
         if self.qubit is not None:
             (top, low), u = self.qubit.spectrum
             p = np.outer(u, np.conj(u))
             kernel = (top <= EIG_FLOOR) * p + (low <= EIG_FLOOR) * (np.eye(2, dtype=complex) - p)
             return kernel, 32.0 * 2.0**-53 * (1.0 + abs(self.qubit.tau_r))
-        psi, residual = self._rank_one
-        if psi is not None:
-            allowance = 2.0 * math.sqrt(psi.size) * residual
-            return np.eye(psi.size) - np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, allowance
         w, v = np.linalg.eigh(self.sigma.matrix)
         return _span(v[:, w <= EIG_FLOOR]), 0.0
 
     @cached_property
-    def pencil(self) -> _Pencil:
-        return _Pencil(self.rho, self.psi, math.sqrt(self.sigma.dim) * self._rank_one[1])
+    def pencil(self) -> _Pencil | None:
+        """The pure-sigma route: the pencil of sigma's factor by the purity rule
+        ``states._rank_one_factor`` (no eigh of sigma), or None if mixed."""
+        factor = _rank_one_factor(self.sigma)
+        return None if factor is None else _Pencil(self.rho, *factor)
 
     def probe(self, t: float) -> _Probe:
         """The threshold probe at t: the newest one if taken at t (the levels
@@ -534,7 +521,8 @@ def _tau_search(route: _Route, level: float):
     tests (at_lo, at_hi) that ``_share`` mixes: at_hi.t is the threshold,
     and at t = 0 at_lo is the test 1.  Level 0 (``_Route.kernel``, ends
     (None, None)) and a qubit pair (``qubit._Qubit.search``) take one step;
-    a pure sigma takes ``_secular_search`` and a mixed one ``_probe_search``.
+    a pure sigma (``_Route.pencil``) takes ``_secular_search`` and a mixed
+    one ``_probe_search``.
     """
     if level == 0.0:
         kernel, allowance = route.kernel()
@@ -545,7 +533,7 @@ def _tau_search(route: _Route, level: float):
         at_lo, at_hi = (_Probe(t, alpha, beta, math.nan, math.nan, None, v, None, k) for alpha, beta, k in ends)
         upper = at_hi.beta + _share(level, at_lo, at_hi) * (at_lo.beta - at_hi.beta) + err
         return iter([(lower, upper, (at_lo, at_hi))])
-    if route.psi is not None:
+    if route.pencil is not None:
         return _secular_search(route.pencil, level)
     return _probe_search(route, level)
 
@@ -582,11 +570,7 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     passes ``validate_density``) takes q0 = 1: M = P_plus(lo), whose alpha is
     Tr sigma.  It reports t = hi, p_plus = P_plus(hi), p_zero = P_plus(lo) -
     P_plus(hi) (in general not a projector) and p_minus = 1 - P_plus(lo), so
-    that M = p_plus + q0 * p_zero.  Where alpha is smooth at t, the bracket
-    ends rotate with the search, so q0 and the split into p_plus and p_zero
-    are not stable outputs (q0 can move by up to 1); only m, alpha, beta and
-    t, to T_TOL, are.  On a jump of alpha each route states how far t is
-    resolved.
+    that M = p_plus + q0 * p_zero; ``HelstromTest`` says which are stable.
 
     beta(M) within GAP_TOL of the lower bound of the search's last step
     proves M optimal; a wider gap raises SandwichViolated.  An eigenvalue of
@@ -598,7 +582,8 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
 
     alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).
     alpha0 = 0 returns the exact optimum, the projection onto the kernel of
-    sigma (``_Route.kernel``), with p_zero = 0, q0 = 0 and t = inf.
+    sigma as its eigh gives it (``_Route.kernel``; a qubit pair's in closed
+    form), with p_zero = 0, q0 = 0 and t = inf.
     """
     route = _Route(rho, sigma)
     if not 0.0 <= alpha0 <= 1.0:

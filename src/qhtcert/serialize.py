@@ -145,7 +145,7 @@ def classifier_from_json(obj: dict) -> Classifier:
     labels = tuple(_expect(obj.get("labels", povm_obj.get("labels", [])), list, "labels"))
     elements = tuple(matrix_from_json(e) for e in _expect(_field(povm_obj, "elements", "povm"), list, "povm elements"))
     povm = Povm(elements, labels if labels else None)
-    return Classifier(channel, povm, labels if labels else None)
+    return Classifier(channel, povm)
 
 
 def canonical_dumps(obj) -> str:

@@ -163,9 +163,17 @@ class Channel:
         return self.kraus[0].shape[0]
 
 
+def _check_labels(labels: tuple, count: int) -> None:
+    """Raise ValueError unless there are count labels, no two comparing equal."""
+    if len(labels) != count:
+        raise ValueError("one label per POVM element required")
+    if any(a == b for i, a in enumerate(labels) for b in labels[:i]):
+        raise ValueError(f"class labels must be distinct, got {list(labels)}")
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Measurement elements, one per class label, summing to the identity."""
+    """Measurement elements, one per class label (no two equal), summing to the identity."""
 
     elements: tuple
     labels: tuple = None
@@ -191,10 +199,8 @@ class Povm:
         res = float(np.max(np.abs(acc - np.eye(d))))
         if res > TOL:
             raise NotTracePreserving("POVM elements do not sum to 1", residual=res)
-        labels = self.labels
-        labels = tuple(range(len(mats))) if labels is None else tuple(labels)
-        if len(labels) != len(mats):
-            raise ValueError("one label per POVM element required")
+        labels = tuple(range(len(mats))) if self.labels is None else tuple(self.labels)
+        _check_labels(labels, len(mats))
         object.__setattr__(self, "elements", mats)
         object.__setattr__(self, "labels", labels)
 

@@ -136,6 +136,17 @@ def test_worst_case_tightness_on_random_violating_pairs():
             id="classifier-label-count",
         ),
         pytest.param(lambda: worst_case_classifier(SIGMA, RHO, 0.9, 0, 1, labels=(0, 2)), "both k_a and k_b", id="worst-case-labels"),
+        # Certified label 0 against a runner-up that carried label 0 too.
+        pytest.param(
+            lambda: Classifier(identity_kraus(2), Povm((np.diag([0.6, 0.0]), np.diag([0.4, 1.0])), (0, 0))),
+            "labels must be distinct",
+            id="povm-repeated-labels",
+        ),
+        pytest.param(
+            lambda: Classifier(identity_kraus(2), Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))), ("a", "a")),
+            "labels must be distinct",
+            id="classifier-repeated-labels",
+        ),
     ],
 )
 def test_classifier_input_raises_a_typed_error(build, fragment):

@@ -70,11 +70,25 @@ _TOP_USAGE = """usage: qhtcert [-h]
                   "'compare-pure', 'compare-depol', 'toy-example', 'oracle')"),
 ], ids=["unrecognized", "unrecognized-two", "required", "invalid-choice"])
 def test_parser_errors_print_the_top_level_usage(monkeypatch, capsys, argv, message):
+    # A usage error is an error (exit 1, not 2, which means ABSTAIN), with its
+    # JSON error record as the last line.
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exit_info:
-        main(list(argv))
-    assert exit_info.value.code == 2
-    assert capsys.readouterr().err == _TOP_USAGE + f"qhtcert: error: {message}\n"
+    record = json.dumps({"error": "ValueError", "message": message}, sort_keys=True)
+    assert run(capsys, *argv) == (1, "", _TOP_USAGE + f"qhtcert: error: {message}\n{record}\n")
+
+
+@pytest.mark.parametrize("argv, prog, message", [
+    (("certify", "--classifier", "c.json", "--state", "s.json", "--shots", "abc", "--epsilon", "0.1"),
+     "qhtcert certify", "argument --shots: invalid int value: 'abc'"),
+    (("bounds", "--pA", "0.9"), "qhtcert bounds", "the following arguments are required: --pB"),
+    (("oracle", "boundary", "--pA", "0.9", "--pB", "x"), "qhtcert oracle boundary", "argument --pB: invalid float value: 'x'"),
+], ids=["bad-int", "missing", "oracle-bad-float"])
+def test_command_usage_errors_exit_1_with_an_error_record(capsys, argv, prog, message):
+    rc, out, err = run(capsys, *argv)
+    lines = err.splitlines()
+    assert (rc, out) == (1, "")
+    assert lines[0].startswith(f"usage: {prog} ")
+    assert lines[-2:] == [f"{prog}: error: {message}", json.dumps({"error": "ValueError", "message": message}, sort_keys=True)]
 
 
 def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
@@ -342,6 +356,19 @@ def test_certify_rejects_malformed_json_with_error_record(tmp_path, demo_files, 
     )
     assert rc == 1
     assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_certify_rejects_repeated_labels_with_error_record(tmp_path, demo_files, capsys):
+    record = serialize.classifier_to_json(demo.hemisphere_classifier())
+    record["labels"] = [0, 0]
+    (tmp_path / "bad.json").write_text(json.dumps(record))
+    rc, out, err = run(
+        capsys,
+        "certify", "--classifier", str(tmp_path / "bad.json"), "--state", demo_files[1],
+        "--shots", "1000", "--epsilon", "0.05", "--mode", "extended",
+    )
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "class labels must be distinct, got [0, 0]"}
 
 
 @pytest.mark.parametrize(

@@ -172,9 +172,9 @@ def test_threshold_search_matches_bisection(monkeypatch):
             got = helstrom(rho, sigma, alpha0)
             where = f"d={d} {kind} alpha0={alpha0}"
             if pure:
-                # The secular search takes one eigh of rho, none at level 0,
-                # and beta comes from the dual; a qubit pair takes none.
-                assert eigh_calls[0] == (alpha0 > 0.0 and d != 2), where
+                # The secular search takes one eigh of rho, level 0 one of
+                # sigma, and beta comes from the dual; a qubit pair takes none.
+                assert eigh_calls[0] == (d != 2), where
                 want_t = tau_bisection(rho, sigma, alpha0)[1] if alpha0 > 0.0 else math.inf
                 want_beta = dual_beta(rho, sigma, alpha0) if alpha0 > 0.0 else got.beta
             else:
@@ -347,10 +347,18 @@ def test_near_identical_pairs_get_the_optimal_test(monkeypatch):
 
 
 def test_zero_level_is_the_kernel_of_sigma(monkeypatch):
-    # Rank-deficient sigma at d = 64: the optimal test at alpha0 = 0 is the
-    # projection onto ker sigma, beta = 1 - Tr[rho Pi_ker], from one eigh of
-    # sigma, or from psi with no eigh when sigma = psi psi^H.
-    cases = [(kind, sigma, rho) for d, kind, sigma, rho in search_cases() if d == 64 and kind in ("low-rank", "pure/mixed")]
+    # The optimal test at alpha0 = 0 is the projection onto ker sigma,
+    # beta = 1 - Tr[rho Pi_ker], from one eigh of sigma, pure or not:
+    # rank-deficient and pure sigma at d = 64, and Haar pure and exactly
+    # rank-one sigma at d = 3, 4 and 16.
+    cases = [(f"d=64 {kind}", sigma, rho) for d, kind, sigma, rho in search_cases() if d == 64 and kind in ("low-rank", "pure/mixed")]
+    rng = philox(3200)
+    for d in (3, 4, 16):
+        basis = np.zeros(d)
+        basis[d // 2] = 1.0
+        haar, exact_pure = random_pure(d, rng).density(), PureState(basis).density()
+        assert _rank_one_factor(haar)[1] > 0.0 and _rank_one_factor(exact_pure)[1] == 0.0
+        cases += [(f"d={d} Haar pure", haar, random_density(d, rng)), (f"d={d} rank-one", exact_pure, random_density(d, rng))]
     calls = {"eigh": 0}
     monkeypatch.setattr(np.linalg, "eigh", counting(calls, "eigh", np.linalg.eigh))
     for kind, sigma, rho in cases:
@@ -361,7 +369,7 @@ def test_zero_level_is_the_kernel_of_sigma(monkeypatch):
         test = helstrom(rho, sigma, 0.0)
         assert abs(test.beta - exact) <= 1e-12, kind
         assert test.alpha <= 1e-12, kind
-        assert calls["eigh"] == (kind == "low-rank"), kind
+        assert calls["eigh"] == 1, kind
 
 
 def test_tiny_levels_reach_the_optimum():
@@ -507,21 +515,21 @@ def test_pure_sigma_takes_one_eigh(monkeypatch):
         for alpha0 in (0.0, 0.05, 0.3, 0.7, 0.95):
             calls.update(eigh=0, eigvalsh=0)
             helstrom(rho, sigma, alpha0)
-            # One eigh of rho; none at level 0, whose test is 1 - psi psi^H,
-            # and none for a qubit pair, which takes the closed form.
-            assert calls == {"eigh": int(alpha0 > 0.0 and d != 2), "eigvalsh": 0}, f"d={d} {kind} alpha0={alpha0}"
+            # One eigh of rho, or at level 0 of sigma, whose kernel is the
+            # test; none for a qubit pair, which takes the closed form.
+            assert calls == {"eigh": int(d != 2), "eigvalsh": 0}, f"d={d} {kind} alpha0={alpha0}"
         for p_a, p_b in ((1.0, 0.0), (1.0, 0.2), (0.8, 0.2), (0.9, 0.05), (0.7, 0.1)):
             calls.update(eigh=0, eigvalsh=0)
             certify_condition(sigma, rho, p_a, p_b)
-            # Both levels share the one eigh of rho.
-            assert calls == {"eigh": int(p_b > 0.0 and d != 2), "eigvalsh": 0}, f"d={d} {kind} pA={p_a} pB={p_b}"
+            # Positive levels share the one eigh of rho; a zero level takes sigma's.
+            kinds = {level > 0.0 for level in _condition_levels(p_a, p_b)}
+            assert calls == {"eigh": int(d != 2) * len(kinds), "eigvalsh": 0}, f"d={d} {kind} pA={p_a} pB={p_b}"
 
 
 def secular_pencil(rho, sigma):
     """The pencil of the secular search for a pure sigma at any d; the route
     sends qubit pairs to the closed form instead, but the sums are the same."""
-    psi, residual = _rank_one_factor(sigma)
-    return hel._Pencil(rho, psi, math.sqrt(sigma.dim) * residual)
+    return hel._Pencil(rho, *_rank_one_factor(sigma))
 
 
 def test_secular_sums_stay_finite_at_the_ends():

@@ -207,3 +207,22 @@ def test_every_library_name_the_benchmark_needs_resolves():
         if not hasattr(importlib.import_module(owner if owner == "numpy.linalg" else f"qhtcert.{owner}"), attr)
     ]
     assert missing == []
+
+
+def test_one_reader_of_the_purity_rule_in_the_solver():
+    # The pure-sigma route is ``_Route.pencil``: it alone applies the purity
+    # rule, and level 0 takes sigma's own kernel, so the purity residual has
+    # one reader (the pencil's slack) to rework.
+    tree = ast.parse((SRC / "helstrom.py").read_text())
+    route = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Route")
+    assert {getattr(node, "name", None) for node in route.body}.isdisjoint({"psi", "_rank_one"})
+    readers = {
+        scope for scope, node in _scoped(tree)
+        if "_rank_one_factor" in (getattr(node, "id", None), getattr(node, "attr", None))
+    }
+    assert readers == {"_Route.pencil"}
+    kernel = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for scope, node in _scoped(tree) if scope == "_Route.kernel"
+    }
+    assert kernel.isdisjoint({"psi", "_rank_one_factor"})

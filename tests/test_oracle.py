@@ -616,7 +616,7 @@ def test_solver_bits_are_pinned():
         put(boundary_radius_search(p_a, p_b, random_pure(2, rng), 60, int(rng.integers(1 << 30))))
     for d in (2, 4):
         put(_smoothed_boundary_generic(random_pure(d, rng).density(), 0.3, 0.8))
-    assert digest.hexdigest() == "b6e477af795d356fc8fb0afdcd289024f77d0fb5ee680f0472c0336d064342e2"
+    assert digest.hexdigest() == "881c5bc70780f0763c96fcaa7e6f4d12d9d7dd7c5ba33399a215aefe40cafa96"
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def test_near_pure_sigma_is_mixed_for_every_caller():
     assert is_rank_one(sigma) is False
     with pytest.raises(ValueError, match="not rank one"):
         PureState.from_density(sigma)
-    assert _Route(sigma, sigma).psi is None
+    assert _Route(sigma, sigma).pencil is None
     radii = certify(demo.hemisphere_classifier(), sigma, 100_000, 1e-3, 0).radii
     assert radii.r_qht_pure is None
     assert radii.r_hoelder == pytest.approx(0.3946130299988, abs=1e-12)
@@ -240,7 +240,7 @@ def test_purity_rule_is_shared(seed, d, log_eps):
         sigma = DensityMatrix((1.0 - eps) * sigma.matrix + eps * random_density(d, rng).matrix)
     pure = is_rank_one(sigma)
     assert type(pure) is bool
-    assert (_Route(sigma, sigma).psi is not None) is pure
+    assert (_Route(sigma, sigma).pencil is not None) is pure
     try:
         back = PureState.from_density(sigma)
     except ValueError:
@@ -284,6 +284,13 @@ def test_povm_rejects_element_above_one():
             ValueError,
             "one label per POVM element",
             id="povm-label-count",
+        ),
+        # 1 == True: labels that compare equal name one class.
+        pytest.param(
+            lambda: Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), (1, True)),
+            ValueError,
+            "labels must be distinct",
+            id="povm-labels-compare-equal",
         ),
         pytest.param(lambda: depolarizing_kraus(-0.1), ValueError, r"\[0, 1\]", id="depolarizing-kraus-p-below-0"),
         pytest.param(lambda: depolarizing_kraus(1.5), ValueError, r"\[0, 1\]", id="depolarizing-kraus-p-above-1"),
