@@ -78,7 +78,7 @@ def radius_hoelder(p_a: float, p_b: float) -> float:
     return (p_a - p_b) / 2.0
 
 
-def _depol_case_thresholds(p: float, d: int = 2) -> tuple[float, float]:
+def _depol_case_thresholds(p: float, d: int) -> tuple[float, float]:
     """The pA thresholds (t1, t2) of ``radius_depol_qht`` at dimension d: the
     qubit expressions plus terms in shift = p/2 - p/d, exactly 0.0 at d = 2."""
     _check_count(d, -math.inf, "dimension d must be an integer, got {}")

@@ -240,7 +240,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if command in (None, "oracle"):
         p = sub.add_parser("oracle", help="brute-force verifiers")
-        osub = p.add_subparsers(dest="oracle_cmd", required=True)
+        osub = p.add_subparsers(dest="oracle_cmd", required=True, metavar="{min-beta,boundary,coverage}")
 
         q = osub.add_parser("min-beta", help="random search for the minimal type-II error")
         q.add_argument("--null", required=True, help="null-hypothesis state JSON (benign)")

@@ -72,10 +72,9 @@ class InvalidProbabilityOrder(QhtcertError):
 class SandwichViolated(QhtcertError):
     """The threshold search could not produce a test proven optimal.
 
-    ``helstrom`` raises it when the beta of the test it built exceeds the
-    Lagrange dual lower bound by more than 1e-9, and the threshold search when
-    no t <= 2^100 reaches the level.  It reports a numerical failure of the
-    solver rather than a setting to adjust.
+    Only ``helstrom`` raises it, when the beta of the test it built exceeds
+    the Lagrange dual lower bound by more than 1e-9 or no t <= 2^100 reaches
+    the level: a numerical failure of the solver, not a setting to adjust.
     """
 
 

@@ -411,10 +411,10 @@ def _secular_search(p: _Pencil, level: float):
     1 - S_1(0)^2 / S_2(0) and rho = sigma, where every level sits on the jump
     at t = 1.  Otherwise it takes safeguarded Newton steps in s = log y, one
     guess from the newest point, with the probe search's ``_bracket_step``,
-    to width T_TOL in s, and raises SandwichViolated when no y <= Y_MAX
-    reaches the level.  It yields the probe search's bounds, lowered by the
-    pencil's slacks, so they hold for (rho, sigma); its lower bound is the
-    dual at the root itself, so its last point ends it with no dual step.
+    to width T_TOL in s, where it ends, on its bounds and with at_hi = None
+    when no y <= Y_MAX reaches the level.  It yields the probe search's
+    bounds, lowered by the pencil's slacks, so they hold for (rho, sigma);
+    its lower bound is the dual at the root itself, so it takes no dual step.
 
     The slack t * slack_t limits the levels it proves: a Haar pure sigma at
     d >= 3 has a purity residual of about 1.5e-16, never 0, and at levels
@@ -433,7 +433,8 @@ def _secular_search(p: _Pencil, level: float):
 
     def newton(end: _Root) -> float:
         if end.s == -math.inf:
-            model = p.spread * (alpha0 - level) / (alpha0 * level)
+            # alpha0 * level underflows to 0 at subnormal levels: an infinite model.
+            model = p.spread * (alpha0 - level) / (alpha0 * level) if alpha0 * level > 0.0 else math.inf
             return min(max(0.5 * math.log(model), s_lo), s_hi) if model > 0.0 else s_hi
         if not (0.0 < end.alpha < alpha0 and end.slope < 0.0):
             return math.nan
@@ -449,12 +450,10 @@ def _secular_search(p: _Pencil, level: float):
     while True:
         bounds, at_lo, at_hi = _place(bounds, newest.dual, newest, at_lo, at_hi, level)
         lo, hi = max(at_lo.s, s_lo), s_hi if at_hi is None else at_hi.s
-        if hi - lo <= T_TOL and at_hi is not None:
+        if hi - lo <= T_TOL:
             yield *bounds, (at_lo, at_hi)
             return
         yield *bounds, None
-        if hi - lo <= T_TOL:
-            raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
         guess = newton(newest)
         s = _bracket_step(lo, hi, guess if lo <= guess <= hi else None, 0.5 * T_TOL, newest.s, lengths)
         newest = _secular_point(p, s, level)
@@ -464,17 +463,17 @@ def _probe_search(route: _Route, level: float):
     """The level search of a mixed sigma, by threshold probes (``_Route.probe``).
 
     A doubling search brackets t with alpha(P_plus(lo)) > level >=
-    alpha(P_plus(hi)), and raises SandwichViolated past T_MAX; safeguarded
-    steps (``_bracket_step``) then shrink the bracket to a relative width
-    T_TOL.  Each step takes the guess of the newest probe, else of the probe
-    at the other end, that lies in the bracket, computed on demand
+    alpha(P_plus(hi)); past T_MAX it ends on its bounds, ends (at_lo, None).
+    Safeguarded steps (``_bracket_step``) then shrink the bracket to a
+    relative width T_TOL, each to the guess of the newest probe, else of
+    the probe at the other end, that lies in the bracket, computed on demand
     (``_first_passage``).  The probes hold no level, so levels stepped in
     lockstep share the probes of their common doubling.  A solve costs one
     eigh per probe, none at t = 0 for a positive definite rho
     (``_unit_probe``), and one eigvalsh for the dual step.
 
-    The converged round yields the bounds as every round does, and one more
-    yield adds the dual step (``_dual_step``) to lower and carries the ends:
+    The last round yields the bounds as every round does, and one more
+    yield adds the dual step (``_dual_step``, none past T_MAX) and the ends:
     a condition whose upper bounds already fix "not certified" stops before
     it, so an exact-zero margin is not certified on the dual step's rounding.
     On a jump of alpha the threshold is the probe where the eigenvalue that
@@ -495,13 +494,12 @@ def _probe_search(route: _Route, level: float):
         alpha=float(np.sum(newest.rate)), v=np.eye(newest.w.size), k=0)
     while True:
         bounds, at_lo, at_hi = _place(bounds, 1.0 - newest.t * level - newest.plus_trace, newest, at_lo, at_hi, level)
-        if at_hi is None and newest.t > T_MAX:
-            raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {level}")
         yield *bounds, None
-        if at_hi is None:
+        if at_hi is None and newest.t <= T_MAX:
             t = max(1.0, 2.0 * newest.t)
-        elif at_hi.t - at_lo.t <= T_TOL * max(1.0, at_hi.t):
-            yield _dual_step(route, level, bounds[0], at_hi), bounds[1], (at_lo, at_hi)
+        elif at_hi is None or at_hi.t - at_lo.t <= T_TOL * max(1.0, at_hi.t):
+            lower = bounds[0] if at_hi is None else _dual_step(route, level, bounds[0], at_hi)
+            yield lower, bounds[1], (at_lo, at_hi)
             return
         else:
             guess = next((g for g in guesses() if at_lo.t <= g <= at_hi.t), None)
@@ -518,11 +516,11 @@ def _tau_search(route: _Route, level: float):
     bound g(t) so far, less the route's allowance), upper from above (the
     beta of a test with alpha = level built so far, 1 - level before any),
     and ends is None until the last step, which carries the bracket-end
-    tests (at_lo, at_hi) that ``_share`` mixes: at_hi.t is the threshold,
-    and at t = 0 at_lo is the test 1.  Level 0 (``_Route.kernel``, ends
-    (None, None)) and a qubit pair (``qubit._Qubit.search``) take one step;
-    a pure sigma (``_Route.pencil``) takes ``_secular_search`` and a mixed
-    one ``_probe_search``.
+    tests (at_lo, at_hi) that ``_share`` mixes: at_hi.t is the threshold, at
+    t = 0 at_lo is the test 1, and at_hi is None when the search ends on its
+    bounds at T_MAX.  Level 0 (``_Route.kernel``, ends (None, None)) and a
+    qubit pair (``qubit._Qubit.search``) take one step, a pure sigma
+    (``_Route.pencil``) ``_secular_search`` and a mixed one ``_probe_search``.
     """
     if level == 0.0:
         kernel, allowance = route.kernel()
@@ -573,12 +571,12 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
     that M = p_plus + q0 * p_zero; ``HelstromTest`` says which are stable.
 
     beta(M) within GAP_TOL of the lower bound of the search's last step
-    proves M optimal; a wider gap raises SandwichViolated.  An eigenvalue of
-    rho - t*sigma counts as zero only within EIG_FLOOR * (1 + t), so tiny
-    levels get the optimum too: a mixed sigma = diag(1 - 1e-10, 1e-10)
-    against the worked example's rho at 1e-20.  A pure sigma at d >= 3
-    reaches such levels only when it is exactly rank one
-    (``_secular_search``).
+    proves M optimal; a wider gap raises SandwichViolated, and so does a
+    level that no t <= T_MAX reaches: this is the one raise for either.  An
+    eigenvalue of rho - t*sigma counts as zero only within EIG_FLOOR * (1 +
+    t), so tiny levels get the optimum too: a mixed sigma = diag(1 - 1e-10,
+    1e-10) against the worked example's rho at 1e-20.  A pure sigma at d >=
+    3 reaches them only when exactly rank one (``_secular_search``).
 
     alpha0 = 1 returns M = 1 with t = 0, q0 = 1 and projections (1, 0, 0).
     alpha0 = 0 returns the exact optimum, the projection onto the kernel of
@@ -598,6 +596,8 @@ def helstrom(rho: DensityMatrix, sigma: DensityMatrix, alpha0: float) -> Helstro
         t, q0 = math.inf, 0.0
     else:
         *_, (dual, _, (at_lo, at_hi)) = _tau_search(route, alpha0)
+        if at_hi is None:
+            raise SandwichViolated(f"no t <= 2^100 reaches type-I error level {alpha0}")
         plus_hi, plus_lo = at_hi.plus(), at_lo.plus()
         t, q0 = at_hi.t, _share(alpha0, at_lo, at_hi)
     m = (1.0 - q0) * plus_hi + q0 * plus_lo
@@ -655,17 +655,18 @@ def certify_condition(sigma: DensityMatrix, rho: DensityMatrix, p_a: float, p_b:
     >= p_a and runner-up <= p_b must assign rho the same top class.
 
     The decision needs eigenvalues only and no test operator.  Every step of
-    the level searches (``_tau_search``) bounds the optimal beta from below
-    by the Lagrange dual g(t) = 1 - t * alpha0 - Tr[(rho - t*sigma)_+], less
-    the route's allowance, and from above by the beta of a feasible test;
-    the searches, stepped in lockstep (``_condition_margin``), stop once the
-    summed bounds fix the sign, or else decide on their converged lower
-    bounds g_A + g_B - 1.  Certification rests on the dual bounds alone, so
-    it never overclaims in exact arithmetic.  A qubit pair's bounds give up
-    a running bound on their own rounding, so at d = 2 a margin must exceed
-    that allowance; at d >= 3 the bounds have no allowance yet, and a margin
-    of a few ulps can still overclaim.  The two levels share the level-free
-    work of one route (``_Route``); each route's search states its cost.
+    the level searches (``_tau_search``) bounds the optimal beta from below by
+    the Lagrange dual g(t) = 1 - t * alpha0 - Tr[(rho - t*sigma)_+], less the
+    route's allowance, and from above by the beta of a feasible test; the
+    searches, stepped in lockstep (``_condition_margin``), stop once the
+    summed bounds fix the sign, or else decide on their last lower bounds,
+    g_A + g_B - 1, at T_MAX too: it never raises SandwichViolated.
+    Certification rests on the dual bounds alone, so it never overclaims in
+    exact arithmetic.  A qubit pair's bounds give up a running bound on their
+    own rounding, so at d = 2 a margin must exceed that allowance; at d >= 3
+    the bounds have no allowance yet, and a margin of a few ulps can still
+    overclaim.  The two levels share the level-free work of one route
+    (``_Route``); each route's search states its cost.
 
     When p_b equals 1 - p_a up to rounding (typed pairs such as (0.8, 0.2)),
     one test at the larger level L = max(1 - p_a, p_b) decides: beta does not

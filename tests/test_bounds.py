@@ -105,7 +105,7 @@ def test_smoothed_radius_takes_integer_dimensions_only(d):
 
 def test_radius_depol_qht_continuous_across_cases():
     for p in (0.1, 0.3, 0.6):
-        t1, t2 = _depol_case_thresholds(p)
+        t1, t2 = _depol_case_thresholds(p, 2)
         for t in (t1, t2):
             below = radius_depol_qht(t - 1e-9, p)
             above = radius_depol_qht(t + 1e-9, p)

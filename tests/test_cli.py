@@ -91,6 +91,17 @@ def test_command_usage_errors_exit_1_with_an_error_record(capsys, argv, prog, me
     assert lines[-2:] == [f"{prog}: error: {message}", json.dumps({"error": "ValueError", "message": message}, sort_keys=True)]
 
 
+def test_oracle_with_no_subcommand_names_its_choices(capsys):
+    # As at the top level, a missing command reads as its choices, not as
+    # the parser's internal dest.
+    message = "the following arguments are required: {min-beta,boundary,coverage}"
+    rc, out, err = run(capsys, "oracle")
+    lines = err.splitlines()
+    assert (rc, out) == (1, "")
+    assert lines[0].startswith("usage: qhtcert oracle ")
+    assert lines[-2:] == [f"qhtcert oracle: error: {message}", json.dumps({"error": "ValueError", "message": message}, sort_keys=True)]
+
+
 def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
     calls = []
     add_parser = argparse._SubParsersAction.add_parser
@@ -234,6 +245,21 @@ def test_certify_writes_certificate(tmp_path, demo_files, capsys):
     assert record["abstained"] is False
     assert record["radii"]["r_qht_pure"] == pytest.approx(0.44, abs=0.01)
     assert record["version"] == "0.1.0"
+
+
+def test_certify_reads_labels_from_the_povm_object(tmp_path, demo_files, capsys):
+    # The certificate hashes the classifier as re-serialised, so labels in
+    # the "povm" object give the same bytes as labels at the top level.
+    cl_path, state_path = demo_files
+    obj = serialize.load_json(cl_path)
+    obj["povm"]["labels"] = obj.pop("labels")
+    povm_path = tmp_path / "povm_labels.json"
+    serialize.save_json(obj, povm_path)
+    outputs = [
+        run(capsys, "certify", "--classifier", path, "--state", state_path, "--shots", "2000", "--epsilon", "0.01", "--seed", "3")
+        for path in (cl_path, str(povm_path))
+    ]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 
 def test_certify_abstains_with_exit_code_2(tmp_path, capsys):

@@ -445,6 +445,88 @@ def test_probe_doubling_stops_at_two_to_the_100():
         helstrom(rho, sigma, 1e-40)
 
 
+def test_a_search_that_reaches_its_cap_ends_on_its_bounds():
+    # Both searches above stop at 2^100 with no upper end; their last step
+    # carries the ends (at_lo, None) and sound bounds, and ``helstrom`` alone
+    # turns the unreached level into an error.
+    rng = philox(2631)
+    sigma, rho = random_pure(4, rng).density(), random_density(4, rng)
+    bare = (DensityMatrix(np.diag([0.0, 0.0, 1e20])), validate_density(np.diag([0.5, 0.5 - 1e-20, 1e-20])), 1e-40)
+    for rho, sigma, level in ((rho, sigma, 1e-80), bare):
+        *_, (lower, upper, (at_lo, at_hi)) = hel._tau_search(hel._Route(rho, sigma), level)
+        assert at_lo is not None and at_hi is None
+        assert lower <= upper == 1.0 - level
+
+
+def test_subnormal_levels_raise_no_zero_division():
+    # At level 5e-324 the secular search's first Newton model divides by
+    # alpha0 * level, which underflows to 0 once alpha0 < 1/2: the model is
+    # infinite, so the step goes to the top of the bracket, and a Haar pure
+    # sigma's search ends at its cap on its bounds.
+    rng = philox(3310)
+    underflows = 0
+    for d in (3, 4, 8) * 4:
+        sigma, rho = random_pure(d, rng).density(), random_density(d, rng, rank=d - 1)
+        alpha0 = hel._secular_point(hel._Route(rho, sigma).pencil, -math.inf, 5e-324).alpha
+        underflows += alpha0 * 5e-324 == 0.0
+        assert isinstance(certify_condition(sigma, rho, 0.9, 5e-324), bool)
+        with pytest.raises(SandwichViolated, match="no t <= 2\\^100"):
+            helstrom(rho, sigma, 5e-324)
+    assert underflows > 0
+
+
+def condition_pairs():
+    """(kind, sigma, rho) at d in {2, 3, 4, 16}: Haar pure, exactly rank-one,
+    full-rank mixed and rank-deficient sigma, each against a pure and a
+    mixed rho, twice."""
+    rng = philox(3300)
+    for d in (2, 3, 4, 16):
+        for _ in range(2):
+            basis = np.zeros(d)
+            basis[int(rng.integers(d))] = 1.0
+            sigmas = {
+                "Haar pure": random_pure(d, rng).density(),
+                "rank-one": PureState(basis).density(),
+                "mixed": random_density(d, rng),
+                "rank-deficient": random_density(d, rng, rank=max(1, d // 2)),
+            }
+            for kind, sigma in sigmas.items():
+                yield f"d={d} {kind}/pure", sigma, random_pure(d, rng).density()
+                yield f"d={d} {kind}/mixed", sigma, random_density(d, rng)
+
+
+def test_every_valid_condition_is_decided():
+    # The dual at any probed t bounds beta from below, so a condition decides
+    # at every valid (pA, pB), down to subnormal pB, whatever the route and
+    # whether or not a search reaches its cap.  ``helstrom`` proves each
+    # level or raises SandwichViolated.  Where a level's search reaches its
+    # cap (a Haar pure sigma at tiny levels), the margin stays below
+    # beta*(1 - pA) + beta*(pB) - 1 <= beta*(1 - pA) + beta*(0) - 1, which
+    # the optimal tests bound from above.
+    p_bs = (0.0, 5e-324, 1e-310, 1e-300, 1e-70, 1e-40, 1e-12, 0.1)
+    p_as = (0.9, 1.0 - 1e-12)
+    decided = capped_conditions = 0
+    for kind, sigma, rho in condition_pairs():
+        betas, capped = {}, set()
+        for level in {1.0 - p_a for p_a in p_as} | set(p_bs):
+            try:
+                betas[level] = helstrom(rho, sigma, level).beta
+            except SandwichViolated as exc:
+                betas[level] = None
+                if str(exc).startswith("no t <= 2^100"):
+                    capped.add(level)
+        for p_a in p_as:
+            for p_b in p_bs:
+                verdict = certify_condition(sigma, rho, p_a, p_b)
+                margin = _condition_margin(sigma, rho, p_a, p_b)
+                assert verdict is (margin > 0.0), (kind, p_a, p_b)
+                if capped & set(_condition_levels(p_a, p_b)) and betas[1.0 - p_a] is not None:
+                    assert margin <= betas[1.0 - p_a] + betas[0.0] - 1.0 + 1e-12, (kind, p_a, p_b)
+                    capped_conditions += 1
+                decided += 1
+    assert decided >= 1000 and capped_conditions > 0
+
+
 def pure_edge_cases():
     """(d, kind, sigma, rho, levels) with a pure sigma = psi psi^H at the edges
     of the secular search."""

@@ -52,9 +52,9 @@ def test_every_private_helper_is_used_in_the_package():
 
 
 
-def test_every_default_of_a_private_helper_is_set_in_the_package():
-    # A default that no call in the package overrides is a knob only tests
-    # turn: its value belongs in the function, or its variant under tests/.
+def _private_defaults():
+    """("helper(name=...)", [whether each package call passes it]) for every
+    default of a private top-level function of the package."""
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
     calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
@@ -68,7 +68,6 @@ def test_every_default_of_a_private_helper_is_set_in_the_package():
         )
         return by_position or any(keyword.arg in (name, None) for keyword in call.keywords)
 
-    unset = []
     for node in (node for tree in trees for node in tree.body):
         if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")):
             continue
@@ -77,9 +76,20 @@ def test_every_default_of_a_private_helper_is_set_in_the_package():
         defaults = [(index, arg.arg) for index, arg in enumerate(positional) if index >= first]
         defaults += [(None, arg.arg) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
         sites = [call for call in calls if callee(call) == node.name]
-        unset += [f"{node.name}({name}=...)" for index, name in defaults
-                  if not any(passes(call, index, name) for call in sites)]
-    assert unset == []
+        for index, name in defaults:
+            yield f"{node.name}({name}=...)", [passes(call, index, name) for call in sites]
+
+
+def test_every_default_of_a_private_helper_is_set_in_the_package():
+    # A default that no call in the package overrides is a knob only tests
+    # turn: its value belongs in the function, or its variant under tests/.
+    assert [default for default, passed in _private_defaults() if not any(passed)] == []
+
+
+def test_no_default_of_a_private_helper_is_passed_by_every_call():
+    # A default that every call in the package overrides is dead: only a
+    # test could still rely on it.
+    assert [default for default, passed in _private_defaults() if passed and all(passed)] == []
 
 
 def test_every_method_of_a_package_class_is_named():
@@ -226,3 +236,33 @@ def test_one_reader_of_the_purity_rule_in_the_solver():
         for scope, node in _scoped(tree) if scope == "_Route.kernel"
     }
     assert kernel.isdisjoint({"psi", "_rank_one_factor"})
+
+
+def test_no_level_search_route_raises():
+    # A route that reaches its limit ends on its bounds, which the dual makes
+    # sound at any probed t, so every function that ``_tau_search``
+    # dispatches to has one exit and no raise.
+    routes = {"helstrom.py:_secular_search", "helstrom.py:_probe_search", "qubit.py:_Qubit.search"}
+    scoped = [
+        (f"{path.name}:{scope}", node)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in _scoped(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert routes <= {scope for scope, _ in scoped}
+    raising = [
+        scope for scope, node in scoped
+        if isinstance(node, ast.Raise) and any(scope == route or scope.startswith(route + ".") for route in routes)
+    ]
+    assert raising == []
+
+
+def test_only_helstrom_raises_sandwich_violated():
+    # ``helstrom`` is the one place that turns a level the search did not
+    # reach, or a test it could not prove optimal, into an error.
+    raising = {
+        f"{path.name}:{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in _scoped(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and "SandwichViolated" in {getattr(n, "id", None) for n in ast.walk(node)}
+    }
+    assert raising == {"helstrom.py:helstrom"}

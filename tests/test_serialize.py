@@ -69,6 +69,19 @@ def test_classifier_round_trip():
     assert all(np.array_equal(a, b) for a, b in zip(back.povm.elements, cl.povm.elements))
 
 
+def test_classifier_labels_may_sit_in_the_povm_object():
+    obj = serialize.classifier_to_json(demo.hemisphere_classifier())
+    del obj["labels"]
+    obj["povm"]["labels"] = ["down", "up"]
+    assert serialize.classifier_from_json(obj).labels == ("down", "up")
+
+
+def test_top_level_labels_win_over_the_povm_object():
+    obj = serialize.classifier_to_json(demo.hemisphere_classifier())
+    obj["labels"], obj["povm"]["labels"] = ["down", "up"], ["left", "right"]
+    assert serialize.classifier_from_json(obj).labels == ("down", "up")
+
+
 def test_canonical_hash_is_stable():
     obj = serialize.classifier_to_json(demo.hemisphere_classifier())
     assert serialize.content_hash(obj) == serialize.content_hash(
