@@ -9,7 +9,9 @@ compare-depol  CSV curves of the smoothed radii over (p, pA)
 toy-example    check the worked single-qubit numbers against stored references
 oracle         brute-force verifiers (min-beta, boundary, coverage)
 
-A call builds the parser of its command alone; its usage line still lists every command.
+A call builds the parser of its command alone, once per process: later calls
+of the same command in one process reuse it.  Its usage line still lists every
+command.  JSON files are read and written as UTF-8, whatever the locale.
 
 Exit codes: 0 success / certificate, 2 ABSTAIN, 1 error, a usage error too
 (the last line on stderr is a JSON error record).  CSV output is byte-stable
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -187,7 +190,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command (None: of every command), built on the
+    first call for that command and shared by every later one, so callers
+    must not modify it.  Parsing and formatting leave it unchanged, and
+    argparse reads the terminal width only when it formats."""
     parser = _Parser(
         prog="qhtcert",
         description="Certify adversarial robustness of quantum classifiers.",

@@ -44,10 +44,11 @@ T_TOL = 1e-12
 GAP_TOL = 1e-9
 
 # Largest threshold the level searches reach: the probe search's doubling
-# stops past it, the qubit route drops candidates beyond it, and the secular
-# search brackets y, the negative eigenvalue -y of rho - t*psi psi^H, in
-# [Y_MIN, Y_MAX], since t >= y / |psi|^2.  A root below Y_MIN, where the
-# weights on ker rho are roundoff-sized, closes the bracket at Y_MIN.
+# stops past it, the qubit route takes candidates beyond it at T_MAX, and
+# the secular search brackets y, the negative eigenvalue -y of rho -
+# t*psi psi^H, in [Y_MIN, Y_MAX], since t >= y / |psi|^2.  A root below
+# Y_MIN, where the weights on ker rho are roundoff-sized, closes the
+# bracket at Y_MIN.
 T_MAX = Y_MAX = 2.0**100
 Y_MIN = 1e-60
 
@@ -529,6 +530,8 @@ def _tau_search(route: _Route, level: float):
     if route.qubit is not None:
         lower, err, t, v, ends = route.qubit.search(level)
         at_lo, at_hi = (_Probe(t, alpha, beta, math.nan, math.nan, None, v, None, k) for alpha, beta, k in ends)
+        if t == T_MAX:  # no t <= T_MAX reaches the level
+            return iter([(lower, 1.0 - level, (at_lo, None))])
         upper = at_hi.beta + _share(level, at_lo, at_hi) * (at_lo.beta - at_hi.beta) + err
         return iter([(lower, upper, (at_lo, at_hi))])
     if route.pencil is not None:

@@ -108,7 +108,9 @@ class _Qubit:
         """The qubit route's one step, (lower, err, t, v, ends), with no search
         and no eigh, eigvalsh or Cholesky factor: g costs O(1), and its
         maximum lies at t = 0, at a root of det(rho - t*sigma) = 0 or at the
-        stationary point of the rank-one region, for t <= t_max.  lower is the
+        stationary point of the rank-one region, each taken at t_max if it
+        lies beyond (g at any t bounds the optimal beta from below); a step
+        decided at t_max ends on its bounds (``_tau_search``).  lower is the
         largest g there less err, a running bound on its rounding, and the
         ends are the tests at its t (``tests``); the upper bound is the beta
         of their mixture at the level plus err.  On a jump of alpha t is the
@@ -122,7 +124,8 @@ class _Qubit:
             stay = (self.dot - math.copysign(abs(c) * self.cross / math.sqrt(room), c)) / self.ss
         points = []
         for t in (stay, *self.roots):
-            if 0.0 <= t <= self.t_max:
+            if t >= 0.0:
+                t = t if t <= self.t_max else self.t_max
                 plus, err = self.plus(t)
                 err += 4.0 * u * (1.0 + t * level + plus)
                 points.append((1.0 - t * level - plus - err, err, t))

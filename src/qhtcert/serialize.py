@@ -10,9 +10,10 @@ row-major order, so dumps are bit-stable:
 * classifier: {"labels": [...], "channel": {...}, "povm": {"elements": [matrix, ...]}}
               (the labels may sit in the "povm" object instead)
 
-The loaders check that every key they read is present, the JSON type of
-every container they index and that every array leaf is a number, and raise
-ValidationError on a record of the wrong shape.
+Files are read and written as UTF-8, whatever the locale.  The loaders check
+that every key they read is present, the JSON type of every container they
+index and that every array leaf is a number, and raise ValidationError on a
+record of the wrong shape.
 """
 
 from __future__ import annotations
@@ -163,8 +164,15 @@ def content_hash(obj) -> str:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON value in the file at path, read as UTF-8 (RFC 8259, 8.1)
+    whatever the locale.  Nesting too deep for the decoder raises
+    ValidationError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def save_json(obj: dict, path) -> None:
-    Path(path).write_text(pretty_dumps(obj))
+    Path(path).write_text(pretty_dumps(obj), encoding="utf-8")

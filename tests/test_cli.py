@@ -1,11 +1,15 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qhtcert
 from qhtcert import Classifier, Povm, PureState, demo, identity_kraus, serialize
 from qhtcert.cli import COMMANDS, build_parser, main
 
@@ -23,6 +27,14 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_once(cwd, *argv, **env):
+    """``python -m qhtcert.cli argv`` in a process of its own, with this
+    package on its path and env over this process's environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qhtcert.__file__).resolve().parents[1]), **env}
+    done = subprocess.run([sys.executable, "-m", "qhtcert.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +123,8 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    # Parsers are built once per process: start from none.
+    build_parser.cache_clear()
     assert main(["bounds", "--pA", "0.9", "--pB", "0.1"]) == 0
     assert calls == ["bounds"]
     # The console script passes no argv: the command comes from sys.argv.
@@ -122,6 +136,34 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     assert calls[:len(COMMANDS)] == list(COMMANDS)
+    # A second call in the same process builds nothing.
+    calls.clear()
+    assert main(["bounds", "--pA", "0.8", "--pB", "0.2"]) == 0
+    assert main() == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--pA", "0.9", "--pB", "0.1", "--p", "0.2", "--output", "out"),
+    ("certify", "--classifier", "{classifier}", "--state", "{state}", "--shots", "2000", "--epsilon", "0.01",
+     "--seed", "5", "--output", "out"),
+    ("bounds", "--pA", "x"),
+], ids=["bounds", "certify", "usage-error"])
+def test_one_shot_and_in_process_calls_give_the_same_output(monkeypatch, capsys, tmp_path, demo_files, argv):
+    # A process of its own builds the parser that an in-process call reuses
+    # from the call before.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(classifier=demo_files[0], state=demo_files[1]) for a in argv]
+    out = tmp_path / "out"
+    results = []
+    for call in (lambda: run_once(tmp_path, *argv), lambda: run(capsys, *argv), lambda: run(capsys, *argv)):
+        out.unlink(missing_ok=True)
+        results.append((*call(), out.read_bytes() if out.exists() else None))
+    assert results[0] == results[1] == results[2]
+    assert results[0][0] == (1 if argv[-1] == "x" else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +424,39 @@ def test_certify_rejects_malformed_json_with_error_record(tmp_path, demo_files, 
     )
     assert rc == 1
     assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("content, error", [
+    (b"[" * 100_000, "ValidationError"),
+    (b'{"dim": 2,', "JSONDecodeError"),
+    (b'{"labels": ["caf\xe9"]}', "UnicodeDecodeError"),
+], ids=["too-deep", "invalid-json", "not-utf-8"])
+@pytest.mark.parametrize("command, role", [
+    (("certify",), "classifier"), (("certify",), "state"), (("oracle", "coverage"), "classifier"),
+], ids=["certify-classifier", "certify-state", "oracle-coverage"])
+def test_undecodable_files_exit_1_with_an_error_record(tmp_path, demo_files, capsys, content, error, command, role):
+    paths = dict(zip(("classifier", "state"), demo_files))
+    paths[role] = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_bytes(content)
+    extra = ("--shots", "10", "--epsilon", "0.5") if command == ("certify",) else ("--trials", "10")
+    rc, out, err = run(capsys, *command, "--classifier", paths["classifier"], "--state", paths["state"], *extra)
+    assert (rc, out) == (1, "")
+    assert "Traceback" not in err
+    assert json.loads(err.splitlines()[-1])["error"] == error
+
+
+def test_json_files_are_read_as_utf_8_whatever_the_locale(tmp_path, demo_files):
+    # Under the C locale with UTF-8 mode off, the locale's encoding is ASCII.
+    record = serialize.classifier_to_json(demo.hemisphere_classifier())
+    record["labels"] = ["café", "thé"]
+    (tmp_path / "classifier.json").write_bytes(json.dumps(record, ensure_ascii=False).encode("utf-8"))
+    argv = ("certify", "--classifier", "classifier.json", "--state", demo_files[1],
+            "--shots", "2000", "--epsilon", "0.01", "--seed", "3", "--output")
+    c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    assert run_once(tmp_path, *argv, "c.json", **c_locale, PYTHONUTF8="0") == (0, "", "")
+    assert run_once(tmp_path, *argv, "utf8.json", **c_locale, PYTHONUTF8="1") == (0, "", "")
+    assert json.loads((tmp_path / "c.json").read_text(encoding="utf-8"))["label"] == "café"
+    assert (tmp_path / "c.json").read_bytes() == (tmp_path / "utf8.json").read_bytes()
 
 
 def test_certify_rejects_repeated_labels_with_error_record(tmp_path, demo_files, capsys):

@@ -446,13 +446,14 @@ def test_probe_doubling_stops_at_two_to_the_100():
 
 
 def test_a_search_that_reaches_its_cap_ends_on_its_bounds():
-    # Both searches above stop at 2^100 with no upper end; their last step
-    # carries the ends (at_lo, None) and sound bounds, and ``helstrom`` alone
-    # turns the unreached level into an error.
+    # Both searches above, and the qubit route on the worked example, stop at
+    # 2^100 with no upper end; their last step carries the ends (at_lo, None)
+    # and sound bounds, and ``helstrom`` alone turns the unreached level into
+    # an error.
     rng = philox(2631)
     sigma, rho = random_pure(4, rng).density(), random_density(4, rng)
     bare = (DensityMatrix(np.diag([0.0, 0.0, 1e20])), validate_density(np.diag([0.5, 0.5 - 1e-20, 1e-20])), 1e-40)
-    for rho, sigma, level in ((rho, sigma, 1e-80), bare):
+    for rho, sigma, level in ((rho, sigma, 1e-80), bare, (RHO, SIGMA, 1e-65)):
         *_, (lower, upper, (at_lo, at_hi)) = hel._tau_search(hel._Route(rho, sigma), level)
         assert at_lo is not None and at_hi is None
         assert lower <= upper == 1.0 - level
@@ -625,9 +626,9 @@ def test_secular_sums_stay_finite_at_the_ends():
                 values = (point.t, point.alpha, point.slope, point.beta, point.dual)
                 assert all(math.isfinite(v) for v in values), f"d={d} {kind} s={s} {values}"
                 assert 0.0 <= point.alpha <= pencil.s0 + 1e-12 and point.slope <= 0.0, f"d={d} {kind} s={s}"
-    # The qubit route drops candidates past T_MAX, so a threshold beyond it
-    # leaves a dual gap that raises.
-    with pytest.raises(SandwichViolated):
+    # The qubit route takes candidates past T_MAX at T_MAX, so a threshold
+    # beyond it is a level that no t <= 2^100 reaches.
+    with pytest.raises(SandwichViolated, match="no t <= 2\\^100"):
         helstrom(RHO, SIGMA, 1e-300)
     assert helstrom(RHO, SIGMA, 1.0 - 1e-16).beta <= 1e-12
 

@@ -26,6 +26,7 @@ hel = importlib.import_module("qhtcert.helstrom")
 oracle = importlib.import_module("qhtcert.oracle")
 
 RHO = demo.adversarial_state().density()
+SIGMA = demo.benign_state().density()
 
 
 def unit_trace(rng) -> DensityMatrix:
@@ -247,3 +248,11 @@ def test_qubit_pairs_take_no_decomposition(monkeypatch):
         worst_case_classifier(sigma, rho, 0.8, 0, 1)
         assert calls == {"eigh": 0, "eigvalsh": 2, "cholesky": 0}, kind
         calls["eigvalsh"] = 0
+
+
+def test_the_worked_example_certifies_at_every_tiny_level():
+    # From pB = 1e-61 down, the stationary point of the rank-one region lies
+    # past T_MAX (t = 1.4e32 at 1e-65).  g there is taken at T_MAX, a sound
+    # lower bound, so a smaller pB keeps the verdict of a larger one.
+    for p_b in (0.0, 1e-12, 1e-40, 1e-65, 1e-100, 1e-300):
+        assert certify_condition(SIGMA, RHO, 0.9, p_b), p_b
